@@ -3,7 +3,9 @@
 G solves  G'(t) = (p/2)^{p+1} t^{p-2} (t + 1 - G(t))^2  with G(2/p) = 1,
 G'(2/p) = p/2.  Two independent constructions are compared: a Runge-Kutta
 march (with stability substepping) and a closed form obtained by
-linearizing the Riccati equation into a modified-Bessel equation.
+linearizing the Riccati equation into a modified-Bessel equation, whose
+solution enters only as a ratio of the exponentially scaled I_nu and K_nu
+(scipy.special.ive / kve) and so is evaluated in double precision.
 
 Run:  python3 demos/02_ode_and_inverse.py
 """

@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     sc = subs.add_parser("constants", help="table of sharp constants")
     common(sc)
-    sc.set_defaults(func=cmd_constants, format_default="csv")
+    sc.set_defaults(func=cmd_constants)
 
     sv = subs.add_parser("verify", help="run a verification suite")
     sv.add_argument("suite", choices=sorted(SUITES))

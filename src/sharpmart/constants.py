@@ -34,7 +34,6 @@ class Regime(Enum):
     SUB_ONE = "sub_one"        # 0 < p < 1
     ORTH_RANGE = "orth_range"  # 1 <= p <= 2
     SUPER_TWO = "super_two"    # p > 2
-    GENERAL = "general"        # 1 < p < inf
 
 
 def natural_regime(p: float) -> Regime:
@@ -55,9 +54,6 @@ class Exponent:
             raise ValueError(f"exponent must be a positive finite real, got {self.p}")
         if self.regime is None:
             object.__setattr__(self, "regime", natural_regime(self.p))
-        elif self.regime is Regime.GENERAL:
-            if not self.p > 1:
-                raise ValueError(f"general regime requires p > 1, got {self.p}")
         elif self.regime is not natural_regime(self.p):
             raise ValueError(f"regime {self.regime} inconsistent with p={self.p}")
 

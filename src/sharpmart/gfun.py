@@ -5,9 +5,11 @@ G solves the Riccati-type initial value problem
     G'(t) = (p/2)^{p+1} t^{p-2} (t + 1 - G(t))^2,   G(2/p) = 1,
 
 for a fixed p > 2.  Two independent constructions are provided: a
-fourth-order one-step integration (the primary path) and an evaluation
-through a combination of modified Bessel functions, which linearize the
-equation.  The inverse h = G^{-1} is obtained from the tabulated solution
+fourth-order one-step integration (the primary path) and a closed form
+through modified Bessel functions, which linearize the equation.  The
+closed form is a ratio of the exponentially scaled I_nu and K_nu, so it
+runs in double precision without the overflow of the unscaled basis.
+The inverse h = G^{-1} is obtained from the tabulated solution
 by monotone inversion.
 """
 
@@ -16,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
+from scipy.special import ive, kve
 
 __all__ = [
     "ConstructionError",
@@ -137,78 +139,54 @@ def build_g_rk(p: float, t_max: float | None = None, step: float = 1e-3) -> GSol
     return GSolution(p, ts, gs, g_rhs(p, ts, gs), "rk4")
 
 
-def _bessel_pair(p: float, t, prec: int = 40):
-    """k(t) and k'(t) for the combination fixed by k(2/p)=1, k'(2/p)=p^2/4.
+_BESSEL_NODES = 300
 
-    Worked in arbitrary precision: the Bessel arguments grow like t^{p/2}
-    and overflow double precision well inside the tabulation range.
+
+def _bessel_gap(p: float, t):
+    """The gap u = t + 1 - G(t) from the Bessel linearization.
+
+    G = t + 1 - (2/p)^{p+1} k'/(k t^{p-2}) turns the Riccati equation into
+    a linear one solved by k = t^{(p-1)/2} (A I_nu(z) + B K_nu(z)) with
+    nu = (p-1)/p and z = beta t^{p/2}.  Only k'/k enters, so with the
+    exponentially scaled ive/kve (DLMF 10.25, 10.29(i)) the factors e^{+-z}
+    cancel and double precision suffices.  The weight r = (B/A) e^{-2 z0} of
+    the scaled K part at z0 = z(2/p) is fixed by u(2/p) = 2/p, which is
+    k'/k = p^2/4 there.
     """
-    with mp.workdps(prec):
-        pm = mp.mpf(p)
-        nu = (pm - 1) / pm
-        c = (pm / 2) ** ((pm - 1) / 2)
-
-        def basis(tt):
-            tt = mp.mpf(tt)
-            z = c * tt ** (pm / 2)
-            dz = c * (pm / 2) * tt ** (pm / 2 - 1)
-            w = tt ** ((pm - 1) / 2)
-            dw = ((pm - 1) / 2) * tt ** ((pm - 3) / 2)
-            vals = []
-            for a in (-nu, nu):
-                ia = mp.besseli(a, z)
-                dia = mp.besseli(a + 1, z) + a / z * ia
-                vals.append((w * ia, dw * ia + w * dia * dz))
-            (k1, dk1), (k2, dk2) = vals
-            return k1, k2, dk1, dk2
-
-        t0 = mp.mpf(2) / pm
-        k1, k2, dk1, dk2 = basis(t0)
-        det = k1 * dk2 - k2 * dk1
-        if abs(det) < mp.mpf(10) ** (-prec + 5):
-            raise ConstructionError("singular system for the basis coefficients")
-        rhs1, rhs2 = mp.mpf(1), pm**2 / 4
-        a1 = (rhs1 * dk2 - k2 * rhs2) / det
-        a2 = (k1 * rhs2 - rhs1 * dk1) / det
-
-        ks, dks = [], []
-        for tt in np.asarray(t, dtype=float):
-            k1, k2, dk1, dk2 = basis(tt)
-            k = a1 * k1 + a2 * k2
-            dk = a1 * dk1 + a2 * dk2
-            if k <= 0 or dk <= 0:
-                raise ConstructionError(f"non-positive linearized solution at t={tt}")
-            ks.append(k)
-            dks.append(dk)
-        return ks, dks
+    t = np.asarray(t, dtype=float)
+    nu = (p - 1) / p
+    beta = (p / 2) ** ((p - 1) / 2)
+    z = beta * t ** (p / 2)
+    z0 = beta * (2 / p) ** (p / 2)
+    q = (2 - p) / (p * z0)  # required value of R - nu/z at z0
+    r = (ive(nu + 1, z0) - q * ive(nu, z0)) / (kve(nu + 1, z0) + q * kve(nu, z0))
+    e = r * np.exp(-2 * (z - z0))
+    R = nu / z + (ive(nu + 1, z) - e * kve(nu + 1, z)) / (ive(nu, z) + e * kve(nu, z))
+    return ((p - 1) / 2 + (p / 2) * z * R) / ((p / 2) ** (p + 1) * t ** (p - 1))
 
 
-def build_g_bessel(p: float, t_max: float | None = None, n_nodes: int = 300) -> GSolution:
+def build_g_bessel(p: float, t_max: float | None = None) -> GSolution:
     """Evaluate G through the Bessel linearization of the Riccati equation.
 
     Nodes are cubically graded towards the left endpoint, where the
     solution's curvature concentrates; interpolation error there dominates
-    the uniform-grid budget by orders of magnitude.
+    the uniform-grid budget by orders of magnitude.  G' is tabulated from
+    the gap u directly, not from t + 1 - G, which would lose u to
+    cancellation once u is far below t.
     """
     if not p > 2:
         raise ValueError(f"requires p > 2, got {p}")
     if t_max is None:
         t_max = default_t_max(p)
-    u = np.linspace(0.0, 1.0, n_nodes)
-    ts = 2 / p + (t_max - 2 / p) * u**3
+    s = np.linspace(0.0, 1.0, _BESSEL_NODES)
+    ts = 2 / p + (t_max - 2 / p) * s**3
     ts[0] = 2 / p
-    ks, dks = _bessel_pair(p, ts)
-    with mp.workdps(40):
-        pm = mp.mpf(p)
-        coeff = (mp.mpf(2) / pm) ** (pm + 1)
-        gs = np.array(
-            [
-                float(mp.mpf(t) + 1 - coeff * dk / (k * mp.mpf(t) ** (pm - 2)))
-                for t, k, dk in zip(ts, ks, dks)
-            ]
-        )
-    gs[0] = 1.0  # analytic value at the left endpoint; float rounding only
-    return GSolution(p, ts, gs, g_rhs(p, ts, gs), "bessel")
+    u = _bessel_gap(p, ts)
+    bad = np.nonzero(~np.isfinite(u))[0]
+    if bad.size:
+        raise ConstructionError(f"non-finite Bessel value at t={ts[bad[0]]}")
+    gp = (p / 2) ** (p + 1) * ts ** (p - 2) * u**2
+    return GSolution(p, ts, ts + 1 - u, gp, "bessel")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ class UWContext:
     p: float
     g: GSolution
     h: HSolution
-    boundary_tol: float = 1e-9
     # sign s per region in {+1,-1}: U_xy = s*(U_xx+U_yy)/2, fixed by a
     # finite-difference probe at construction
     uxy_signs: dict = field(default=None, repr=False)
@@ -65,9 +64,9 @@ class UWContext:
         return self.p**self.p / (2**self.p * (self.p - 1))
 
 
-def build_context(p: float, step: float = 1e-3, boundary_tol: float = 1e-9) -> UWContext:
-    g = build_g_rk(p, step=step)
-    return UWContext(p, g, HSolution(g), boundary_tol)
+def build_context(p: float) -> UWContext:
+    g = build_g_rk(p)
+    return UWContext(p, g, HSolution(g))
 
 
 def _prep(ctx, x, y):
@@ -289,10 +288,8 @@ def _second_pos(ctx, labels, x, Y):
     return uxx, uyy
 
 
-def is_interior(ctx: UWContext, x, y, tol: float | None = None):
+def is_interior(ctx: UWContext, x, y, tol: float = 1e-8):
     """True where the classification is stable under tol-sized perturbations."""
-    if tol is None:
-        tol = max(ctx.boundary_tol, 1e-8)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     base = classify(ctx, x, y)

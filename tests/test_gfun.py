@@ -5,6 +5,9 @@ act as mutual oracles; the defining equation itself is the third.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -125,3 +128,25 @@ class TestErrors:
         with pytest.raises((ValueError, ConstructionError)):
             GSolution(p=3.0, grid=grid, g_values=np.array([1.0, 0.5, 2.0]),
                       gprime_values=np.array([1.5, 1.0, 1.0]), method="bogus")
+
+
+class TestBesselRoute:
+    def test_builds_where_the_gap_is_tiny(self):
+        # G' is tabulated from the gap u itself; recomputing it from
+        # t + 1 - G loses u to cancellation at these exponents.
+        for p in (8.0, 10.0):
+            sol = build_g_bessel(p)
+            assert float(np.min(sol.gprime_values)) >= 1 - 1e-12
+
+    def test_non_finite_bessel_values_are_a_construction_error(self):
+        # On scipy 1.17 the scaled I_nu is NaN at the z ~ 1.9e10 that p = 12
+        # reaches; that must surface as a construction error.
+        with pytest.raises(ConstructionError, match="non-finite Bessel value"):
+            build_g_bessel(12.0)
+
+    def test_import_does_not_load_mpmath(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        code = "import sys, sharpmart; print('mpmath' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
