@@ -142,6 +142,11 @@ def build_g_rk(p: float, t_max: float | None = None, step: float = 1e-3) -> GSol
 _BESSEL_NODES = 300
 
 
+def _bessel_log_derivative(nu: float, z, e):
+    """w'/w for w = I_nu(z) + c K_nu(z), with the scaled weight e = c e^{-2z}."""
+    return nu / z + (ive(nu + 1, z) - e * kve(nu + 1, z)) / (ive(nu, z) + e * kve(nu, z))
+
+
 def _bessel_gap(p: float, t):
     """The gap u = t + 1 - G(t) from the Bessel linearization.
 
@@ -160,8 +165,7 @@ def _bessel_gap(p: float, t):
     z0 = beta * (2 / p) ** (p / 2)
     q = (2 - p) / (p * z0)  # required value of R - nu/z at z0
     r = (ive(nu + 1, z0) - q * ive(nu, z0)) / (kve(nu + 1, z0) + q * kve(nu, z0))
-    e = r * np.exp(-2 * (z - z0))
-    R = nu / z + (ive(nu + 1, z) - e * kve(nu + 1, z)) / (ive(nu, z) + e * kve(nu, z))
+    R = _bessel_log_derivative(nu, z, r * np.exp(-2 * (z - z0)))
     return ((p - 1) / 2 + (p / 2) * z * R) / ((p / 2) ** (p + 1) * t ** (p - 1))
 
 

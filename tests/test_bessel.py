@@ -1,53 +1,52 @@
-"""Modified Bessel function of the first kind: series implementation
-checked against scipy and against the defining differential equation."""
+"""Log-derivative of the modified Bessel combination w = I_a + c K_a that the
+closed-form route for G is built on, checked against scipy's unscaled
+functions and against the Riccati equation that w'/w satisfies."""
 
 import numpy as np
 import pytest
-from scipy.special import iv
+from scipy.special import iv, ivp, kv, kvp
 
-from sharpmart.bessel import bessel_i
+from sharpmart.gfun import _bessel_log_derivative
+
+
+def log_derivative(alpha, z, c):
+    return _bessel_log_derivative(alpha, z, c * np.exp(-2 * z))
 
 
 class TestAgainstScipy:
     @pytest.mark.parametrize("alpha", [-0.75, -1 / 3, 0.0, 0.5, 2.0 / 3.0, 3.0])
     @pytest.mark.parametrize("z", [1e-8, 0.1, 1.0, 7.5, 25.0, 50.0])
     def test_matches_library(self, alpha, z):
-        assert bessel_i(alpha, z) == pytest.approx(float(iv(alpha, z)), rel=1e-10)
+        for c in (0.0, 1.0):
+            ref = (ivp(alpha, z) + c * kvp(alpha, z)) / (iv(alpha, z) + c * kv(alpha, z))
+            assert log_derivative(alpha, z, c) == pytest.approx(float(ref), rel=1e-10)
 
     def test_large_argument_cap(self):
-        # the contract covers z <= 50; near the cap the series still agrees
-        assert bessel_i(0.25, 50.0) == pytest.approx(float(iv(0.25, 50.0)), rel=1e-10)
+        # the unscaled I overflows here; the scaled ratio follows the
+        # asymptotic I'/I = 1 - 1/(2z) + (4a^2 - 1)/(8z^2) + O(z^-3)
+        alpha, z = 0.25, 1e4
+        assert np.isinf(iv(alpha, z))
+        expected = 1 - 1 / (2 * z) + (4 * alpha**2 - 1) / (8 * z**2)
+        assert log_derivative(alpha, z, 1.0) == pytest.approx(expected, rel=1e-10)
 
 
 class TestDefiningEquation:
     @pytest.mark.parametrize("alpha", [-2 / 3, 0.4, 1.5])
     @pytest.mark.parametrize("z", [0.5, 2.0, 10.0])
     def test_ode_residual(self, alpha, z):
-        # z^2 w'' + z w' - (z^2 + alpha^2) w = 0, via central differences
+        # y = w'/w solves y' + y^2 + y/z - (1 + alpha^2/z^2) = 0, since
+        # z^2 w'' + z w' - (z^2 + alpha^2) w = 0; y' via central differences
         e = 1e-5 * z
-        w = bessel_i(alpha, z)
-        wp = (bessel_i(alpha, z + e) - bessel_i(alpha, z - e)) / (2 * e)
-        wpp = (bessel_i(alpha, z + e) - 2 * w + bessel_i(alpha, z - e)) / e**2
-        resid = z**2 * wpp + z * wp - (z**2 + alpha**2) * w
-        assert abs(resid) < 1e-5 * max(1.0, abs(w) * z**2)
+        y = log_derivative(alpha, z, 1.0)
+        yp = (log_derivative(alpha, z + e, 1.0) - log_derivative(alpha, z - e, 1.0)) / (2 * e)
+        resid = yp + y**2 + y / z - (1 + alpha**2 / z**2)
+        assert abs(resid) < 1e-6 * (1 + y**2 + alpha**2 / z**2)
 
     def test_derivative_recurrence(self):
-        # I'_a(z) = I_{a+1}(z) + (a/z) I_a(z)
-        alpha, z = -2 / 3, 3.0
+        # I'_a = I_{a+1} + (a/z) I_a and K'_a = -K_{a+1} + (a/z) K_a give
+        # w'/w; compare with a difference quotient of log w from scipy
+        alpha, z, c = -2 / 3, 3.0, 1.0
         e = 1e-6
-        lhs = (bessel_i(alpha, z + e) - bessel_i(alpha, z - e)) / (2 * e)
-        rhs = bessel_i(alpha + 1, z) + alpha / z * bessel_i(alpha, z)
-        assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-class TestEdges:
-    def test_zero_argument(self):
-        assert bessel_i(0.0, 0.0) == 1.0
-        assert bessel_i(1.5, 0.0) == 0.0
-        assert bessel_i(-0.5, 0.0) == np.inf
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bessel_i(-1.5, 1.0)
-        with pytest.raises(ValueError):
-            bessel_i(0.5, -1.0)
+        log_w = lambda x: np.log(iv(alpha, x) + c * kv(alpha, x))  # noqa: E731
+        lhs = (log_w(z + e) - log_w(z - e)) / (2 * e)
+        assert lhs == pytest.approx(log_derivative(alpha, z, c), rel=1e-8)
