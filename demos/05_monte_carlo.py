@@ -43,6 +43,6 @@ print(f"  P(Y reaches 1): {r['prob_estimate']:.5f} vs exact {r['prob_exact']:.5f
       f"({r['prob_margin_sigma']:.2f} sigma)")
 
 print("\nRectangle check for the harmonic pair u = x, v = y (R = 20):")
-r = harmonic_rectangle_check(2.0, 20.0, 0.1, SimConfig(13, 100_000))
+r = harmonic_rectangle_check(2.0, 20.0, SimConfig(13, 100_000))
 print(f"  moment {r['estimate']:.5f} vs strip value {r['bound']:.5f} "
       f"({r['margin_sigma']:.2f} sigma); top/bottom exit fraction {r['mu_v_ge_1']:.4f}")

@@ -161,9 +161,11 @@ def suite_mc_weak_type(p=None, seed=0, n=10_000, workers=1, **_):
 
 def suite_mc_strip(p=2.0, seed=42, n=200_000, dt=1e-2, workers=1, **_):
     p = 2.0 if p is None else p
+    if not 1 <= p <= 2:
+        raise ValueError(f"requires 1 <= p <= 2, got {p}")
     cfg = mc.SimConfig(master_seed=seed, n_samples=n, dt=dt, workers=workers)
     est = mc.strip_exit_moment(p, (0.0, 0.0), cfg)
-    target = 1.0 / kp(p).value ** p if 1 <= p <= 2 else None
+    target = 1.0 / kp(p).value ** p
     report = {
         "suite": "mc-strip",
         "p": p,
@@ -171,18 +173,18 @@ def suite_mc_strip(p=2.0, seed=42, n=200_000, dt=1e-2, workers=1, **_):
         "estimate": est.mean,
         "std_error": est.std_error,
         "seed": seed,
+        "bound": target,
+        "margin_sigma": abs(est.mean - target) / est.std_error,
+        "bridge_exits": est.bridge_exits,
+        "censored": est.censored,
     }
-    if target is None:
-        return True, report
-    report["bound"] = target
-    report["margin_sigma"] = abs(est.mean - target) / est.std_error
     return bool(report["margin_sigma"] <= 4.0), report
 
 
 def suite_harmonic(p=2.0, seed=13, n=100_000, dt=1e-2, workers=1, **_):
     p = 2.0 if p is None else p
     cfg = mc.SimConfig(master_seed=seed, n_samples=n, dt=dt, workers=workers)
-    rect = mc.harmonic_rectangle_check(p, 20.0, 0.1, cfg)
+    rect = mc.harmonic_rectangle_check(p, 20.0, cfg)
     oned = extremal.harmonic_1d_example(0.5, [0.5, 1.0, 1.5, 1.9, 1.999])
     report = {"suite": "harmonic", "rectangle": rect, "one_dim_sup": oned["sup"]}
     ok = rect["passed"] and oned["sup"] > 1.99

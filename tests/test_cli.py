@@ -69,6 +69,16 @@ def test_verify_forwards_sampling_options(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["n"] == 40000
     assert report["seed"] == 5
+    assert report["censored"] == 0 and report["bridge_exits"] > 0
+
+
+def test_verify_mc_strip_without_a_bound_is_an_error(capsys):
+    # K_p is known only for 1 <= p <= 2: the suite refuses rather than passing
+    # with nothing checked, and exits like any other out-of-domain exponent
+    code = main(["verify", "mc-strip", "--p", "3"])
+    assert "1 <= p <= 2" in capsys.readouterr().err
+    assert code != 0
+    assert code == main(["verify", "u-weak", "--p", "2"])
 
 
 # ----------------------------------------------------------------- figures

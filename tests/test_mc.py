@@ -12,12 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sharpmart import mc
 from sharpmart.constants import kp
 from sharpmart.extremal import resolve_params, section_ratio
 from sharpmart.mc import (
+    _EPS,
     Estimate,
+    ExitEstimate,
     SimConfig,
+    _bridge_step,
+    _lambda_scan,
     _pair_chunk,
+    _strip_chunk,
+    _weak_type_verdict,
     harmonic_rectangle_check,
     random_subordinate_pair_check,
     section_chain_mc,
@@ -111,6 +118,116 @@ def test_strip_exit_samples_sides():
     assert side.mean() < 0.05
 
 
+def _full_bridge_step(y, dy, u, dt):
+    """The bridge test with both exponentials on every path."""
+    y1 = y + dy
+    up, dn = y1 >= 1.0, y1 <= -1.0
+    p_up = np.exp(-2.0 * (1.0 - y) * (1.0 - y1) / dt)
+    p_dn = np.exp(-2.0 * (1.0 + y) * (1.0 + y1) / dt)
+    bridge = ~(up | dn) & (u < p_up + p_dn)
+    theta = np.full(y.size, 0.5)
+    np.divide(1.0 - y, dy, out=theta, where=up)
+    np.divide(-1.0 - y, dy, out=theta, where=dn)
+    exited = up | dn | bridge
+    return y1, exited, theta[exited], int(bridge.sum())
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
+def test_bridge_step_candidates_change_no_decision(dt):
+    rng = np.random.default_rng(99)
+    n = 400_000
+    # crowd the barriers and the candidate edge; u = 0 bridge-exits any path
+    # whose crossing probability does not underflow, u < eps only near one
+    y = np.concatenate([rng.uniform(-1, 1, n // 2), np.sign(rng.uniform(-1, 1, n // 2))
+                        * (1 - rng.uniform(0, 0.4, n // 2) ** 2)])
+    dy = rng.normal(0.0, math.sqrt(dt), n)
+    u = rng.random(n)
+    u[::1000] = 0.0
+    u[1::1000] *= _EPS
+    got = _bridge_step(y, dy, u, dt)
+    want = _full_bridge_step(y, dy, u, dt)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    assert got[3] == want[3] > 0
+
+
+# Literal outputs of the kernel that evaluated both bridge exponentials on
+# every path; the side-barrier and coupled kernels must reproduce them bit
+# for bit at any worker count.
+@pytest.mark.parametrize(
+    "p, R, seed, workers, want",
+    [
+        (2.0, 6.0, 41, 1, (1.0017900540767959, 0.010066490039423006, 0.99985, 6.123341602655331e-05)),
+        (2.0, 20.0, 13, 2, (1.0183724706479602, 0.010317102702912806, 1.0, 0.0)),
+        (1.0, 6.0, 41, 3, (0.7407630814757554, 0.00336552907425151, 0.99985, 6.123341602655331e-05)),
+    ],
+)
+def test_harmonic_rectangle_is_pinned(p, R, seed, workers, want):
+    rep = harmonic_rectangle_check(
+        p, R, SimConfig(master_seed=seed, n_samples=40_000, workers=workers)
+    )
+    assert (rep["estimate"], rep["std_error"], rep["mu_v_ge_1"], rep["mu_std_error"]) == want
+
+
+@pytest.mark.parametrize(
+    "seed, start, want",
+    [
+        (13, (0.0, 0.0), (1.0113124912532467, 0.010418594136922704,
+                          1.0076394848274326, 0.010219269394027444)),
+        (77, (0.3, -0.4), (0.9346913269727382, 0.00951041117211573,
+                           0.934034660544743, 0.009572745015332791)),
+    ],
+)
+def test_strip_exit_bias_pair_is_pinned(seed, start, want):
+    coarse, fine = strip_exit_bias_pair(2.0, start, SimConfig(master_seed=seed, n_samples=40_000))
+    assert (coarse.mean, coarse.std_error, fine.mean, fine.std_error) == want
+
+
+def _assert_same_law(a, b):
+    """E|x| and E x^2 of two samples agree within 4 combined sigma."""
+    for f in (np.abs, np.square):
+        fa, fb = f(a), f(b)
+        se = math.hypot(fa.std(ddof=1), fb.std(ddof=1)) / math.sqrt(fa.size)
+        assert abs(fa.mean() - fb.mean()) <= 4 * se
+
+
+# near the barrier most paths exit within a step or two, so an error of one
+# step (dt) in the y-only route's variance k + theta^2 is many sigma
+@pytest.mark.parametrize("start", [(0.0, 0.0), (0.7, 0.3), (0.0, 0.999)])
+def test_y_only_route_matches_x_walk_in_law(start):
+    # r_bound = 1e6 is never reached, so the x-walk kernel samples the same
+    # law as the y-only kernel (which draws x once at exit)
+    args = [((5, i), 1 << 15, start[0], start[1], 1e-2) for i in range(2)]
+    walk = np.concatenate([_strip_chunk(a + (1e6,))[0] for a in args])
+    alone = np.concatenate([_strip_chunk(a + (math.inf,))[0] for a in args])
+    _assert_same_law(walk, alone)
+    # the y-only draws are a different stream: the samples differ
+    assert not np.array_equal(walk, alone)
+
+
+def test_censored_paths_keep_their_law(monkeypatch):
+    # over a horizon of ten steps most paths are still inside the strip
+    monkeypatch.setattr(mc, "_MAX_TIME", 0.1)
+    n = 1 << 14
+    walk = _strip_chunk(((5, 0), n, 0.0, 0.0, 1e-2, 1e6))
+    alone = _strip_chunk(((5, 0), n, 0.0, 0.0, 1e-2, math.inf))
+    assert walk[3] > 0.9 * n and alone[3] > 0.9 * n
+    _assert_same_law(walk[0], alone[0])
+
+
+def test_strip_counts_bridge_exits_and_censored():
+    cfg = SimConfig(master_seed=3, n_samples=20_000)
+    est = strip_exit_moment(2.0, (0.0, 0.0), cfg)
+    assert isinstance(est, ExitEstimate)
+    # by reflection, about half of all first crossings happen inside a step
+    # whose endpoint is back in the strip; no path is still inside at T = 60
+    assert 0.4 * est.n < est.bridge_exits < 0.6 * est.n
+    assert est.censored == 0
+    _, side, n_bridge, censored = _strip_chunk(((3, 0), 5_000, 0.0, 0.0, 1e-2, math.inf))
+    assert not side.any() and censored == 0 and n_bridge > 0
+
+
 def test_coupled_bias_pair_is_small():
     cfg = SimConfig(master_seed=13, n_samples=60_000)
     coarse, fine = strip_exit_bias_pair(2.0, (0.0, 0.0), cfg)
@@ -166,7 +283,36 @@ def test_random_pairs_respect_weak_bound(p, bound):
     assert rep["bound"] == pytest.approx(bound, rel=1e-14)
     assert rep["estimate"] <= bound + 4 * rep["std_error"]
     assert rep["worst_fixed_time_ratio"] <= rep["bound"] + 4 * rep["std_error"]
+    assert math.isfinite(rep["margin_sigma"]) and rep["margin_sigma"] <= 4.0
+    assert rep["ratio_excess"] == pytest.approx(rep["estimate"] / bound - 1, rel=1e-12)
     check_schema(rep)
+
+
+def test_pairs_verdict_uses_largest_margin():
+    # pair A: the largest ratio but a wide error bar (margin ~0.4 sigma);
+    # pair B: a smaller ratio with a tight bar (margin ~9.5 sigma)
+    p, bound = 3.0, 27 / 16
+    grid = np.array([1.0, 1.5, 3.0])
+    a = np.repeat([2.0, 1.0], [52, 48])
+    b = np.repeat([2.0, 1.0], [51_500, 48_500])
+    rows = [_lambda_scan(g, grid, 1.0, p, bound) for g in (a, b)]
+    ratio, se, margin = (np.concatenate(c) for c in zip(*rows))
+    top = int(np.argmax(ratio))
+    assert top == 1 and margin[top] <= 4.0  # the old rule: this row decides, passes
+    assert ratio[4] < ratio[top] and margin[4] > 9.0
+    verdict = _weak_type_verdict(ratio, margin, bound)
+    assert not verdict["passed"]
+    assert verdict["margin_sigma"] == pytest.approx(margin[4])
+    # P = 1 at lambda = 1 and P = 0 at lambda = 3: no margin, no 1e-12 floor
+    assert np.isnan(margin[[0, 2, 3, 5]]).all()
+    assert se[[0, 2, 3, 5]].tolist() == [0.0] * 4
+
+
+def test_pairs_verdict_fails_an_errorless_row_above_the_bound():
+    ratio = np.array([0.5, 2.0])
+    margin = np.array([-10.0, np.nan])  # second row: P = 1, no binomial error
+    assert not _weak_type_verdict(ratio, margin, 1.5)["passed"]
+    assert _weak_type_verdict(ratio, margin, 2.0)["passed"]
 
 
 def test_random_pairs_rejects_intermediate_exponents():
@@ -192,32 +338,20 @@ def test_section_chain_matches_exact_atoms():
 
 
 def test_harmonic_rectangle_sampled():
-    rep = harmonic_rectangle_check(
-        2.0, 6.0, 1e-3, SimConfig(master_seed=41, n_samples=60_000)
-    )
+    rep = harmonic_rectangle_check(2.0, 6.0, SimConfig(master_seed=41, n_samples=60_000))
     assert rep["passed"]
     assert rep["bound"] == pytest.approx(1.0 / kp(2.0).value ** 2, rel=1e-14)
     assert rep["mu_v_ge_1"] >= 0.95
-    check_schema(rep)
-
-
-def test_harmonic_rectangle_constant_branch():
-    rep = harmonic_rectangle_check(
-        1.5, 10.0, 1e-3, SimConfig(master_seed=1, n_samples=10), u_const=0.7
-    )
-    assert rep["passed"]
-    assert rep["estimate"] == 0.7**1.5
-    assert rep["std_error"] == 0.0
-    assert rep["exact_constant_branch"]
+    assert rep["censored"] == 0 and rep["bridge_exits"] > 0
     check_schema(rep)
 
 
 def test_harmonic_rectangle_domain():
     cfg = SimConfig(master_seed=1, n_samples=10)
     with pytest.raises(ValueError):
-        harmonic_rectangle_check(2.0, 3.0, 1e-3, cfg)
+        harmonic_rectangle_check(2.0, 3.0, cfg)
     with pytest.raises(ValueError):
-        harmonic_rectangle_check(3.0, 6.0, 1e-3, cfg)
+        harmonic_rectangle_check(3.0, 6.0, cfg)
 
 
 # ---------------------------------------------------------------- estimates

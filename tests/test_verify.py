@@ -38,3 +38,9 @@ def test_suite_accepts_p_override():
     ok, report = run_suite("ode", p=4.0)
     assert ok, report
     assert report["p"] == 4.0
+
+
+@pytest.mark.parametrize("p", [0.5, 3.0])
+def test_mc_strip_rejects_p_without_a_bound(p):
+    with pytest.raises(ValueError, match="1 <= p <= 2"):
+        run_suite("mc-strip", p=p, n=10)
