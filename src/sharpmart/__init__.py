@@ -12,7 +12,6 @@ from .constants import (  # noqa: F401
     Exponent,
     Regime,
     SharpConstant,
-    gamma,
     kp,
     reference_constants,
     strong_constant_nonneg,

@@ -1,7 +1,8 @@
 """Command-line front end: constant tables, verification suites, and
 plot-ready figure data, with reproducible seeds and machine-readable output.
 
-Exit codes: 0 pass, 1 assertion/row failure, 2 usage error.
+Exit codes: 0 pass, 1 assertion/row failure or numerical failure, 2 usage
+error (bad option, out-of-domain value, unusable output directory).
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import numpy as np
 from . import __version__
 from .constants import kp, reference_constants, weak_constant_nonneg
 from .extremal import build_section_example, resolve_params
-from .uweak import REGION_BOUNDARIES, build_context
+from .gfun import ConstructionError
+from .orth import QuadratureError
+from .uweak import REGION_BOUNDARIES, EvaluationError, build_context
 from .verify import SUITES, run_suite
 
 OUT_ENV = "SHARPMART_OUT"
@@ -174,11 +177,7 @@ def cmd_figures(args) -> int:
         name = f"trajectories_p{p:g}.csv"
         params = {"which": "trajectories", "p": p, "x": x0, "delta": delta}
     manifest = RunManifest("figures", params, args.seed)
-    try:
-        _emit(args, name, text, manifest)
-    except (FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _emit(args, name, text, manifest)
     return 0
 
 
@@ -191,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sub):
         sub.add_argument("--p", type=float, action="append", help="exponent (repeatable)")
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--n", type=int, default=None, help="sample count")
-        sub.add_argument("--dt", type=float, default=None, help="time step")
-        sub.add_argument("--workers", type=int, default=1)
         sub.add_argument("--format", choices=["csv", "json"], default="json")
         sub.add_argument("--out", default=None, help=f"output dir (default ${OUT_ENV})")
 
@@ -205,6 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv = subs.add_parser("verify", help="run a verification suite")
     sv.add_argument("suite", choices=sorted(SUITES))
     common(sv)
+    sv.add_argument("--n", type=int, default=None, help="sample count")
+    sv.add_argument("--dt", type=float, default=None, help="time step")
+    sv.add_argument("--workers", type=int, default=1)
     sv.set_defaults(func=cmd_verify)
 
     sf = subs.add_parser("figures", help="export plot-ready CSV data")
@@ -221,8 +220,12 @@ def main(argv=None) -> int:
     if args.command == "constants" and not args.p:
         args.p = [0.5, 1.0, 1.5, 2.0, 3.0]
     try:
+        _out_dir(args)  # refuse a missing output directory before any work
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (EvaluationError, ConstructionError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,6 @@ __all__ = [
     "Regime",
     "Exponent",
     "SharpConstant",
-    "gamma",
     "odd_zeta_alternating",
     "kp",
     "weak_constant_nonneg",
@@ -82,17 +81,6 @@ class SharpConstant:
             raise ValueError("series_terms_used must be >= 0")
 
 
-def gamma(x: float) -> float:
-    """Gamma function on the positive half-line.
-
-    Backed by the platform Lanczos implementation; the 1e-12 relative
-    accuracy contract on [0.5, 10] is enforced by the test suite.
-    """
-    if not x > 0:
-        raise ValueError(f"gamma requires a positive argument, got {x}")
-    return math.gamma(x)
-
-
 def odd_zeta_alternating(s: float, tol: float = 1e-12) -> tuple[float, int]:
     """sum_{k>=0} (-1)^k (2k+1)^{-s}, truncated once the next term < tol.
 
@@ -131,7 +119,7 @@ def kp(p, tol: float = 1e-12) -> SharpConstant:
     if tol <= 0:
         raise ValueError("tol must be positive")
     denom, n_terms = odd_zeta_alternating(exp.p + 1, tol=tol)
-    kpp = (1.0 / gamma(exp.p + 1)) * (math.pi / 2) ** (exp.p - 1) * ODD_SQUARE_SUM / denom
+    kpp = (1.0 / math.gamma(exp.p + 1)) * (math.pi / 2) ** (exp.p - 1) * ODD_SQUARE_SUM / denom
     return SharpConstant(kpp ** (1.0 / exp.p), "orthogonal_weak_type", exp, n_terms)
 
 
@@ -181,7 +169,7 @@ def reference_constants(p) -> list[SharpConstant]:
     exp = as_exponent(p)
     out: list[SharpConstant] = []
     if 1 <= exp.p <= 2:
-        out.append(SharpConstant(2.0 / gamma(exp.p + 1), "weak_type_general", exp))
+        out.append(SharpConstant(2.0 / math.gamma(exp.p + 1), "weak_type_general", exp))
     if exp.p > 1:
         out.append(SharpConstant(exp.p_star - 1, "strong_type_general", exp))
         out.append(strong_constant_nonneg(exp))

@@ -3,15 +3,15 @@
 The half-plane splits into eight regions D0..D7 (first match wins, in index
 order, with |y| throughout); U is defined by a separate closed form on each
 region, two of which involve the auxiliary function G and its inverse h.
-All evaluators are vectorized over numpy arrays and reflect through y -> -y:
-values, second derivatives and the first gradient component are even in y,
-the second gradient component odd.
+The gradient and all three second derivatives are closed forms per region
+as well.  All evaluators are vectorized over numpy arrays and reflect
+through y -> -y: values, U_x, U_xx and U_yy are even in y, U_y and U_xy odd.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +46,12 @@ class UWContext:
     p: float
     g: GSolution
     h: HSolution
-    # sign s per region in {+1,-1}: U_xy = s*(U_xx+U_yy)/2, fixed by a
-    # finite-difference probe at construction
-    uxy_signs: dict = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.p > 2:
             raise ValueError("requires p > 2")
         if self.g.p != self.p or self.h.source is not self.g:
             raise ValueError("g and h must be built for the same exponent")
-        if self.uxy_signs is None:
-            object.__setattr__(self, "uxy_signs", _probe_uxy_signs(self))
 
     @property
     def coef(self) -> float:
@@ -238,9 +233,10 @@ def u_gradient_ext(ctx: UWContext, x, y):
 
 
 def _second_pos(ctx, labels, x, Y):
-    """(U_xx, U_yy) for y >= 0 on region interiors."""
+    """(U_xx, U_xy, U_yy) for y >= 0 on region interiors."""
     p, c = ctx.p, ctx.coef
     uxx = np.empty_like(x)
+    uxy = np.empty_like(x)
     uyy = np.empty_like(x)
     for r in range(N_REGIONS):
         m = labels == r
@@ -249,22 +245,27 @@ def _second_pos(ctx, labels, x, Y):
         xm, Ym = x[m], Y[m]
         if r == 0 or r == 7:
             uxx[m] = -p * (p - 1) * c * xm ** (p - 2)
+            uxy[m] = 0.0
             uyy[m] = 0.0
         elif r == 1:
             b = p**p / (2 * (p - 2) ** (p - 2))
             uxx[m] = b * (Ym - xm) ** (p - 3) * (p * xm - 2 * Ym)
+            uxy[m] = b * (Ym - xm) ** (p - 3) * (Ym - (p - 1) * xm)
             uyy[m] = b * (Ym - xm) ** (p - 3) * (p - 2) * xm
         elif r == 2:
             uxx[m] = -p * (xm + Ym) ** (p - 3) * ((p**2 - 2 * p + 2) / 2 * xm + Ym)
+            uxy[m] = p * (p - 2) / 2 * (xm + Ym) ** (p - 3) * (Ym - (p - 1) * xm)
             uyy[m] = -p * (xm + Ym) ** (p - 3) * (
                 (p**2 - 4 * p + 2) / 2 * xm - (p - 1) * Ym
             )
         elif r == 3:
             uxx[m] = -4 * (1 - Ym) / (1 + xm - Ym) ** 3
+            uxy[m] = 2 * (1 - xm - Ym) / (1 + xm - Ym) ** 3
             uyy[m] = 4 * xm / (1 + xm - Ym) ** 3
         elif r == 4:
             b = p**p / 2**p
             uxx[m] = -b * (xm + 1 - Ym) ** (p - 3) * (p * xm + (p - 4) * (Ym - 1))
+            uxy[m] = b * (p - 2) * (xm + 1 - Ym) ** (p - 3) * (xm + Ym - 1)
             uyy[m] = b * (xm + 1 - Ym) ** (p - 3) * (-(p - 4) * xm + p * (1 - Ym))
         elif r == 5:
             s = xm + Ym
@@ -276,6 +277,7 @@ def _second_pos(ctx, labels, x, Y):
             # finite-difference oracle and the U_xx chain rule both agree)
             shared = 2 * (hs - xm) * (hp - 1) / den
             uxx[m] = 2 / den**2 * (-2 + hp - shared)
+            uxy[m] = 2 / den**2 * (hp - 1 - shared)
             uyy[m] = 2 / den**2 * (hp - shared)
         elif r == 6:
             t = xm - Ym + 1
@@ -284,8 +286,9 @@ def _second_pos(ctx, labels, x, Y):
             den = 2 + xm - Ym - G
             common = -4 * (1 - Ym) * (1 - Gp) / den**3
             uxx[m] = common - p ** (p + 1) / 2**p * t ** (p - 2)
+            uxy[m] = 2 * (1 - Gp) * (G - xm - Ym) / den**3
             uyy[m] = common + 2 * (2 - Gp) / den**2
-    return uxx, uyy
+    return uxx, uxy, uyy
 
 
 def is_interior(ctx: UWContext, x, y, tol: float = 1e-8):
@@ -297,35 +300,6 @@ def is_interior(ctx: UWContext, x, y, tol: float = 1e-8):
     for dx, dy in ((tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol)):
         ok &= classify(ctx, np.maximum(x + dx, 0.0), y + dy) == base
     return ok
-
-
-def _probe_uxy_signs(ctx) -> dict:
-    """Fix the sign in U_xy = s*(U_xx+U_yy)/2 per region by a mixed finite
-    difference at one interior probe point."""
-    rng = np.random.default_rng(20240901)
-    xs = rng.uniform(0.0, 2.2, 20000)
-    ys = rng.uniform(0.0, 1.4, 20000)
-    keep = xs + ys < min(ctx.h.s_max, 4.0)
-    xs, ys = xs[keep], ys[keep]
-    labels = classify(ctx, xs, ys)
-    interior = is_interior(ctx, xs, ys, 2e-5)
-    signs = {0: 1.0, 7: 1.0}
-    for r in range(1, 7):
-        m = (labels == r) & interior & (xs > 1e-3) & (ys > 1e-3)
-        if not np.any(m):
-            raise EvaluationError(f"no interior probe point found for region D{r}")
-        x0, y0 = xs[m][0], ys[m][0]
-        e = 1e-5
-        fd = (
-            u_value(ctx, x0 + e, y0 + e)
-            - u_value(ctx, x0 + e, y0 - e)
-            - u_value(ctx, x0 - e, y0 + e)
-            + u_value(ctx, x0 - e, y0 - e)
-        ) / (4 * e * e)
-        uxx, uyy = _second_pos(ctx, np.array([r]), np.array([x0]), np.array([y0]))
-        half = float(uxx[0] + uyy[0]) / 2
-        signs[r] = 1.0 if abs(fd - half) <= abs(fd + half) else -1.0
-    return signs
 
 
 def u_second_derivs(ctx: UWContext, x, y):
@@ -341,10 +315,7 @@ def u_second_derivs(ctx: UWContext, x, y):
             f"second derivatives undefined at region boundary point index {bad}"
         )
     labels = np.atleast_1d(np.asarray(classify(ctx, xf, Yf)))
-    uxx, uyy = _second_pos(ctx, labels, xf, Yf)
-    sgn = np.array([ctx.uxy_signs[int(r)] for r in labels])
-    uxy = sgn * (uxx + uyy) / 2
-    uxy[np.isin(labels, (0, 7))] = 0.0
+    uxx, uxy, uyy = _second_pos(ctx, labels, xf, Yf)
     uxy *= np.where(np.atleast_1d(np.broadcast_to(y_arr, Yf.shape)) < 0, -1.0, 1.0)
     if x_arr.ndim or y_arr.ndim:
         shape = np.broadcast_shapes(x_arr.shape, y_arr.shape)

@@ -10,9 +10,12 @@ import math
 
 import pytest
 
-from sharpmart import __version__
+from sharpmart import __version__, cli
 from sharpmart.cli import OUT_ENV, main
 from sharpmart.constants import kp
+from sharpmart.gfun import ConstructionError
+from sharpmart.orth import QuadratureError
+from sharpmart.uweak import EvaluationError
 
 
 # ---------------------------------------------------------------- constants
@@ -75,10 +78,29 @@ def test_verify_forwards_sampling_options(capsys):
 def test_verify_mc_strip_without_a_bound_is_an_error(capsys):
     # K_p is known only for 1 <= p <= 2: the suite refuses rather than passing
     # with nothing checked, and exits like any other out-of-domain exponent
-    code = main(["verify", "mc-strip", "--p", "3"])
+    assert main(["verify", "mc-strip", "--p", "3"]) == 2
     assert "1 <= p <= 2" in capsys.readouterr().err
-    assert code != 0
-    assert code == main(["verify", "u-weak", "--p", "2"])
+
+
+def test_verify_out_of_domain_exponent_is_usage_error(capsys):
+    assert main(["verify", "u-weak", "--p", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_missing_out_dir_is_usage_error(tmp_path, capsys):
+    assert main(["verify", "ode", "--out", str(tmp_path / "does-not-exist")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not exist" in err
+
+
+@pytest.mark.parametrize("error", [EvaluationError, ConstructionError, QuadratureError])
+def test_numerical_failure_exits_one(monkeypatch, capsys, error):
+    def fail(name, **kwargs):
+        raise error("numerical failure")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    assert main(["verify", "ode"]) == 1
+    assert capsys.readouterr().err == "error: numerical failure\n"
 
 
 # ----------------------------------------------------------------- figures
@@ -109,7 +131,7 @@ def test_figures_trajectories_default_parameters(tmp_path):
 
 def test_figures_missing_out_dir(tmp_path, capsys):
     missing = tmp_path / "does-not-exist"
-    assert main(["figures", "regions", "--out", str(missing)]) == 1
+    assert main(["figures", "regions", "--out", str(missing)]) == 2
     assert "does not exist" in capsys.readouterr().err
 
 
@@ -142,4 +164,14 @@ def test_no_command_is_usage_error():
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["constants", "--bogus"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["constants", "--n", "5"], ["constants", "--dt", "0.1"], ["figures", "regions", "--workers", "2"]],
+)
+def test_sampling_options_only_on_verify(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2

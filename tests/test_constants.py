@@ -9,14 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sharpmart.constants import (
     Exponent,
     Regime,
     as_exponent,
-    gamma,
     kp,
     natural_regime,
     odd_zeta_alternating,
@@ -87,22 +84,6 @@ class TestKp:
     def test_out_of_range_rejected(self, p):
         with pytest.raises(ValueError):
             kp(p)
-
-
-class TestGamma:
-    @pytest.mark.parametrize("x,expected", [(1.0, 1.0), (2.0, 1.0), (5.0, 24.0), (0.5, math.sqrt(math.pi))])
-    def test_known_values(self, x, expected):
-        assert abs(gamma(x) - expected) < 1e-12 * expected
-
-    @given(st.floats(min_value=0.5, max_value=10.0))
-    @settings(max_examples=100, deadline=None)
-    def test_recurrence(self, x):
-        assert gamma(x + 1) == pytest.approx(x * gamma(x), rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_nonpositive_rejected(self, x):
-        with pytest.raises(ValueError):
-            gamma(x)
 
 
 class TestWeakConstants:

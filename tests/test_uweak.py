@@ -135,6 +135,28 @@ class TestSecondDerivatives:
         assert np.allclose(uyy, fd_yy, atol=1e-4, rtol=1e-3)
         assert np.allclose(uxy, fd_xy, atol=1e-4, rtol=1e-3)
 
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_mixed_derivative_per_region(self, p):
+        # U_xy against a mixed central difference of U, region by region; and
+        # U_xy = s(U_xx+U_yy)/2 with s = +-1, i.e. U is affine along (1, -s)
+        ctx = build_context(p)
+        x, y = _random_points(ctx, 20000, seed=12)
+        keep = is_interior(ctx, x, y, tol=5e-4) & (x > 1e-3)
+        x, y = x[keep], y[keep]
+        labels = classify(ctx, x, y)
+        uxx, uxy, uyy = u_second_derivs(ctx, x, y)
+        e = 1e-4
+        f = lambda a, b: u_value(ctx, a, b)
+        fd_xy = (f(x + e, y + e) - f(x + e, y - e) - f(x - e, y + e) + f(x - e, y - e)) / (4 * e**2)
+        s = np.sign(uxy * (uxx + uyy))
+        fd_diag = (f(x + e, y - s * e) - 2 * f(x, y) + f(x - e, y + s * e)) / e**2
+        scale = np.abs(uxx) + np.abs(uyy)
+        for r in range(1, 7):
+            m = labels == r
+            assert np.count_nonzero(m) >= 20, f"D{r}"
+            assert np.allclose(uxy[m], fd_xy[m], atol=1e-4, rtol=1e-3), f"D{r}"
+            assert np.all(np.abs(fd_diag[m]) <= 1e-4 + 1e-3 * scale[m]), f"D{r}"
+
     def test_diffusion_dominance(self, ctx3):
         x, y = _random_points(ctx3, 20000, seed=6)
         inner = is_interior(ctx3, x, y)

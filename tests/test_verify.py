@@ -44,3 +44,10 @@ def test_suite_accepts_p_override():
 def test_mc_strip_rejects_p_without_a_bound(p):
     with pytest.raises(ValueError, match="1 <= p <= 2"):
         run_suite("mc-strip", p=p, n=10)
+
+
+def test_ode_residual_is_measured():
+    # the residual is taken on the Bessel table, whose G' is not g_rhs of G
+    ok, report = run_suite("ode", p=3.0)
+    assert ok, report
+    assert 0 < report["ode_residual_max"] < 1e-8
