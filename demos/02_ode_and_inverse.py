@@ -1,8 +1,8 @@
 """The increasing solution G of the Riccati-type ODE and its inverse h.
 
 G solves  G'(t) = (p/2)^{p+1} t^{p-2} (t + 1 - G(t))^2  with G(2/p) = 1,
-G'(2/p) = p/2.  Two independent constructions are compared: a Runge-Kutta
-march (with stability substepping) and a closed form obtained by
+G'(2/p) = p/2.  Two independent constructions are compared: an LSODA
+integration of the gap u = t + 1 - G and a closed form obtained by
 linearizing the Riccati equation into a modified-Bessel equation, whose
 solution enters only as a ratio of the exponentially scaled I_nu and K_nu
 (scipy.special.ive / kve) and so is evaluated in double precision.
@@ -12,7 +12,7 @@ Run:  python3 demos/02_ode_and_inverse.py
 
 import numpy as np
 
-from sharpmart import HSolution, build_g_bessel, build_g_rk, h_of, h_prime
+from sharpmart import build_g_bessel, build_g_rk, h_of, h_prime
 
 for p in (2.5, 3.0, 4.0, 6.0):
     rk = build_g_rk(p)
@@ -24,11 +24,10 @@ for p in (2.5, 3.0, 4.0, 6.0):
 
 p = 3.0
 rk = build_g_rk(p)
-h = HSolution(rk)
-print(f"\nInverse h for p = {p}: h(1) = {h_of(h, 1.0):.6f} = 2/p, "
-      f"defined up to s_max = {h.s_max:.3f}")
-s = np.linspace(1.01, h.s_max - 0.01, 5)
+print(f"\nInverse h for p = {p}: h(1) = {h_of(rk, 1.0):.6f} = 2/p, "
+      f"defined up to s_max = {rk.s_max:.3f}")
+s = np.linspace(1.01, rk.s_max - 0.01, 5)
 for si in s:
-    print(f"  s = {si:6.3f}   h(s) = {h_of(h, si):8.5f}   h'(s) = {h_prime(h, si):7.5f} (<= 1)")
+    print(f"  s = {si:6.3f}   h(s) = {h_of(rk, si):8.5f}   h'(s) = {h_prime(rk, si):7.5f} (<= 1)")
 print("G(h(s)) = s residual:",
-      float(np.max(np.abs(rk.g(h_of(h, s)) - s))))
+      float(np.max(np.abs(rk.g(h_of(rk, s)) - s))))

@@ -190,12 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sub):
         sub.add_argument("--p", type=float, action="append", help="exponent (repeatable)")
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--format", choices=["csv", "json"], default="json")
         sub.add_argument("--out", default=None, help=f"output dir (default ${OUT_ENV})")
 
     subs = parser.add_subparsers(dest="command", required=True)
     sc = subs.add_parser("constants", help="table of sharp constants")
     common(sc)
+    sc.add_argument("--format", choices=["csv", "json"], default="json")
     sc.set_defaults(func=cmd_constants)
 
     sv = subs.add_parser("verify", help="run a verification suite")

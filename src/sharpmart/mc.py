@@ -54,7 +54,6 @@ class SimConfig:
     master_seed: int
     n_samples: int
     dt: float = 1e-2
-    lambda_grid: tuple = ()
     workers: int = 1
 
     def __post_init__(self):
@@ -419,11 +418,8 @@ def random_subordinate_pair_check(
         g_star, g_fin, f_pp = _pair_chunk(
             ((cfg.master_seed, 10_000 + j), cfg.n_samples, p)
         )
-        if cfg.lambda_grid:
-            grid = np.asarray(cfg.lambda_grid)
-        else:
-            med = float(np.median(g_star))
-            grid = np.geomspace(0.1 * med, 10 * med, 20)
+        med = float(np.median(g_star))
+        grid = np.geomspace(0.1 * med, 10 * med, 20)
         rows.append((grid, *_lambda_scan(g_star, grid, f_pp, p, bound)))
         fixed = _lambda_scan(g_fin, grid, f_pp, p, bound)[0]
         worst_fixed = max(worst_fixed, float(fixed.max()))

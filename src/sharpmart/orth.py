@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_QUAD_TOL = 1e-8
+
+
 class QuadratureError(RuntimeError):
     pass
 
@@ -36,13 +39,10 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class OrthContext:
     p: float
-    quad_tol: float = 1e-8
 
     def __post_init__(self):
         if not 1 <= self.p <= 2:
             raise ValueError(f"requires 1 <= p <= 2, got {self.p}")
-        if not self.quad_tol > 0:
-            raise ValueError("quad_tol must be positive")
 
     @property
     def kp_value(self) -> float:
@@ -57,9 +57,9 @@ def conformal_strip_to_half(x: float, y: float) -> tuple[float, float]:
     return -r * math.sin(math.pi * y / 2), r * math.cos(math.pi * y / 2)
 
 
-def _half_line_integral(p: float, a: float, beta: float, tol: float) -> float:
+def _half_line_integral(p: float, a: float, beta: float) -> float:
     """integral over s of |s|^p e^s / ((a - e^s)^2 + beta^2) ds, truncated
-    to [-S1, S2] with tails below tol/4.
+    to [-S1, S2] with tails below _QUAD_TOL/4.
 
     When beta << a the kernel has a Lorentzian spike of width ~beta/a at
     s = log(a).  That window is handled by the substitution e^s = a + beta*u,
@@ -91,7 +91,7 @@ def _half_line_integral(p: float, a: float, beta: float, tol: float) -> float:
             half_width,
             points=u_pts,
             limit=200,
-            epsabs=beta * tol / 8,
+            epsabs=beta * _QUAD_TOL / 8,
             epsrel=1e-11,
         )
         total += val / beta
@@ -112,12 +112,12 @@ def _half_line_integral(p: float, a: float, beta: float, tol: float) -> float:
     for lo, hi in segments:
         seg_pts = sorted({s for s in pts if lo + 1e-12 < s < hi - 1e-12})
         val, err = quad(
-            fs, lo, hi, points=seg_pts, limit=500, epsabs=tol / 8, epsrel=1e-11
+            fs, lo, hi, points=seg_pts, limit=500, epsabs=_QUAD_TOL / 8, epsrel=1e-11
         )
         total += val
         err_total += err
 
-    if err_total > max(100 * tol, 1e-6 * abs(total)):
+    if err_total > max(100 * _QUAD_TOL, 1e-6 * abs(total)):
         raise QuadratureError(
             f"quadrature failed for (a={a}, beta={beta}): error estimate {err_total}"
         )
@@ -128,10 +128,8 @@ def poisson_w(ctx: OrthContext, alpha: float, beta: float) -> float:
     """Half-plane harmonic extension of (2/pi)^p |log|t||^p at (alpha, beta)."""
     if not beta > 0:
         raise ValueError(f"requires beta > 0, got {beta}")
-    p, tol = ctx.p, ctx.quad_tol
-    total = _half_line_integral(p, alpha, beta, tol) + _half_line_integral(
-        p, -alpha, beta, tol
-    )
+    p = ctx.p
+    total = _half_line_integral(p, alpha, beta) + _half_line_integral(p, -alpha, beta)
     return 2**p / math.pi ** (p + 1) * beta * total
 
 
@@ -165,7 +163,7 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     rng = np.random.default_rng(seed)
     kinvp = ctx.kp_value ** (-ctx.p)
     e = 1e-3
-    tol = 200 * ctx.quad_tol + 10 * e**2
+    tol = 200 * _QUAD_TOL + 10 * e**2
     report = {"p": ctx.p, "n_samples": n_samples, "tol": tol}
 
     xs = rng.uniform(-1.5, 1.5, n_samples)

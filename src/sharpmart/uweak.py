@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfun import GSolution, HSolution, build_g_rk, h_of, h_prime
+from .gfun import GSolution, build_g_rk, g_rhs, h_of
 
 __all__ = [
     "EvaluationError",
@@ -45,13 +45,12 @@ class EvaluationError(RuntimeError):
 class UWContext:
     p: float
     g: GSolution
-    h: HSolution
 
     def __post_init__(self):
         if not self.p > 2:
             raise ValueError("requires p > 2")
-        if self.g.p != self.p or self.h.source is not self.g:
-            raise ValueError("g and h must be built for the same exponent")
+        if self.g.p != self.p:
+            raise ValueError("g must be built for the same exponent")
 
     @property
     def coef(self) -> float:
@@ -60,8 +59,7 @@ class UWContext:
 
 
 def build_context(p: float) -> UWContext:
-    g = build_g_rk(p)
-    return UWContext(p, g, HSolution(g))
+    return UWContext(p, build_g_rk(p))
 
 
 def _prep(ctx, x, y):
@@ -76,13 +74,13 @@ def _h_where(ctx, s, need):
     """h(x+|y|) where needed; errors if a needed argument leaves the table."""
     hs = np.full_like(s, np.nan)
     mask = need & (s >= 1)
-    if np.any(mask & (s > ctx.h.s_max + 1e-12)):
-        bad = s[mask & (s > ctx.h.s_max)]
+    if np.any(mask & (s > ctx.g.s_max + 1e-12)):
+        bad = s[mask & (s > ctx.g.s_max)]
         raise EvaluationError(
-            f"x+|y|={bad.flat[0]} beyond tabulated inverse domain [1, {ctx.h.s_max}]"
+            f"x+|y|={bad.flat[0]} beyond tabulated inverse domain [1, {ctx.g.s_max}]"
         )
     if np.any(mask):
-        hs[mask] = h_of(ctx.h, s[mask])
+        hs[mask] = h_of(ctx.g, s[mask])
     return hs
 
 
@@ -270,7 +268,7 @@ def _second_pos(ctx, labels, x, Y):
         elif r == 5:
             s = xm + Ym
             hs = _h_where(ctx, s, np.ones_like(s, dtype=bool))
-            hp = h_prime(ctx.h, s)
+            hp = 1 / g_rhs(p, hs, s)
             den = hs - s + 1
             # d/ds of 2(h-x)/(h-s+1)^2 at fixed x: the h' term enters with
             # a plus sign (the printed table has a sign slip here; the
@@ -370,7 +368,7 @@ def _boundary_curves(ctx, n: int):
     # straight edges
     x = seg(eps, 2 / p)
     out.append((0, 4, x, np.ones_like(x)))
-    x = seg(2 / p, min(2.0, ctx.h.s_max - 1.2))
+    x = seg(2 / p, min(2.0, ctx.g.s_max - 1.2))
     out.append((0, 6, x, np.ones_like(x)))
     x = seg(eps, 1 / p)
     out.append((1, 2, x, (p - 1) * x))
@@ -383,9 +381,9 @@ def _boundary_curves(ctx, n: int):
     x = seg(eps, 2 / p)
     out.append((2, 7, x, (p - 2) / 2 * x))
     # curved edges through the inverse function, parametrized by s = x+|y|
-    s_hi = min(ctx.h.s_max, 3.0)
+    s_hi = min(ctx.g.s_max, 3.0)
     s = seg(1 + 1e-9, s_hi)
-    hs = h_of(ctx.h, s)
+    hs = h_of(ctx.g, s)
     xc = (s - 1 + hs) / 2
     keep = (s - xc > 0) & (s - xc < 1)
     out.append((5, 6, xc[keep], (s - xc)[keep]))

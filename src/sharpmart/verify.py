@@ -100,11 +100,10 @@ def suite_ode(p=3.0, **_):
         np.max(np.abs(bes.gprime_values - gfun.g_rhs(p, bes.grid, bes.g_values)))
     )
     gp_min = float(np.min(rk.gprime(t)))
-    h = gfun.HSolution(rk)
-    s = np.linspace(1 + 1e-9, h.s_max - 1e-9, 500)
-    hs = gfun.h_of(h, s)
+    s = np.linspace(1 + 1e-9, rk.s_max - 1e-9, 500)
+    hs = gfun.h_of(rk, s)
     inv = float(np.max(np.abs(rk.g(hs) - s)))
-    hp = gfun.h_prime(h, s)
+    hp = gfun.h_prime(rk, s)
     report = {
         "suite": "ode",
         "p": p,

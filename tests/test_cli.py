@@ -61,6 +61,13 @@ def test_verify_suite_exit_codes(capsys):
     assert report["ok"] is True
 
 
+def test_verify_has_no_format_option():
+    # verify always writes JSON; only constants offers a CSV table
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ode", "--format", "csv"])
+    assert exc.value.code == 2
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nope"])

@@ -1,6 +1,6 @@
 """Tests for the monotone Riccati solution G and its inverse h.
 
-Two independent constructions (Runge-Kutta march, Bessel linearization)
+Two independent constructions (LSODA on the gap, Bessel linearization)
 act as mutual oracles; the defining equation itself is the third.
 """
 
@@ -15,7 +15,6 @@ import pytest
 from sharpmart.gfun import (
     ConstructionError,
     GSolution,
-    HSolution,
     build_g_bessel,
     build_g_rk,
     default_t_max,
@@ -24,7 +23,7 @@ from sharpmart.gfun import (
     h_prime,
 )
 
-P_VALUES = [2.5, 3.0, 4.0, 6.0]
+P_VALUES = [2.5, 3.0, 4.0, 6.0, 8.0]
 
 
 @pytest.fixture(scope="module", params=P_VALUES)
@@ -84,33 +83,29 @@ class TestShape:
 class TestInverse:
     def test_inversion_identity(self, pair):
         p, rk, _ = pair
-        h = HSolution(rk)
-        s = np.linspace(1.0, h.s_max, 1000)
-        assert float(np.max(np.abs(rk.g(h_of(h, s)) - s))) < 1e-9
+        s = np.linspace(1.0, rk.s_max, 1000)
+        assert float(np.max(np.abs(rk.g(h_of(rk, s)) - s))) < 1e-9
 
     def test_start_values(self, pair):
         p, rk, _ = pair
-        h = HSolution(rk)
-        assert h_of(h, 1.0) == pytest.approx(2 / p, abs=1e-10)
+        assert h_of(rk, 1.0) == pytest.approx(2 / p, abs=1e-10)
         # right-slope at s = 1 equals 2/p: h'(s) -> (2/p)^{p+1} (2/p)^{2-p} (2/p)^{-2}
-        slope = h_prime(h, 1 + 1e-9)
+        slope = h_prime(rk, 1 + 1e-9)
         assert slope == pytest.approx(2 / p, rel=1e-6)
 
     def test_slope_at_most_one(self, pair):
         p, rk, _ = pair
-        h = HSolution(rk)
-        s = np.linspace(1 + 1e-9, h.s_max, 1000)
-        hp = h_prime(h, s)
+        s = np.linspace(1 + 1e-9, rk.s_max, 1000)
+        hp = h_prime(rk, s)
         assert float(np.max(hp)) <= 1 + 1e-9
         assert float(np.min(hp)) > 0
 
     def test_matches_finite_difference(self):
         rk = build_g_rk(3.0)
-        h = HSolution(rk)
         s = np.linspace(1.5, 5.0, 50)
         e = 1e-6
-        fd = (h_of(h, s + e) - h_of(h, s - e)) / (2 * e)
-        assert np.allclose(h_prime(h, s), fd, rtol=1e-5)
+        fd = (h_of(rk, s + e) - h_of(rk, s - e)) / (2 * e)
+        assert np.allclose(h_prime(rk, s), fd, rtol=1e-5)
 
 
 class TestErrors:

@@ -51,3 +51,10 @@ def test_ode_residual_is_measured():
     ok, report = run_suite("ode", p=3.0)
     assert ok, report
     assert 0 < report["ode_residual_max"] < 1e-8
+
+
+@pytest.mark.parametrize("name", ["ode", "u-weak"])
+def test_large_exponent(name):
+    # at p = 8 the gap t + 1 - G falls to 2e-6 and the ODE for G is stiff
+    ok, report = run_suite(name, p=8.0, n=20_000)
+    assert ok, report
