@@ -5,12 +5,15 @@ G solves the Riccati-type initial value problem
     G'(t) = (p/2)^{p+1} t^{p-2} (t + 1 - G(t))^2,   G(2/p) = 1,
 
 for a fixed p > 2.  Two independent constructions are provided: an LSODA
-integration of the gap u = t + 1 - G (the primary path) and a closed form
-through modified Bessel functions, which linearize the equation.  The
-closed form is a ratio of the exponentially scaled I_nu and K_nu, so it
-runs in double precision without the overflow of the unscaled basis.
-The inverse h = G^{-1} is obtained from a tabulated solution by monotone
-inversion.
+integration of the gap u = t + 1 - G (the primary path, one ODEPACK call
+through `odeint`) and a closed form through modified Bessel functions,
+which linearize the equation.  The closed form is a ratio of the
+exponentially scaled I_nu and K_nu, so it runs in double precision without
+the overflow of the unscaled basis.  Both tabulate G and the gap u; G' is
+read from u as (p/2)^{p+1} t^{p-2} u^2, never from t + 1 - G, which loses u
+to cancellation once u is far below t.  The inverse h = G^{-1} is obtained
+from the tabulated G by Newton steps on the interpolating cubic of the
+interval that holds each argument.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import odeint
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ive, kve
 
@@ -47,16 +50,28 @@ def g_rhs(p: float, t, g):
     return (p / 2) ** (p + 1) * t ** (p - 2) * (t + 1 - g) ** 2
 
 
+def _slope_from_gap(p: float, t, u):
+    """G' = (p/2)^{p+1} t^{p-2} u^2 from the gap u = t + 1 - G."""
+    return (p / 2) ** (p + 1) * t ** (p - 2) * u**2
+
+
 @dataclass(frozen=True)
 class GSolution:
-    """Tabulated increasing solution with a C1 cubic interpolant."""
+    """Tabulated increasing solution with C1 cubic Hermite interpolants of
+    G and of the gap u = t + 1 - G (slopes G' and 1 - G').
+
+    `u_values` defaults to grid + 1 - g_values; the builders pass the gap
+    they computed, which keeps its relative accuracy where u << t.
+    """
 
     p: float
     grid: np.ndarray
     g_values: np.ndarray
     gprime_values: np.ndarray
     method: str
+    u_values: np.ndarray = field(repr=False, default=None)
     _spline: CubicHermiteSpline = field(repr=False, default=None)
+    _u_spline: CubicHermiteSpline = field(repr=False, default=None)
 
     def __post_init__(self):
         t, g, gp = self.grid, self.g_values, self.gprime_values
@@ -76,6 +91,9 @@ class GSolution:
         if bad.size:
             raise ConstructionError(f"slope < 1 at t={t[bad[0]]}")
         object.__setattr__(self, "_spline", CubicHermiteSpline(t, g, gp))
+        u = t + 1 - g if self.u_values is None else self.u_values
+        object.__setattr__(self, "u_values", u)
+        object.__setattr__(self, "_u_spline", CubicHermiteSpline(t, u, 1 - gp))
 
     @property
     def t_max(self) -> float:
@@ -97,18 +115,32 @@ class GSolution:
         return self._spline(self._check_domain(t))
 
     def gprime(self, t):
-        return g_rhs(self.p, self._check_domain(t), self.g(t))
+        """G'(t) from the interpolated gap, free of the cancellation in
+        t + 1 - G."""
+        t = self._check_domain(t)
+        return _slope_from_gap(self.p, t, self._u_spline(t))
+
+
+def _from_gap(p: float, ts, u, method: str) -> GSolution:
+    g = ts + 1 - u
+    g[0] = 1.0  # the initial condition; t + 1 - u may round it by an ulp
+    return GSolution(p, ts, g, _slope_from_gap(p, ts, u), method, u)
+
+
+_ODEINT_SUCCESS = "Integration successful."
 
 
 def build_g_rk(p: float, t_max: float | None = None, step: float = 1e-3) -> GSolution:
     """Integrate the gap u = t + 1 - G with LSODA; tabulate G on a uniform
     grid of spacing at most `step`.
 
-    u solves u' = 1 - c t^{p-2} u^2, u(2/p) = 2/p, c = (p/2)^{p+1}.  LSODA
-    switches between Adams and BDF as the problem stiffens for large t.
-    The tolerance is purely relative because u falls to 2e-6 at p = 8 and
-    1e-8 at p = 10; G' is tabulated from u, since t + 1 - G would lose u
-    to cancellation.
+    u solves u' = 1 - c t^{p-2} u^2, u(2/p) = 2/p, c = (p/2)^{p+1}.  One
+    `odeint` call (ODEPACK LSODA, which switches between Adams and BDF as
+    the problem stiffens for large t) returns u on the whole grid, so the
+    only Python work per step is the right-hand side.  The tolerance is
+    purely relative because u falls to 2e-6 at p = 8 and 1e-8 at p = 10;
+    G' is tabulated from u, since t + 1 - G would lose u to cancellation.
+    A failed integration raises `ConstructionError`.
     """
     if not p > 2:
         raise ValueError(f"requires p > 2, got {p}")
@@ -121,19 +153,18 @@ def build_g_rk(p: float, t_max: float | None = None, step: float = 1e-3) -> GSol
         raise ValueError("step must be <= 1e-3")
     ts = np.linspace(t0, t_max, int(math.ceil((t_max - t0) / step)) + 1)
     c = (p / 2) ** (p + 1)
-    sol = solve_ivp(
-        lambda t, u: 1 - c * t ** (p - 2) * u**2,
-        (t0, t_max),
+    u, info = odeint(
+        lambda u, t: 1 - c * t ** (p - 2) * u[0] ** 2,
         [t0],
-        method="LSODA",
-        t_eval=ts,
+        ts,
         rtol=1e-12,
         atol=1e-30,
+        full_output=True,
     )
-    if not sol.success:
-        raise ConstructionError(f"LSODA failed: {sol.message}")
-    u = sol.y[0]
-    return GSolution(p, ts, ts + 1 - u, c * ts ** (p - 2) * u**2, "lsoda")
+    if info["message"] != _ODEINT_SUCCESS:
+        raise ConstructionError(f"LSODA failed: {info['message']}")
+    u = u[:, 0]
+    return _from_gap(p, ts, u, "lsoda")
 
 
 _BESSEL_NODES = 300
@@ -186,33 +217,53 @@ def build_g_bessel(p: float, t_max: float | None = None) -> GSolution:
     bad = np.nonzero(~np.isfinite(u))[0]
     if bad.size:
         raise ConstructionError(f"non-finite Bessel value at t={ts[bad[0]]}")
-    gp = (p / 2) ** (p + 1) * ts ** (p - 2) * u**2
-    return GSolution(p, ts, ts + 1 - u, gp, "bessel")
+    return _from_gap(p, ts, u, "bessel")
 
 
 def h_of(sol: GSolution, s):
-    """h(s) = t with G(t) = s on [1, s_max], by monotone inversion refined
-    with Newton steps."""
+    """h(s) = t with G(t) = s on [1, s_max], for a scalar or an array of any
+    shape.
+
+    The arguments are sorted and located in `g_values` by one
+    `searchsorted`; each is then solved by Newton steps, started from linear
+    interpolation, on the cubic that interpolates G on its interval, read
+    from the spline's own coefficients, until a step falls below 1e-13.
+    Each value equals that of a scalar call, and node values map to their
+    nodes exactly.
+    """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 1 - 1e-12) or np.any(s_arr > sol.s_max + 1e-12):
         raise ValueError(f"argument outside [1, {sol.s_max}]")
-    s_arr = np.clip(s_arr, 1.0, sol.s_max)
-    t = np.interp(s_arr, sol.g_values, sol.grid)
-    lo, hi = 2 / sol.p, sol.t_max
+    flat = np.clip(s_arr, 1.0, sol.s_max).ravel()
+    order = np.argsort(flat)
+    ss = flat[order]
+    g, x = sol.g_values, sol.grid
+    i = np.clip(np.searchsorted(g, ss, side="right") - 1, 0, g.size - 2)
+    c3, c2, c1, c0 = sol._spline.c[:, i]
+    w = x[i + 1] - x[i]
+    d = (ss - c0) / (g[i + 1] - c0) * w
+    # each point stops at its own first step below 1e-13, so its value does
+    # not depend on the other arguments of the call
+    act = np.arange(ss.size)
     for _ in range(60):
-        resid = sol.g(t) - s_arr
-        t_new = np.clip(t - resid / sol.gprime(t), lo, hi)
-        if np.max(np.abs(t_new - t)) < 1e-13:
-            t = t_new
+        da, a3, a2, a1 = d[act], c3[act], c2[act], c1[act]
+        f = ((a3 * da + a2) * da + a1) * da + c0[act] - ss[act]
+        fp = (3 * a3 * da + 2 * a2) * da + a1
+        d_new = np.clip(da - f / fp, 0.0, w[act])
+        d[act] = d_new
+        act = act[np.abs(d_new - da) >= 1e-13]
+        if not act.size:
             break
-        t = t_new
+    t = np.empty_like(flat)
+    t[order] = x[i] + d
+    t = t.reshape(s_arr.shape)
     return t if np.ndim(s) else float(t)
 
 
 def h_prime(sol: GSolution, s):
-    """h'(s) = 1 / G'(h(s)); lies in (0, 1]."""
+    """h'(s) = 1 / G'(h(s)), with G' read from the gap; lies in (0, 1]."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 1):
         raise ValueError("h' is defined for s > 1")
-    val = 1 / g_rhs(sol.p, h_of(sol, s_arr), s_arr)
+    val = 1 / sol.gprime(h_of(sol, s_arr))
     return val if np.ndim(s) else float(val)

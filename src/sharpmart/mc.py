@@ -114,9 +114,18 @@ def _bridge_step(y, dy, u, dt):
     near = np.flatnonzero((np.maximum(np.abs(y), ay1) > reach) | (u < _EPS))
     cand = near[~exited[near]]
     yc, y1c = y[cand], y1[cand]
-    p_up = np.exp(-2.0 * (1.0 - yc) * (1.0 - y1c) / dt)
-    p_dn = np.exp(-2.0 * (1.0 + yc) * (1.0 + y1c) / dt)
-    bridged = cand[u[cand] < p_up + p_dn]
+    a_up = -2.0 * (1.0 - yc) * (1.0 - y1c) / dt
+    a_dn = -2.0 * (1.0 + yc) * (1.0 + y1c) / dt
+    # e^{-40} < 2^{-54}, less than half an ulp relative to any double, so
+    # where the exponents differ by more than 40 the smaller term cannot
+    # change the rounded sum; skipping it keeps np.exp off its slow
+    # subnormal path
+    lo = np.minimum(a_up, a_dn)
+    hi = np.maximum(a_up, a_dn)
+    p_cross = np.exp(hi)
+    both = hi - lo <= 40.0
+    p_cross[both] += np.exp(lo[both])
+    bridged = cand[u[cand] < p_cross]
     exited[bridged] = True
     ex = near[exited[near]]
     theta = np.full(ex.size, 0.5)

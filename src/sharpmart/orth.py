@@ -71,8 +71,11 @@ def _half_line_integral(p: float, a: float, beta: float) -> float:
     # left tail: integrand ~ |s|^p e^s / (a^2 + beta^2)
     s_lo = -(60.0 + max(0.0, -math.log(a * a + beta * beta)))
 
+    beta2 = beta**2
+
     def fs(s):
-        return abs(s) ** p * math.exp(s) / ((a - math.exp(s)) ** 2 + beta**2)
+        es = math.exp(s)
+        return abs(s) ** p * es / ((a - es) ** 2 + beta2)
 
     total, err_total = 0.0, 0.0
     half_width = 50.0
@@ -172,7 +175,7 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     for x, y in zip(xs, ys):
         row = [u_orth(ctx, x, y + d) for d in (-e, 0.0, e)]
         d2y.append((row[0] - 2 * row[1] + row[2]) / e**2)
-        col = [u_orth(ctx, x + d, y) for d in (-e, 0.0, e)]
+        col = [u_orth(ctx, x - e, y), row[1], u_orth(ctx, x + e, y)]
         d2x.append((col[0] - 2 * col[1] + col[2]) / e**2)
         xq, yq = abs(x) + 0.2, abs(y) * 0.5 + 0.1
         mm = (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfun import GSolution, build_g_rk, g_rhs, h_of
+from .gfun import GSolution, build_g_rk, h_of
 
 __all__ = [
     "EvaluationError",
@@ -268,7 +268,7 @@ def _second_pos(ctx, labels, x, Y):
         elif r == 5:
             s = xm + Ym
             hs = _h_where(ctx, s, np.ones_like(s, dtype=bool))
-            hp = 1 / g_rhs(p, hs, s)
+            hp = 1 / ctx.g.gprime(hs)
             den = hs - s + 1
             # d/ds of 2(h-x)/(h-s+1)^2 at fixed x: the h' term enters with
             # a plus sign (the printed table has a sign slip here; the

@@ -94,8 +94,10 @@ def suite_ode(p=3.0, **_):
     bes = gfun.build_g_bessel(p)
     t = np.linspace(2 / p, min(rk.t_max, bes.t_max), 2000)
     cross = float(np.max(np.abs(rk.g(t) - bes.g(t))))
-    # rk.gprime is g_rhs of the spline by construction; the Bessel table's
-    # G' comes from the gap u, not from the right-hand side
+    # The Bessel table's G' comes from its gap u, while g_rhs rebuilds it
+    # from t + 1 - G, which cancels: at p = 10 (u ~ 1e-8) this residual
+    # exceeds its bound although both tables are right.  rk.gprime and
+    # h_prime read G' from rk's interpolated gap, not from t + 1 - G.
     resid = float(
         np.max(np.abs(bes.gprime_values - gfun.g_rhs(p, bes.grid, bes.g_values)))
     )

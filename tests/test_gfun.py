@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from sharpmart import gfun
 from sharpmart.gfun import (
     ConstructionError,
     GSolution,
@@ -61,6 +62,24 @@ class TestCrossValidation:
         assert float(np.max(np.abs(coarse.g(t) - fine.g(t)))) < 1e-9
 
 
+class TestSlopeFromGap:
+    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
+    def test_matches_table_at_nodes(self, build):
+        # G' is read from the interpolated gap, so at the nodes it is the
+        # tabulated G'; rebuilt from t + 1 - G it is off by 9e-8 at p = 10
+        for p in (3.0, 10.0):
+            sol = build(p)
+            assert np.allclose(sol.gprime(sol.grid), sol.gprime_values, rtol=1e-14, atol=0)
+
+    def test_slope_between_nodes_at_p10(self):
+        # G' - 1 falls to 6e-9 at t = 10; from t + 1 - G it read 1 - 4e-7
+        # here.  The gap spline's slopes 1 - G' carry LSODA's relative error
+        # in u, which leaves dips of a few 1e-9 between nodes.
+        sol = build_g_rk(10.0)
+        t = np.linspace(2 / 10, sol.t_max, 5000)
+        assert float(np.min(sol.gprime(t))) >= 1 - 1e-8
+
+
 class TestShape:
     def test_slope_at_least_one(self, pair):
         p, rk, _ = pair
@@ -108,7 +127,58 @@ class TestInverse:
         assert np.allclose(h_prime(rk, s), fd, rtol=1e-5)
 
 
+def _h_newton_on_spline(sol, s):
+    """Newton on the whole spline from linear interpolation: the inversion
+    that h_of's per-interval cubic replaced, kept as its reference."""
+    t = np.interp(s, sol.g_values, sol.grid)
+    for _ in range(60):
+        t_new = np.clip(t - (sol.g(t) - s) / sol.gprime(t), 2 / sol.p, sol.t_max)
+        if np.max(np.abs(t_new - t)) < 1e-13:
+            return t_new
+        t = t_new
+    return t
+
+
+class TestInverseLookup:
+    def test_equals_scalar_calls_in_any_order_and_shape(self, pair):
+        p, rk, bes = pair
+        rng = np.random.default_rng(11)
+        for sol in (rk, bes):
+            s = rng.uniform(1.0, sol.s_max, 1000)
+            s = np.concatenate([s, s[:99], sol.g_values[::500], [1.0, sol.s_max]])
+            rng.shuffle(s)
+            s = s[: s.size // 2 * 2].reshape(2, -1)
+            got = h_of(sol, s)
+            assert got.shape == s.shape
+            want = np.array([h_of(sol, float(v)) for v in s.ravel()]).reshape(s.shape)
+            assert np.array_equal(got, want)
+
+    def test_hits_ends_and_nodes_exactly(self, pair):
+        p, rk, bes = pair
+        for sol in (rk, bes):
+            assert h_of(sol, 1.0) == 2 / p
+            assert h_of(sol, sol.s_max) == sol.t_max
+            assert np.array_equal(h_of(sol, sol.g_values), sol.grid)
+
+    def test_agrees_with_newton_on_the_spline(self, pair):
+        p, rk, _ = pair
+        s = np.random.default_rng(17).uniform(1.0, rk.s_max, 100_000)
+        assert float(np.max(np.abs(h_of(rk, s) - _h_newton_on_spline(rk, s)))) <= 1e-13
+
+
 class TestErrors:
+    def test_failed_integration_is_a_construction_error(self, monkeypatch):
+        odeint = gfun.odeint
+
+        def failing(*args, **kwargs):
+            u, info = odeint(*args, **kwargs)
+            info["message"] = "Excess work done on this call (perhaps wrong Dfun type)."
+            return u, info
+
+        monkeypatch.setattr(gfun, "odeint", failing)
+        with pytest.raises(ConstructionError, match="LSODA failed: Excess work"):
+            build_g_rk(3.0)
+
     def test_p_must_exceed_two(self):
         for p in (2.0, 1.5, 0.5):
             with pytest.raises((ValueError, ConstructionError)):

@@ -53,6 +53,15 @@ def test_ode_residual_is_measured():
     assert 0 < report["ode_residual_max"] < 1e-8
 
 
+def test_ode_slopes_at_p10():
+    # G' and h' come from the gap u, not from t + 1 - G (which read
+    # gprime_min 0.9999996 here); the verdict still fails on
+    # ode_residual_max, whose g_rhs side takes t + 1 - G
+    _, report = run_suite("ode", p=10.0)
+    assert report["gprime_min"] >= 1
+    assert report["h_prime_max"] <= 1 + 1e-9
+
+
 @pytest.mark.parametrize("name", ["ode", "u-weak"])
 def test_large_exponent(name):
     # at p = 8 the gap t + 1 - G falls to 2e-6 and the ODE for G is stiff
