@@ -6,11 +6,12 @@ Run:  python3 demos/01_constants_tour.py
 from sharpmart import kp, reference_constants, strong_constant_nonneg, weak_constant_nonneg
 
 print("Weak-type constant for the orthogonal range 1 <= p <= 2:")
-print("  K_p = [ (1/Gamma(p+1)) (pi/2)^{p-1} (pi^2/8) / sum_k (-1)^k (2k+1)^{-(p+1)} ]^{1/p}")
+print("  K_p = [ (1/Gamma(p+1)) (pi/2)^{p-1} (pi^2/8) / beta(p+1) ]^{1/p},")
+print("  beta(s) = sum_k (-1)^k (2k+1)^{-s} = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4))  (Hurwitz zeta)")
 for p in (1.0, 1.25, 1.5, 1.75, 2.0):
     c = kp(p)
-    print(f"  p = {p:4.2f}   K_p = {c.value:.10f}   (series terms used: {c.series_terms_used})")
-print("  K_2 = 1 exactly: the denominator series sums to pi^3/32.\n")
+    print(f"  p = {p:4.2f}   K_p = {c.value:.10f}")
+print("  K_2 = 1 exactly: beta(3) = pi^3/32.\n")
 
 print("Weak-type constant for a non-negative dominating martingale:")
 for p in (0.25, 0.5, 0.75):

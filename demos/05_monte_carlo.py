@@ -5,10 +5,10 @@ correction, random dominated martingale pairs, and the rectangle check for
 the harmonic-function analogue.  Every run is bit-reproducible from its
 master seed, independent of the worker count.
 
-Run:  python3 demos/05_monte_carlo.py     (about half a minute)
+Run:  python3 demos/05_monte_carlo.py     (about 5 seconds)
 """
 
-from sharpmart import SimConfig, kp, strip_exit_moment, weak_type_orth_check
+from sharpmart import SimConfig, kp, strip_exit_moment
 from sharpmart.extremal import resolve_params
 from sharpmart.mc import (
     harmonic_rectangle_check,
@@ -19,16 +19,18 @@ from sharpmart.mc import (
 cfg = SimConfig(master_seed=42, n_samples=200_000, dt=1e-2)
 
 print("Strip exit moments E|B1_tau|^p from the origin:")
-est = strip_exit_moment(2.0, (0.0, 0.0), cfg)
+moments = {p: strip_exit_moment(p, (0.0, 0.0), cfg) for p in (1.0, 2.0)}
+est = moments[2.0]
 print(f"  p = 2: {est.mean:.5f} +- {est.std_error:.5f}   (exact 1, optional stopping)")
-est = strip_exit_moment(1.0, (0.0, 0.0), cfg)
+est = moments[1.0]
 print(f"  p = 1: {est.mean:.5f} +- {est.std_error:.5f}   (exact 1/K_1 = {1 / kp(1).value:.5f})")
 
 print("\nSharpness identity for the stopped orthogonal pair:")
-for p in (1.0, 1.5, 2.0):
-    r = weak_type_orth_check(p, cfg)
-    print(f"  p = {p:4.2f}: K_p^p E|M_tau|^p = {r['estimate']:.5f} "
-          f"({r['margin_sigma']:.2f} sigma from 1)")
+for p, est in moments.items():
+    kpp = kp(p).value ** p
+    scaled = kpp * est.mean
+    print(f"  p = {p:4.2f}: K_p^p E|M_tau|^p = {scaled:.5f} "
+          f"({abs(scaled - 1) / (kpp * est.std_error):.2f} sigma from 1)")
 
 print("\nRandom dominated pairs never beat the sharp weak-type constants:")
 small = SimConfig(master_seed=5, n_samples=10_000)

@@ -9,8 +9,6 @@ verification suites.
 __version__ = "0.1.0"
 
 from .constants import (  # noqa: F401
-    Exponent,
-    Regime,
     SharpConstant,
     kp,
     reference_constants,
@@ -29,7 +27,7 @@ from .extremal import (  # noqa: F401
     section_ratio,
 )
 from .gfun import GSolution, build_g_bessel, build_g_rk, h_of, h_prime  # noqa: F401
-from .mc import Estimate, SimConfig, strip_exit_moment, weak_type_orth_check  # noqa: F401
+from .mc import Estimate, SimConfig, strip_exit_moment  # noqa: F401
 from .orth import OrthContext, u_orth, v_orth  # noqa: F401
 from .uweak import UWContext, build_context, classify, u_value, v_value  # noqa: F401
 from .verify import SUITES, run_suite  # noqa: F401

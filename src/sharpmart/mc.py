@@ -36,7 +36,6 @@ __all__ = [
     "strip_exit_samples",
     "strip_exit_moment",
     "strip_exit_bias_pair",
-    "weak_type_orth_check",
     "random_subordinate_pair_check",
     "section_chain_mc",
     "harmonic_rectangle_check",
@@ -313,40 +312,6 @@ def strip_exit_bias_pair(p: float, start, cfg: SimConfig):
     )
 
 
-def _margin_report(check, p, est: Estimate, bound, direction=">="):
-    """Margin of an estimate against its analytic target in sigma units."""
-    gap = est.mean - bound if direction == ">=" else bound - est.mean
-    sigma = abs(gap) / est.std_error if est.std_error > 0 else math.inf
-    return {
-        "check": check,
-        "p": p,
-        "n": est.n,
-        "estimate": est.mean,
-        "std_error": est.std_error,
-        "bound": bound,
-        "margin_sigma": sigma,
-        "seed": est.seed,
-    }
-
-
-def weak_type_orth_check(p: float, cfg: SimConfig) -> dict:
-    """Sharpness identity for the stopped orthogonal Brownian pair:
-    the maximal-function level probability equals 1 exactly, so the weak
-    bound forces the scaled exit moment kp(p)^p * E|M_tau|^p to equal 1."""
-    if not 1 <= p <= 2:
-        raise ValueError("requires 1 <= p <= 2")
-    est = strip_exit_moment(p, (0.0, 0.0), cfg)
-    kpp = kp(p).value ** p
-    scaled = Estimate(est.mean * kpp, est.std_error * kpp, est.n, est.seed)
-    report = _margin_report("weak_type_orth", p, scaled, 1.0)
-    report["crossing_prob"] = 1.0
-    report["bridge_exits"] = est.bridge_exits
-    report["censored"] = est.censored
-    report["passed"] = bool(report["margin_sigma"] <= 4.0)
-    report["warning"] = bool(3.0 < report["margin_sigma"] <= 4.0)
-    return report
-
-
 def _pair_chunk(args):
     """One random non-negative martingale f with a sign-transformed g;
     returns the data the weak-type ratio needs."""
@@ -513,12 +478,22 @@ def harmonic_rectangle_check(p: float, R: float, cfg: SimConfig) -> dict:
     xs, side, n_bridge, censored = _strip_exits((0.0, 0.0), cfg, R)
     moment = _estimate(np.abs(xs) ** p, cfg.master_seed)
     target = 1.0 / kp(p).value ** p
-    rep = _margin_report("harmonic_rectangle", p, moment, target)
     mu = _estimate(1.0 - side.astype(float), cfg.master_seed)
-    rep["mu_v_ge_1"] = mu.mean
-    rep["mu_std_error"] = mu.std_error
-    rep["R"] = R
-    rep["bridge_exits"] = n_bridge
-    rep["censored"] = censored
+    se = moment.std_error
+    rep = {
+        "check": "harmonic_rectangle",
+        "p": p,
+        "n": moment.n,
+        "estimate": moment.mean,
+        "std_error": se,
+        "bound": target,
+        "margin_sigma": abs(moment.mean - target) / se if se > 0 else math.inf,
+        "seed": moment.seed,
+        "mu_v_ge_1": mu.mean,
+        "mu_std_error": mu.std_error,
+        "R": R,
+        "bridge_exits": n_bridge,
+        "censored": censored,
+    }
     rep["passed"] = bool(rep["margin_sigma"] <= 4.0 and mu.mean >= 0.95)
     return rep

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .constants import as_exponent, kp
+from .constants import _exponent, kp
 
 __all__ = [
     "QuadratureError",
@@ -149,7 +149,7 @@ def v_orth(ctx: OrthContext, x: float, y: float) -> float:
 
 def scalar_inequality_check(p, x: float, h: float, slack: float = 1e-12) -> bool:
     """|x+h|^p + |x-h|^p <= 2|x|^p + 2|h|^p for 1 <= p <= 2."""
-    pv = as_exponent(p).p
+    pv = _exponent(p)
     if not 1 <= pv <= 2:
         raise ValueError(f"requires 1 <= p <= 2, got {pv}")
     return abs(x + h) ** pv + abs(x - h) ** pv <= 2 * abs(x) ** pv + 2 * abs(h) ** pv + slack

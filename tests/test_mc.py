@@ -31,7 +31,6 @@ from sharpmart.mc import (
     strip_exit_bias_pair,
     strip_exit_moment,
     strip_exit_samples,
-    weak_type_orth_check,
 )
 
 SCHEMA = json.loads(
@@ -234,30 +233,6 @@ def test_coupled_bias_pair_is_small():
     # coupling cancels sampling noise, so the dt-refinement gap is far
     # below the marginal standard errors
     assert abs(coarse.mean - fine.mean) < coarse.std_error
-
-
-# ------------------------------------------------------------ report checks
-
-
-def test_weak_type_orth_check_p2():
-    rep = weak_type_orth_check(2.0, SimConfig(master_seed=21, n_samples=80_000))
-    assert rep["passed"]
-    assert rep["margin_sigma"] <= 3.0
-    assert rep["bound"] == 1.0
-    check_schema(rep)
-
-
-def test_weak_type_orth_check_p1():
-    rep = weak_type_orth_check(1.0, SimConfig(master_seed=22, n_samples=80_000))
-    assert rep["passed"]
-    assert rep["estimate"] == pytest.approx(1.0, abs=4 * rep["std_error"])
-    check_schema(rep)
-
-
-def test_weak_type_orth_check_domain():
-    cfg = SimConfig(master_seed=1, n_samples=10)
-    with pytest.raises(ValueError):
-        weak_type_orth_check(3.0, cfg)
 
 
 # ------------------------------------------------------------- random pairs
