@@ -111,6 +111,6 @@ def reference_constants(p) -> list[SharpConstant]:
         out.append(SharpConstant(p_star - 1, "strong_type_general", p))
         out.append(strong_constant_nonneg(p))
     if p >= 2:
-        value = (p ** (p - 1) / 2) ** (1.0 / p)
+        value = p ** ((p - 1) / p) / 2 ** (1.0 / p)
         out.append(SharpConstant(value, "weak_type_signed", p))
     return out

@@ -206,17 +206,22 @@ def _chunk_sizes(n):
     return sizes
 
 
-def _strip_exits(start, cfg: SimConfig, r_bound: float):
-    """Every chunk of the strip kernel: x at exit, side-exit flags, and the
-    summed bridge-exit and censored-path counts."""
+def _chunk_args(start, cfg: SimConfig, *extra):
+    """(seed pair, size, x0, y0, dt, *extra) for each chunk of paths started
+    at `start`, which must lie inside the strip."""
     x0, y0 = float(start[0]), float(start[1])
     if not abs(y0) < 1:
         raise ValueError("start must satisfy |y| < 1")
-    args = [
-        ((cfg.master_seed, i), n, x0, y0, cfg.dt, r_bound)
+    return [
+        ((cfg.master_seed, i), n, x0, y0, cfg.dt, *extra)
         for i, n in enumerate(_chunk_sizes(cfg.n_samples))
     ]
-    parts = _run_chunks(_strip_chunk, args, cfg.workers)
+
+
+def _strip_exits(start, cfg: SimConfig, r_bound: float):
+    """Every chunk of the strip kernel: x at exit, side-exit flags, and the
+    summed bridge-exit and censored-path counts."""
+    parts = _run_chunks(_strip_chunk, _chunk_args(start, cfg, r_bound), cfg.workers)
     xs = np.concatenate([p[0] for p in parts])
     side = np.concatenate([p[1] for p in parts])
     return xs, side, sum(p[2] for p in parts), sum(p[3] for p in parts)
@@ -298,12 +303,7 @@ def strip_exit_bias_pair(p: float, start, cfg: SimConfig):
     The shared driving noise cancels most sampling variance, so the
     difference of the two means measures the discretization bias.
     """
-    x0, y0 = float(start[0]), float(start[1])
-    args = [
-        ((cfg.master_seed, i), n, x0, y0, cfg.dt)
-        for i, n in enumerate(_chunk_sizes(cfg.n_samples))
-    ]
-    parts = _run_chunks(_coupled_chunk, args, cfg.workers)
+    parts = _run_chunks(_coupled_chunk, _chunk_args(start, cfg), cfg.workers)
     coarse = np.concatenate([p_[0] for p_ in parts])
     fine = np.concatenate([p_[1] for p_ in parts])
     return (

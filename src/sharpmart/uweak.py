@@ -4,13 +4,16 @@ The half-plane splits into eight regions D0..D7 (first match wins, in index
 order, with |y| throughout); U is defined by a separate closed form on each
 region, two of which involve the auxiliary function G and its inverse h.
 The gradient and all three second derivatives are closed forms per region
-as well.  All evaluators are vectorized over numpy arrays and reflect
-through y -> -y: values, U_x, U_xx and U_yy are even in y, U_y and U_xy odd.
+as well.  One dispatcher, `_by_region`, classifies each point once, keeps
+the h(x+|y|) that classification computed, and runs the value, gradient or
+Hessian formula of each region on that region's points; values, U_x, U_xx
+and U_yy are even in y, U_y and U_xy odd.  Every public evaluator broadcasts
+x against y and returns arrays of the broadcast shape, or Python scalars
+(int labels, float values, bool verdicts) when both are scalars.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +65,12 @@ def build_context(p: float) -> UWContext:
     return UWContext(p, build_g_rk(p))
 
 
-def _prep(ctx, x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _prep(x, y):
+    """x, y and |y| as broadcast float arrays; x must be non-negative."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if np.any(x < 0):
         raise ValueError("first coordinate must be non-negative")
-    return np.broadcast_arrays(x, np.abs(y))
+    return x, y, np.abs(y)
 
 
 def _h_where(ctx, s, need):
@@ -84,9 +87,10 @@ def _h_where(ctx, s, need):
     return hs
 
 
-def classify(ctx: UWContext, x, y):
-    """Region index 0..7 per point; predicates tested in index order."""
-    x, Y = _prep(ctx, x, y)
+def _regions(ctx, x, Y):
+    """Region labels at (x, Y = |y|), and the h(x+Y) the D5/D6 predicates
+    need: NaN where D0..D4 settled the point or x+Y < 1, so every D5 point
+    has its h."""
     p = ctx.p
     s = x + Y
     d04 = (
@@ -96,41 +100,59 @@ def classify(ctx: UWContext, x, y):
         (x + 1 - 2 / p <= Y) & (Y < 1 - x),
         (np.maximum(1 - x, x + 1 - 2 / p) <= Y) & (Y < 1),
     )
-    settled = np.zeros_like(x, dtype=bool)
-    for m in d04:
-        settled |= m
-    hs = _h_where(ctx, s, ~settled)
+    hs = _h_where(ctx, s, ~np.logical_or.reduce(d04))
     with np.errstate(invalid="ignore"):
         d5 = (s >= 1) & (hs >= x) & (x > (-1 + hs + s) / 2)
         d6 = (s >= 1) & ((1 - hs + s) / 2 <= Y) & (Y < np.minimum(x + 1 - 2 / p, 1.0))
-    labels = np.select(list(d04) + [d5, d6], [0, 1, 2, 3, 4, 5, 6], default=7)
+    return np.select(list(d04) + [d5, d6], [0, 1, 2, 3, 4, 5, 6], default=7), hs
+
+
+def classify(ctx: UWContext, x, y):
+    """Region index 0..7 per point; predicates tested in index order."""
+    x, _, Y = _prep(x, y)
+    labels, _ = _regions(ctx, x, Y)
     return labels if labels.ndim else int(labels)
 
 
-def u_branch(ctx: UWContext, region: int, x, y):
-    """The closed form of region `region`, evaluated at (x, |y|) as given
-    (no membership test) -- the tool behind the boundary-continuity checks."""
-    x, Y = _prep(ctx, x, y)
+def _by_region(ctx, x, y, formula, odd):
+    """`formula(ctx, r, x, |y|, h)` on each region r's points, each point
+    classified once.  `odd` flags, per component of the result, those that
+    change sign where y < 0.  One array per component, floats for scalars."""
+    x, y, Y = _prep(x, y)
+    labels, hs = _regions(ctx, x, Y)
+    out = [np.empty(x.shape) for _ in odd]
+    for r in range(N_REGIONS):
+        m = labels == r
+        if np.any(m):
+            parts = formula(ctx, r, x[m], Y[m], hs[m])
+            for o, part in zip(out, parts if isinstance(parts, tuple) else (parts,)):
+                o[m] = part
+    sign = np.where(y < 0, -1.0, 1.0)
+    out = [o * sign if flip else o for o, flip in zip(out, odd)]
+    return tuple(out) if x.ndim else tuple(float(o) for o in out)
+
+
+def _value(ctx, r, x, Y, h):
+    """U on region r at (x, Y = |y|); h = h(x+Y) is read only by D5."""
     p, c = ctx.p, ctx.coef
-    if region in (0,):
+    if r == 0:
         return 1 - c * x**p
-    if region == 1:
+    if r == 1:
         a = p**p / (2 * (p - 1) * (p - 2) ** (p - 2))
         return a * x * (Y - x) ** (p - 1)
-    if region == 2:
+    if r == 2:
         return (x + Y) ** (p - 1) / (p - 1) * ((p - 1) * Y - (p**2 - 2 * p + 2) / 2 * x)
-    if region == 3:
+    if r == 3:
         return x / (2 * (p - 1) * (1 + x - Y)) * (-((p - 2) ** 2) + p**2 * (Y - x))
-    if region == 4:
+    if r == 4:
         return (
             1
             - p**2 / (2 * (p - 1)) * (1 - Y)
             - c * (x + Y - 1) * (x + 1 - Y) ** (p - 1)
         )
-    if region == 5:
-        hs = _h_where(ctx, x + Y, np.ones_like(x, dtype=bool))
-        return c * hs ** (p - 1) * ((p - 1) * hs - p * x)
-    if region == 6:
+    if r == 5:
+        return c * h ** (p - 1) * ((p - 1) * h - p * x)
+    if r == 6:
         t = x - Y + 1
         G = ctx.g.g(t)
         return (
@@ -138,75 +160,120 @@ def u_branch(ctx: UWContext, region: int, x, y):
             - 2 * (1 - Y) / (2 + x - Y - G)
             - c * t ** (p - 1) * (x - (p - 1) * (1 - Y))
         )
-    if region == 7:
+    if r == 7:
         return -c * x**p
-    raise ValueError(f"unknown region {region}")
+    raise ValueError(f"unknown region {r}")
+
+
+def _gradient(ctx, r, x, Y, h):
+    """(U_x, U_y) on region r at (x, Y = |y|)."""
+    p, c = ctx.p, ctx.coef
+    if r in (0, 7):
+        return -p * c * x ** (p - 1), 0.0
+    if r == 1:
+        a = p**p / (2 * (p - 1) * (p - 2) ** (p - 2))
+        ux = a * (Y - x) ** (p - 2) * (Y - p * x)
+        return ux, a * (p - 1) * x * (Y - x) ** (p - 2)
+    if r == 2:
+        ux = p / (2 * (p - 1)) * (x + Y) ** (p - 2) * (
+            (p - 2) * Y - (p**2 - 2 * p + 2) * x
+        )
+        return ux, p / 2 * (x + Y) ** (p - 2) * (2 * Y - (p - 2) * x)
+    if r == 3:
+        ux = -(p**2) / (2 * (p - 1)) + 2 * (1 - Y) / (1 + x - Y) ** 2
+        return ux, 2 * x / (1 + x - Y) ** 2
+    if r == 4:
+        ux = -c * (x + 1 - Y) ** (p - 2) * (p * x - (p - 2) * (1 - Y))
+        uy = p**2 / (2 * (p - 1)) + c * (x + 1 - Y) ** (p - 2) * (
+            (p - 2) * x - p * (1 - Y)
+        )
+        return ux, uy
+    if r == 5:
+        core = 2 * (h - x) / (h - (x + Y) + 1) ** 2
+        return core - p * c * h ** (p - 1), core
+    # D6
+    t = x - Y + 1
+    G = ctx.g.g(t)
+    den = 2 + x - Y - G
+    return 2 * (1 - Y) / den**2 - p * c * t ** (p - 1), 2 * (1 + x - G) / den**2
+
+
+def _hessian(ctx, r, x, Y, h):
+    """(U_xx, U_xy, U_yy) on the interior of region r at (x, Y = |y|)."""
+    p, c = ctx.p, ctx.coef
+    if r in (0, 7):
+        return -p * (p - 1) * c * x ** (p - 2), 0.0, 0.0
+    if r == 1:
+        b = p**p / (2 * (p - 2) ** (p - 2))
+        return (
+            b * (Y - x) ** (p - 3) * (p * x - 2 * Y),
+            b * (Y - x) ** (p - 3) * (Y - (p - 1) * x),
+            b * (Y - x) ** (p - 3) * (p - 2) * x,
+        )
+    if r == 2:
+        return (
+            -p * (x + Y) ** (p - 3) * ((p**2 - 2 * p + 2) / 2 * x + Y),
+            p * (p - 2) / 2 * (x + Y) ** (p - 3) * (Y - (p - 1) * x),
+            -p * (x + Y) ** (p - 3) * ((p**2 - 4 * p + 2) / 2 * x - (p - 1) * Y),
+        )
+    if r == 3:
+        return (
+            -4 * (1 - Y) / (1 + x - Y) ** 3,
+            2 * (1 - x - Y) / (1 + x - Y) ** 3,
+            4 * x / (1 + x - Y) ** 3,
+        )
+    if r == 4:
+        b = p**p / 2**p
+        return (
+            -b * (x + 1 - Y) ** (p - 3) * (p * x + (p - 4) * (Y - 1)),
+            b * (p - 2) * (x + 1 - Y) ** (p - 3) * (x + Y - 1),
+            b * (x + 1 - Y) ** (p - 3) * (-(p - 4) * x + p * (1 - Y)),
+        )
+    if r == 5:
+        hp = 1 / ctx.g.gprime(h)
+        den = h - (x + Y) + 1
+        # d/ds of 2(h-x)/(h-s+1)^2 at fixed x: the h' term enters with
+        # a plus sign (the printed table has a sign slip here; the
+        # finite-difference oracle and the U_xx chain rule both agree)
+        shared = 2 * (h - x) * (hp - 1) / den
+        return (
+            2 / den**2 * (-2 + hp - shared),
+            2 / den**2 * (hp - 1 - shared),
+            2 / den**2 * (hp - shared),
+        )
+    # D6
+    t = x - Y + 1
+    G = ctx.g.g(t)
+    Gp = ctx.g.gprime(t)
+    den = 2 + x - Y - G
+    common = -4 * (1 - Y) * (1 - Gp) / den**3
+    return (
+        common - p ** (p + 1) / 2**p * t ** (p - 2),
+        2 * (1 - Gp) * (G - x - Y) / den**3,
+        common + 2 * (2 - Gp) / den**2,
+    )
+
+
+def _value_gradient(ctx, r, x, Y, h):
+    return (_value(ctx, r, x, Y, h), *_gradient(ctx, r, x, Y, h))
+
+
+def u_branch(ctx: UWContext, region: int, x, y):
+    """The closed form of region `region`, evaluated at (x, |y|) as given
+    (no membership test) -- the tool behind the boundary-continuity checks."""
+    x, _, Y = _prep(x, y)
+    h = _h_where(ctx, x + Y, np.ones_like(x, dtype=bool)) if region == 5 else None
+    return _value(ctx, region, x, Y, h)
 
 
 def u_value(ctx: UWContext, x, y):
-    x_arr, Y = _prep(ctx, x, y)
-    labels = np.atleast_1d(np.asarray(classify(ctx, x_arr, Y)))
-    xf, Yf = np.atleast_1d(x_arr), np.atleast_1d(Y)
-    out = np.empty_like(xf)
-    for r in range(N_REGIONS):
-        m = labels == r
-        if np.any(m):
-            out[m] = np.atleast_1d(u_branch(ctx, r, xf[m], Yf[m]))
-    return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
+    return _by_region(ctx, x, y, _value, (False,))[0]
 
 
 def v_value(ctx: UWContext, x, y):
-    x_arr, Y = _prep(ctx, x, y)
-    val = (Y >= 1).astype(float) - ctx.coef * x_arr**ctx.p
-    return val if x_arr.ndim else float(val)
-
-
-def _grad_pos(ctx, labels, x, Y):
-    """(U_x, U_y) for y = |y| >= 0, by region formulas."""
-    p, c = ctx.p, ctx.coef
-    ux = np.empty_like(x)
-    uy = np.empty_like(x)
-    for r in range(N_REGIONS):
-        m = labels == r
-        if not np.any(m):
-            continue
-        xm, Ym = x[m], Y[m]
-        if r == 0 or r == 7:
-            ux[m] = -p * c * xm ** (p - 1)
-            uy[m] = 0.0
-        elif r == 1:
-            a = p**p / (2 * (p - 1) * (p - 2) ** (p - 2))
-            ux[m] = a * (Ym - xm) ** (p - 2) * (Ym - p * xm)
-            uy[m] = a * (p - 1) * xm * (Ym - xm) ** (p - 2)
-        elif r == 2:
-            ux[m] = (
-                p
-                / (2 * (p - 1))
-                * (xm + Ym) ** (p - 2)
-                * ((p - 2) * Ym - (p**2 - 2 * p + 2) * xm)
-            )
-            uy[m] = p / 2 * (xm + Ym) ** (p - 2) * (2 * Ym - (p - 2) * xm)
-        elif r == 3:
-            ux[m] = -(p**2) / (2 * (p - 1)) + 2 * (1 - Ym) / (1 + xm - Ym) ** 2
-            uy[m] = 2 * xm / (1 + xm - Ym) ** 2
-        elif r == 4:
-            ux[m] = -c * (xm + 1 - Ym) ** (p - 2) * (p * xm - (p - 2) * (1 - Ym))
-            uy[m] = p**2 / (2 * (p - 1)) + c * (xm + 1 - Ym) ** (p - 2) * (
-                (p - 2) * xm - p * (1 - Ym)
-            )
-        elif r == 5:
-            s = xm + Ym
-            hs = _h_where(ctx, s, np.ones_like(s, dtype=bool))
-            core = 2 * (hs - xm) / (hs - s + 1) ** 2
-            ux[m] = core - p * c * hs ** (p - 1)
-            uy[m] = core
-        elif r == 6:
-            t = xm - Ym + 1
-            G = ctx.g.g(t)
-            den = 2 + xm - Ym - G
-            ux[m] = 2 * (1 - Ym) / den**2 - p * c * t ** (p - 1)
-            uy[m] = 2 * (1 + xm - G) / den**2
-    return ux, uy
+    x, _, Y = _prep(x, y)
+    val = (Y >= 1).astype(float) - ctx.coef * x**ctx.p
+    return val if x.ndim else float(val)
 
 
 def u_gradient_ext(ctx: UWContext, x, y):
@@ -216,124 +283,39 @@ def u_gradient_ext(ctx: UWContext, x, y):
     first-match classification: on |y| = 1 the D0 branch applies (psi = 0),
     and on the shared edge of D3 and D4 the D4 formulas apply.
     """
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    _, Y = _prep(ctx, x_arr, y_arr)
-    labels = np.atleast_1d(np.asarray(classify(ctx, x_arr, y_arr)))
-    xf, Yf = np.atleast_1d(np.broadcast_arrays(x_arr, Y)[0]), np.atleast_1d(Y)
-    ux, uy = _grad_pos(ctx, labels, xf, Yf)
-    sign = np.where(np.atleast_1d(np.broadcast_to(y_arr, Yf.shape)) < 0, -1.0, 1.0)
-    uy = uy * sign
-    if x_arr.ndim or y_arr.ndim:
-        shape = np.broadcast_shapes(x_arr.shape, y_arr.shape)
-        return ux.reshape(shape), uy.reshape(shape)
-    return float(ux[0]), float(uy[0])
-
-
-def _second_pos(ctx, labels, x, Y):
-    """(U_xx, U_xy, U_yy) for y >= 0 on region interiors."""
-    p, c = ctx.p, ctx.coef
-    uxx = np.empty_like(x)
-    uxy = np.empty_like(x)
-    uyy = np.empty_like(x)
-    for r in range(N_REGIONS):
-        m = labels == r
-        if not np.any(m):
-            continue
-        xm, Ym = x[m], Y[m]
-        if r == 0 or r == 7:
-            uxx[m] = -p * (p - 1) * c * xm ** (p - 2)
-            uxy[m] = 0.0
-            uyy[m] = 0.0
-        elif r == 1:
-            b = p**p / (2 * (p - 2) ** (p - 2))
-            uxx[m] = b * (Ym - xm) ** (p - 3) * (p * xm - 2 * Ym)
-            uxy[m] = b * (Ym - xm) ** (p - 3) * (Ym - (p - 1) * xm)
-            uyy[m] = b * (Ym - xm) ** (p - 3) * (p - 2) * xm
-        elif r == 2:
-            uxx[m] = -p * (xm + Ym) ** (p - 3) * ((p**2 - 2 * p + 2) / 2 * xm + Ym)
-            uxy[m] = p * (p - 2) / 2 * (xm + Ym) ** (p - 3) * (Ym - (p - 1) * xm)
-            uyy[m] = -p * (xm + Ym) ** (p - 3) * (
-                (p**2 - 4 * p + 2) / 2 * xm - (p - 1) * Ym
-            )
-        elif r == 3:
-            uxx[m] = -4 * (1 - Ym) / (1 + xm - Ym) ** 3
-            uxy[m] = 2 * (1 - xm - Ym) / (1 + xm - Ym) ** 3
-            uyy[m] = 4 * xm / (1 + xm - Ym) ** 3
-        elif r == 4:
-            b = p**p / 2**p
-            uxx[m] = -b * (xm + 1 - Ym) ** (p - 3) * (p * xm + (p - 4) * (Ym - 1))
-            uxy[m] = b * (p - 2) * (xm + 1 - Ym) ** (p - 3) * (xm + Ym - 1)
-            uyy[m] = b * (xm + 1 - Ym) ** (p - 3) * (-(p - 4) * xm + p * (1 - Ym))
-        elif r == 5:
-            s = xm + Ym
-            hs = _h_where(ctx, s, np.ones_like(s, dtype=bool))
-            hp = 1 / ctx.g.gprime(hs)
-            den = hs - s + 1
-            # d/ds of 2(h-x)/(h-s+1)^2 at fixed x: the h' term enters with
-            # a plus sign (the printed table has a sign slip here; the
-            # finite-difference oracle and the U_xx chain rule both agree)
-            shared = 2 * (hs - xm) * (hp - 1) / den
-            uxx[m] = 2 / den**2 * (-2 + hp - shared)
-            uxy[m] = 2 / den**2 * (hp - 1 - shared)
-            uyy[m] = 2 / den**2 * (hp - shared)
-        elif r == 6:
-            t = xm - Ym + 1
-            G = ctx.g.g(t)
-            Gp = ctx.g.gprime(t)
-            den = 2 + xm - Ym - G
-            common = -4 * (1 - Ym) * (1 - Gp) / den**3
-            uxx[m] = common - p ** (p + 1) / 2**p * t ** (p - 2)
-            uxy[m] = 2 * (1 - Gp) * (G - xm - Ym) / den**3
-            uyy[m] = common + 2 * (2 - Gp) / den**2
-    return uxx, uxy, uyy
+    return _by_region(ctx, x, y, _gradient, (False, True))
 
 
 def is_interior(ctx: UWContext, x, y, tol: float = 1e-8):
     """True where the classification is stable under tol-sized perturbations."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    base = classify(ctx, x, y)
-    ok = np.ones_like(x, dtype=bool)
+    x, y, Y = _prep(x, y)
+    base, _ = _regions(ctx, x, Y)
+    ok = np.ones(x.shape, dtype=bool)
     for dx, dy in ((tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol)):
-        ok &= classify(ctx, np.maximum(x + dx, 0.0), y + dy) == base
-    return ok
+        ok &= _regions(ctx, np.maximum(x + dx, 0.0), np.abs(y + dy))[0] == base
+    return ok if ok.ndim else bool(ok)
 
 
 def u_second_derivs(ctx: UWContext, x, y):
     """(U_xx, U_xy, U_yy) on region interiors; errors on boundary points."""
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    xb, Y = _prep(ctx, x_arr, y_arr)
-    xf, Yf = np.atleast_1d(xb), np.atleast_1d(Y)
-    inter = is_interior(ctx, xf, np.atleast_1d(np.broadcast_to(y_arr, Yf.shape)))
-    if not np.all(inter):
-        bad = np.nonzero(~inter)[0][0]
+    bad = np.flatnonzero(np.logical_not(is_interior(ctx, x, y)))
+    if bad.size:
         raise EvaluationError(
-            f"second derivatives undefined at region boundary point index {bad}"
+            f"second derivatives undefined at region boundary point index {bad[0]}"
         )
-    labels = np.atleast_1d(np.asarray(classify(ctx, xf, Yf)))
-    uxx, uxy, uyy = _second_pos(ctx, labels, xf, Yf)
-    uxy *= np.where(np.atleast_1d(np.broadcast_to(y_arr, Yf.shape)) < 0, -1.0, 1.0)
-    if x_arr.ndim or y_arr.ndim:
-        shape = np.broadcast_shapes(x_arr.shape, y_arr.shape)
-        return uxx.reshape(shape), uxy.reshape(shape), uyy.reshape(shape)
-    return float(uxx[0]), float(uxy[0]), float(uyy[0])
+    return _by_region(ctx, x, y, _hessian, (False, True, False))
 
 
 def tangent_check(ctx: UWContext, x, y, h, k, slack: float = 1e-9):
     """U(x+h, y+k) <= U(x,y) + phi*h + psi*k, for jumps with |k| <= |h|."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
+    x, y, h, k = (np.asarray(a, dtype=float) for a in (x, y, h, k))
     if np.any(x < 0) or np.any(x + h < 0):
         raise ValueError("requires x >= 0 and x + h >= 0")
     if np.any(np.abs(k) > np.abs(h) + 1e-15):
         raise ValueError("requires |k| <= |h|")
-    phi, psi = u_gradient_ext(ctx, x, y)
+    u, phi, psi = _by_region(ctx, x, y, _value_gradient, (False, False, True))
     lhs = u_value(ctx, x + h, y + k)
-    rhs = u_value(ctx, x, y) + phi * h + psi * k + slack
+    rhs = u + phi * h + psi * k + slack
     ok = lhs <= rhs
     return ok if np.ndim(ok) else bool(ok)
 

@@ -120,6 +120,11 @@ class TestReference:
         names = {c.name: c.value for c in reference_constants(3.0)}
         assert names["strong_type_general"] == pytest.approx(2.0)  # p* - 1
         assert names["weak_type_signed"] == pytest.approx((9 / 2) ** (1 / 3), rel=1e-12)
+        # at p = 200, p^(p-1) overflows a float but the constant is about 194
+        names = {c.name: c.value for c in reference_constants(200.0)}
+        assert names["strong_type_general"] == 199.0
+        want = math.exp((199 * math.log(200) - math.log(2)) / 200)
+        assert names["weak_type_signed"] == pytest.approx(want, rel=1e-13)
 
     def test_p15_includes_general_weak(self):
         names = {c.name: c.value for c in reference_constants(1.5)}

@@ -183,6 +183,16 @@ def test_strip_exit_bias_pair_is_pinned(seed, start, want):
     assert (coarse.mean, coarse.std_error, fine.mean, fine.std_error) == want
 
 
+
+@pytest.mark.parametrize("start", [(2.0, 1.5), (0.0, -1.0), (0.0, math.nan)])
+def test_start_outside_strip_rejected(start):
+    # both the coupled pair and the strip moment refuse a start with |y| >= 1
+    cfg = SimConfig(master_seed=1, n_samples=1000)
+    with pytest.raises(ValueError, match=r"\|y\| < 1"):
+        strip_exit_bias_pair(2.0, start, cfg)
+    with pytest.raises(ValueError, match=r"\|y\| < 1"):
+        strip_exit_moment(2.0, start, cfg)
+
 def _assert_same_law(a, b):
     """E|x| and E x^2 of two samples agree within 4 combined sigma."""
     for f in (np.abs, np.square):

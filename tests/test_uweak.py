@@ -68,6 +68,88 @@ class TestValues:
         assert np.allclose(u_value(ctx3, x, y), u_value(ctx3, x, -y), atol=1e-14)
 
 
+# One interior point per region at p = 3: (x, y, U, (U_x, U_y), (U_xx, U_xy, U_yy)),
+# values recorded from the per-region formulas before the shared dispatcher.
+PINNED_P3 = {
+    0: (0.1, 1.2, 0.9983125, (-0.05062500000000001, 0.0), (-1.0125, 0.0, 0.0)),
+    1: (0.05, 0.2, 0.007593750000000002, (0.050624999999999996, 0.10125000000000002),
+        (-3.375, 1.35, 0.675)),
+    2: (0.2, 0.3, 0.012499999999999997, (-0.26249999999999996, 0.3),
+        (-2.4000000000000004, -0.15000000000000005, 2.0999999999999996)),
+    3: (0.05, 0.75, 0.22083333333333333, (3.3055555555555545, 1.111111111111111),
+        (-37.03703703703702, 14.814814814814804, 7.407407407407404)),
+    4: (0.2, 0.9, 0.7598125, (-0.253125, 2.199375),
+        (-2.3625000000000003, 0.3375000000000003, 1.6874999999999998)),
+    5: (1.0, 0.5, -1.6865424472481696, (-5.098301928605924, 0.10376537737116304),
+        (-9.45588354873858, -1.8766275439628337, 5.702628460812914)),
+    6: (0.8, 0.9, -0.1788985623200232, (-3.457032654901002, 2.944143278101235),
+        (-8.15221509668944, 1.7162916456994628, 4.719631805290517)),
+    7: (1.0, 0.1, -1.6875, (-5.0625, 0.0), (-10.125, 0.0, 0.0)),
+}
+
+
+class TestPinnedPerRegion:
+    @pytest.mark.parametrize("region", sorted(PINNED_P3))
+    def test_value_gradient_hessian(self, ctx3, region):
+        x, y, u, grad, hess = PINNED_P3[region]
+        assert classify(ctx3, x, y) == region
+        assert is_interior(ctx3, x, y, tol=1e-3)
+        assert u_value(ctx3, x, y) == pytest.approx(u, rel=1e-13)
+        assert u_gradient_ext(ctx3, x, y) == pytest.approx(grad, rel=1e-13)
+        assert u_second_derivs(ctx3, x, y) == pytest.approx(hess, rel=1e-13)
+        # the reflection y -> -y flips exactly U_y and U_xy
+        ux, uy = grad
+        uxx, uxy, uyy = hess
+        assert u_gradient_ext(ctx3, x, -y) == pytest.approx((ux, -uy), rel=1e-13)
+        assert u_second_derivs(ctx3, x, -y) == pytest.approx((uxx, -uxy, uyy), rel=1e-13)
+
+
+SHAPE_CASES = {
+    "scalar-scalar": (0.3, -0.2),
+    "scalar-array": (0.3, np.array([-0.2, 0.9, -1.2])),
+    "array-scalar": (np.array([0.05, 0.3, 1.0]), -0.2),
+}
+EVALUATORS = {
+    "classify": (classify, int),
+    "u_value": (u_value, float),
+    "u_gradient_ext": (u_gradient_ext, float),
+    "u_second_derivs": (u_second_derivs, float),
+    "is_interior": (is_interior, bool),
+}
+
+
+class TestShapeContract:
+    @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_broadcast_and_scalar_types(self, ctx3, case, name):
+        fn, scalar_type = EVALUATORS[name]
+        x, y = SHAPE_CASES[case]
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        got = fn(ctx3, x, y)
+        parts = got if isinstance(got, tuple) else (got,)
+        xb, yb = np.broadcast_arrays(x, y)
+        for i, part in enumerate(parts):
+            if shape:
+                assert isinstance(part, np.ndarray) and part.shape == shape
+                # each entry equals the scalar call at that point
+                for j in range(xb.size):
+                    one = fn(ctx3, float(xb[j]), float(yb[j]))
+                    assert (one[i] if isinstance(one, tuple) else one) == part[j]
+            else:
+                assert type(part) is scalar_type
+
+
+class TestIsInterior:
+    def test_scalar_boundary_is_false(self, ctx3):
+        assert is_interior(ctx3, 0.3, 1.0) is False  # |y| = 1 is the D0 edge
+
+    def test_second_derivs_report_flat_index(self, ctx3):
+        x = np.full((2, 3), 0.3)
+        y = np.array([[0.1, 0.2, 0.5], [0.55, 1.0, 0.1]])
+        with pytest.raises(EvaluationError, match="index 4$"):
+            u_second_derivs(ctx3, x, y)
+
+
 class TestBoundaryContinuity:
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     def test_branch_gaps(self, p):
