@@ -8,18 +8,19 @@ master seed, independent of the worker count.
 Run:  python3 demos/05_monte_carlo.py     (about 5 seconds)
 """
 
-from sharpmart import SimConfig, kp, strip_exit_moment
+from sharpmart import SimConfig, kp
 from sharpmart.extremal import resolve_params
 from sharpmart.mc import (
     harmonic_rectangle_check,
-    random_subordinate_pair_check,
+    random_subordinate_pair_checks,
     section_chain_mc,
+    strip_exit_moments,
 )
 
 cfg = SimConfig(master_seed=42, n_samples=200_000, dt=1e-2)
 
 print("Strip exit moments E|B1_tau|^p from the origin:")
-moments = {p: strip_exit_moment(p, (0.0, 0.0), cfg) for p in (1.0, 2.0)}
+moments = dict(zip((1.0, 2.0), strip_exit_moments((1.0, 2.0), (0.0, 0.0), cfg)))
 est = moments[2.0]
 print(f"  p = 2: {est.mean:.5f} +- {est.std_error:.5f}   (exact 1, optional stopping)")
 est = moments[1.0]
@@ -34,9 +35,8 @@ for p, est in moments.items():
 
 print("\nRandom dominated pairs never beat the sharp weak-type constants:")
 small = SimConfig(master_seed=5, n_samples=10_000)
-for p in (0.5, 3.0):
-    r = random_subordinate_pair_check(p, small, n_pairs=100)
-    print(f"  p = {p}: worst empirical ratio {r['estimate']:.4f} "
+for r in random_subordinate_pair_checks((0.5, 3.0), small, n_pairs=100):
+    print(f"  p = {r['p']}: worst empirical ratio {r['estimate']:.4f} "
           f"vs bound {r['bound']:.4f} (passed: {r['passed']})")
 
 print("\nPathwise sampling of the extremal chain matches the exact atoms:")

@@ -13,9 +13,20 @@ exit does not depend on x, so y is walked alone and x is drawn once per
 path from its exact law at the exit time (`_strip_chunk`); with one, and
 in the coupled coarse/fine pair, x and y are walked together.
 
+Each sample serves every exponent asked of it: `strip_exit_moments` takes
+all its moments from one set of exit points, and
+`random_subordinate_pair_checks` draws each pair once for all exponents
+(p enters only ||f||_p^p).  `strip_exit_moment` and
+`random_subordinate_pair_check` are their one-exponent forms.
+
 Determinism contract: work is cut into fixed-size chunks; chunk i uses
 ``SeedSequence([master_seed, i])``, so reports are bit-identical for a
-given master seed regardless of worker count or scheduling.
+given master seed regardless of worker count or scheduling.  Strip chunks
+run on `cfg.workers` processes.  Random pairs (pair j uses
+``SeedSequence([master_seed, 10_000 + j])``) run serially and ignore
+`cfg.workers`: a pool would roughly triple the check's peak resident
+memory, one interpreter and numpy per worker, and threads measured no
+faster than serial.
 """
 
 from __future__ import annotations
@@ -35,8 +46,10 @@ __all__ = [
     "ExitEstimate",
     "strip_exit_samples",
     "strip_exit_moment",
+    "strip_exit_moments",
     "strip_exit_bias_pair",
     "random_subordinate_pair_check",
+    "random_subordinate_pair_checks",
     "section_chain_mc",
     "harmonic_rectangle_check",
 ]
@@ -233,11 +246,21 @@ def strip_exit_samples(start, cfg: SimConfig, r_bound: float = np.inf):
     return xs, side
 
 
+def strip_exit_moments(ps, start, cfg: SimConfig) -> list:
+    """p-th absolute moments of the first coordinate at the strip exit, one
+    `ExitEstimate` per exponent in `ps`, all taken on one sample of paths."""
+    ps = tuple(ps)
+    if not ps:
+        raise ValueError("need at least one exponent")
+    xs, _, n_bridge, censored = _strip_exits(start, cfg, math.inf)
+    ax = np.abs(xs)
+    ests = (_estimate(ax**p, cfg.master_seed) for p in ps)
+    return [ExitEstimate(e.mean, e.std_error, e.n, e.seed, n_bridge, censored) for e in ests]
+
+
 def strip_exit_moment(p: float, start, cfg: SimConfig) -> ExitEstimate:
     """p-th absolute moment of the first coordinate at the strip exit."""
-    xs, _, n_bridge, censored = _strip_exits(start, cfg, math.inf)
-    est = _estimate(np.abs(xs) ** p, cfg.master_seed)
-    return ExitEstimate(est.mean, est.std_error, est.n, est.seed, n_bridge, censored)
+    return strip_exit_moments((p,), start, cfg)[0]
 
 
 def _coupled_chunk(args):
@@ -313,9 +336,15 @@ def strip_exit_bias_pair(p: float, start, cfg: SimConfig):
 
 
 def _pair_chunk(args):
-    """One random non-negative martingale f with a sign-transformed g;
-    returns the data the weak-type ratio needs."""
-    seed_pair, n_paths, p = args
+    """One random non-negative martingale f with a sign-transformed g,
+    drawn once for every exponent in `ps`; returns the data the weak-type
+    ratio needs: g* and |g| at the final time, and sup_n E f_n^p per p.
+
+    Each step draws its two uniforms (v's sign, then the step of f) as one
+    (2, n) block, the same stream as two draws of n.  The sign and the
+    two-point step are exact branch-free forms of `np.where(u < c, s, t)`,
+    and f, g and g* are updated in place."""
+    seed_pair, n_paths, ps = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     n_steps = int(rng.integers(5, 26))
     # centered two-point step: a with prob q, -b with prob 1-q, qa = (1-q)b
@@ -323,31 +352,36 @@ def _pair_chunk(args):
     a = rng.uniform(0.2, 1.0)
     b = q * a / (1 - q)
     sigma = rng.uniform(0.1, 0.9) / max(a, b)
+    xi = np.array([a, -b])  # indexed by u >= q
     f = np.ones(n_paths)
-    g = np.where(rng.random(n_paths) < 0.5, 1.0, -1.0)  # g0 = +-f0
-    g_final = g.copy()
-    g_star = np.abs(g)
-    f_moment_sup = 1.0
+    g_final = 1.0 - 2.0 * (rng.random(n_paths) >= 0.5)  # g0 = +-f0
+    g_star = np.ones(n_paths)
+    f_pp = [1.0] * len(ps)
+    df = np.empty(n_paths)
     for _ in range(n_steps):
-        v = np.where(rng.random(n_paths) < 0.5, 1.0, -1.0)  # predictable sign
-        xi = np.where(rng.random(n_paths) < q, a, -b)
-        df = f * sigma * xi
-        f = f + df
+        u = rng.random((2, n_paths))
+        np.multiply(f, sigma, out=df)
+        df *= xi.take(u[1] >= q)
+        f += df
         if np.any(f < 0):
             raise RuntimeError("generator bug: negative martingale value")
-        g_final = g_final + v * df
+        df *= 1.0 - 2.0 * (u[0] >= 0.5)  # predictable sign v = +-1: exact
+        g_final += df
         np.maximum(g_star, np.abs(g_final), out=g_star)
-        f_moment_sup = max(f_moment_sup, float(np.mean(f**p)))
-    return g_star, np.abs(g_final), f_moment_sup
+        f_pp = [max(m, float(np.mean(f**p))) for m, p in zip(f_pp, ps)]
+    return g_star, np.abs(g_final), tuple(f_pp)
 
 
-def _lambda_scan(g_star, grid, f_pp, p, bound):
+def _lambda_scan(g, grid, f_pp, p, bound):
     """One pair's weak-type rows over a lambda grid: the ratio
-    lambda^p P(g* >= lambda) / f_pp, its binomial standard error, and its
+    lambda^p P(g >= lambda) / f_pp, its binomial standard error, and its
     margin (ratio - bound) / std_error in sigma.  The margin is NaN where
-    the empirical probability is 0 or 1, since the binomial error is 0."""
-    n = g_star.size
-    prob = np.count_nonzero(g_star >= grid[:, None], axis=1) / n
+    the empirical probability is 0 or 1, since the binomial error is 0.
+
+    P is counted by a sorted search; `g` need not be sorted, and sorting a
+    sample that already is costs one copy."""
+    n = g.size
+    prob = (n - np.searchsorted(np.sort(g), grid, side="left")) / n
     lam_p = grid**p
     ratio = lam_p * prob / f_pp
     se = lam_p * np.sqrt(prob * (1 - prob) / n) / f_pp
@@ -370,10 +404,9 @@ def _weak_type_verdict(ratio, margin, bound) -> dict:
     }
 
 
-def random_subordinate_pair_check(
-    p: float, cfg: SimConfig, n_pairs: int = 100
-) -> dict:
-    """Empirical weak-type ratios over random dominated pairs.
+def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> list:
+    """Empirical weak-type ratios over random dominated pairs, one report
+    per exponent in `ps`.
 
     For each pair the ratio lambda^p P(g* >= lambda) / ||f||_p^p is scanned
     over a lambda grid; no ratio may exceed the sharp constant by more than
@@ -382,37 +415,62 @@ def random_subordinate_pair_check(
     and, as `margin_sigma`, the largest margin over all rows, which decides.
     Both the running-supremum and the final-time level sets are reported,
     since the two weak norms coincide only in the limit.
+
+    p enters only ||f||_p^p, so each pair is drawn once for all exponents,
+    and its g* and |g| are sorted once for the lambda grid (set by the
+    median of g*) and every scan.  Pairs run serially and ignore
+    `cfg.workers`: a process pool would roughly triple peak memory.
     """
-    if not (p < 1 or p >= 2):
+    ps = tuple(ps)
+    if not ps:
+        raise ValueError("need at least one exponent")
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+    if not all(p < 1 or p >= 2 for p in ps):
         raise ValueError("regime must be p < 1 or p >= 2")
-    bound = weak_constant_nonneg(p).value ** p
-    rows = []
-    worst_fixed = -math.inf
+    bounds = [weak_constant_nonneg(p).value ** p for p in ps]
+    rows = [[] for _ in ps]
+    worst_fixed = [-math.inf] * len(ps)
     for j in range(n_pairs):
-        g_star, g_fin, f_pp = _pair_chunk(
-            ((cfg.master_seed, 10_000 + j), cfg.n_samples, p)
+        g_star, g_fin, f_pps = _pair_chunk(
+            ((cfg.master_seed, 10_000 + j), cfg.n_samples, ps)
         )
-        med = float(np.median(g_star))
+        g_star.sort()
+        g_fin.sort()
+        n = g_star.size
+        med = float(np.mean(g_star[(n - 1) // 2 : n // 2 + 1]))  # np.median's arithmetic
         grid = np.geomspace(0.1 * med, 10 * med, 20)
-        rows.append((grid, *_lambda_scan(g_star, grid, f_pp, p, bound)))
-        fixed = _lambda_scan(g_fin, grid, f_pp, p, bound)[0]
-        worst_fixed = max(worst_fixed, float(fixed.max()))
-    lam, ratio, se, margin = (np.concatenate(c) for c in zip(*rows))
-    i = int(np.argmax(ratio))
-    return {
-        "check": "random_subordinate_pairs",
-        "p": p,
-        "n": cfg.n_samples * n_pairs,
-        "estimate": float(ratio[i]),
-        "std_error": float(se[i]),
-        "bound": bound,
-        "ratio_excess": float(ratio[i]) / bound - 1.0,
-        "seed": cfg.master_seed,
-        "worst_lambda": float(lam[i]),
-        "worst_fixed_time_ratio": worst_fixed,
-        "n_pairs": n_pairs,
-        **_weak_type_verdict(ratio, margin, bound),
-    }
+        for k, (p, bound, f_pp) in enumerate(zip(ps, bounds, f_pps)):
+            rows[k].append((grid, *_lambda_scan(g_star, grid, f_pp, p, bound)))
+            fixed = _lambda_scan(g_fin, grid, f_pp, p, bound)[0]
+            worst_fixed[k] = max(worst_fixed[k], float(fixed.max()))
+    reports = []
+    for p, bound, p_rows, fixed in zip(ps, bounds, rows, worst_fixed):
+        lam, ratio, se, margin = (np.concatenate(c) for c in zip(*p_rows))
+        i = int(np.argmax(ratio))
+        reports.append({
+            "check": "random_subordinate_pairs",
+            "p": p,
+            "n": cfg.n_samples * n_pairs,
+            "estimate": float(ratio[i]),
+            "std_error": float(se[i]),
+            "bound": bound,
+            "ratio_excess": float(ratio[i]) / bound - 1.0,
+            "seed": cfg.master_seed,
+            "worst_lambda": float(lam[i]),
+            "worst_fixed_time_ratio": fixed,
+            "n_pairs": n_pairs,
+            **_weak_type_verdict(ratio, margin, bound),
+        })
+    return reports
+
+
+def random_subordinate_pair_check(
+    p: float, cfg: SimConfig, n_pairs: int = 100
+) -> dict:
+    """`random_subordinate_pair_checks` for the one exponent p; serial,
+    whatever `cfg.workers` says."""
+    return random_subordinate_pair_checks((p,), cfg, n_pairs)[0]
 
 
 def section_chain_mc(params: ExtremalParams, cfg: SimConfig) -> dict:

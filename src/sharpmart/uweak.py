@@ -119,7 +119,11 @@ def _by_region(ctx, x, y, formula, odd):
     classified once.  `odd` flags, per component of the result, those that
     change sign where y < 0.  One array per component, floats for scalars."""
     x, y, Y = _prep(x, y)
-    labels, hs = _regions(ctx, x, Y)
+    return _dispatch(ctx, x, y, Y, *_regions(ctx, x, Y), formula, odd)
+
+
+def _dispatch(ctx, x, y, Y, labels, hs, formula, odd):
+    """`_by_region` on points already prepared and classified."""
     out = [np.empty(x.shape) for _ in odd]
     for r in range(N_REGIONS):
         m = labels == r
@@ -286,24 +290,32 @@ def u_gradient_ext(ctx: UWContext, x, y):
     return _by_region(ctx, x, y, _gradient, (False, True))
 
 
-def is_interior(ctx: UWContext, x, y, tol: float = 1e-8):
-    """True where the classification is stable under tol-sized perturbations."""
-    x, y, Y = _prep(x, y)
-    base, _ = _regions(ctx, x, Y)
+def _stable(ctx, x, y, base, tol):
+    """True where the labels `base` of (x, y) survive tol-sized moves."""
     ok = np.ones(x.shape, dtype=bool)
     for dx, dy in ((tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol)):
         ok &= _regions(ctx, np.maximum(x + dx, 0.0), np.abs(y + dy))[0] == base
+    return ok
+
+
+def is_interior(ctx: UWContext, x, y, tol: float = 1e-8):
+    """True where the classification is stable under tol-sized perturbations."""
+    x, y, Y = _prep(x, y)
+    ok = _stable(ctx, x, y, _regions(ctx, x, Y)[0], tol)
     return ok if ok.ndim else bool(ok)
 
 
 def u_second_derivs(ctx: UWContext, x, y):
-    """(U_xx, U_xy, U_yy) on region interiors; errors on boundary points."""
-    bad = np.flatnonzero(np.logical_not(is_interior(ctx, x, y)))
+    """(U_xx, U_xy, U_yy) on region interiors; errors on boundary points.
+    The points are classified once, for the interior test and the formulas."""
+    x, y, Y = _prep(x, y)
+    labels, hs = _regions(ctx, x, Y)
+    bad = np.flatnonzero(np.logical_not(_stable(ctx, x, y, labels, 1e-8)))
     if bad.size:
         raise EvaluationError(
             f"second derivatives undefined at region boundary point index {bad[0]}"
         )
-    return _by_region(ctx, x, y, _hessian, (False, True, False))
+    return _dispatch(ctx, x, y, Y, labels, hs, _hessian, (False, True, False))
 
 
 def tangent_check(ctx: UWContext, x, y, h, k, slack: float = 1e-9):

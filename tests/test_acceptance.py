@@ -202,9 +202,8 @@ def test_criterion_08_two_step_exact_identity(capsys):
 def test_criterion_09_monte_carlo_strip(capsys):
     t0 = time.perf_counter()
     cfg = mc.SimConfig(master_seed=42, n_samples=1_000_000)
-    e2 = mc.strip_exit_moment(2.0, (0.0, 0.0), cfg)
+    e2, e1 = mc.strip_exit_moments((2.0, 1.0), (0.0, 0.0), cfg)
     m2 = abs(e2.mean - 1.0) / e2.std_error
-    e1 = mc.strip_exit_moment(1.0, (0.0, 0.0), cfg)
     target1 = 1.0 / constants.kp(1.0).value
     m1 = abs(e1.mean - target1) / e1.std_error
     elapsed = time.perf_counter() - t0
@@ -219,9 +218,7 @@ def test_criterion_09_monte_carlo_strip(capsys):
 
 def test_criterion_10_random_pair_weak_type(capsys):
     cfg = mc.SimConfig(master_seed=2024, n_samples=10_000)
-    reports = [
-        mc.random_subordinate_pair_check(p, cfg, n_pairs=1_000) for p in (0.5, 3.0)
-    ]
+    reports = mc.random_subordinate_pair_checks((0.5, 3.0), cfg, n_pairs=1_000)
     ok = all(r["passed"] for r in reports)
     worst = max(r["margin_sigma"] for r in reports)
     _line(capsys, 10,

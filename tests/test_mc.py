@@ -27,9 +27,11 @@ from sharpmart.mc import (
     _weak_type_verdict,
     harmonic_rectangle_check,
     random_subordinate_pair_check,
+    random_subordinate_pair_checks,
     section_chain_mc,
     strip_exit_bias_pair,
     strip_exit_moment,
+    strip_exit_moments,
     strip_exit_samples,
 )
 
@@ -193,6 +195,21 @@ def test_start_outside_strip_rejected(start):
     with pytest.raises(ValueError, match=r"\|y\| < 1"):
         strip_exit_moment(2.0, start, cfg)
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_strip_moments_share_one_sample(workers):
+    cfg = SimConfig(master_seed=11, n_samples=40_000, workers=workers)
+    both = strip_exit_moments((1.0, 2.0), (0.3, -0.2), cfg)
+    assert both == [strip_exit_moment(p, (0.3, -0.2), cfg) for p in (1.0, 2.0)]
+    # the one-exponent moments as they were when each p simulated its own paths
+    assert [(e.mean, e.std_error, e.n, e.seed, e.bridge_exits, e.censored) for e in both] == [
+        (0.7710884711435335, 0.0033875126019360857, 40_000, 11, 20_041, 0),
+        (1.0535756202198754, 0.010142577788421248, 40_000, 11, 20_041, 0),
+    ]
+    with pytest.raises(ValueError, match="exponent"):
+        strip_exit_moments((), (0.0, 0.0), cfg)
+
+
 def _assert_same_law(a, b):
     """E|x| and E x^2 of two samples agree within 4 combined sigma."""
     for f in (np.abs, np.square):
@@ -249,11 +266,11 @@ def test_coupled_bias_pair_is_small():
 
 
 def test_pair_chunk_is_deterministic_and_valid():
-    a = _pair_chunk(((5, 10_001), 4_000, 3.0))
-    b = _pair_chunk(((5, 10_001), 4_000, 3.0))
+    a = _pair_chunk(((5, 10_001), 4_000, (3.0,)))
+    b = _pair_chunk(((5, 10_001), 4_000, (3.0,)))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    g_star, g_fin, f_pp = a
+    g_star, g_fin, (f_pp,) = a
     assert np.all(g_star >= np.abs(g_fin) - 1e-15)
     assert np.all(g_star >= 1.0)  # |g_0| = 1
     assert f_pp >= 1.0  # running sup starts at E f_0^p = 1
@@ -271,6 +288,53 @@ def test_random_pairs_respect_weak_bound(p, bound):
     assert math.isfinite(rep["margin_sigma"]) and rep["margin_sigma"] <= 4.0
     assert rep["ratio_excess"] == pytest.approx(rep["estimate"] / bound - 1, rel=1e-12)
     check_schema(rep)
+
+
+# Reports of the kernel that drew each step's uniforms in two calls and
+# chose v and the step of f with np.where; the branch-free kernel must
+# reproduce every key bit for bit.
+_PAIRS_PINNED = {
+    (7, 0.5): dict(estimate=0.9815637418878093, std_error=0.0, ratio_excess=-0.3059296219442881,
+                   worst_lambda=0.9634673793887978, worst_fixed_time_ratio=0.7118057022175444,
+                   margin_sigma=-50.23957652592795),
+    (7, 3.0): dict(estimate=0.6189047714923158, std_error=0.005928690990454988,
+                   ratio_excess=-0.6332416168934426, worst_lambda=1.0928201507033266,
+                   worst_fixed_time_ratio=0.33737290175333007, margin_sigma=-27.673067968360076),
+    (8, 0.5): dict(estimate=0.9945684039719729, std_error=0.0, ratio_excess=-0.2967339371975364,
+                   worst_lambda=0.9891663101793574, worst_fixed_time_ratio=0.74214687163111,
+                   margin_sigma=-51.44534647506445),
+    (8, 3.0): dict(estimate=0.4102387255174076, std_error=0.004347733946392989,
+                   ratio_excess=-0.7568955700637585, worst_lambda=1.118432525376097,
+                   worst_fixed_time_ratio=0.2469633975220292, margin_sigma=-28.072743682540768),
+}
+
+
+@pytest.mark.parametrize("seed, p", sorted(_PAIRS_PINNED))
+def test_random_pairs_are_pinned(seed, p):
+    rep = random_subordinate_pair_check(p, SimConfig(master_seed=seed, n_samples=4_000), n_pairs=25)
+    want = {
+        "check": "random_subordinate_pairs", "p": p, "n": 100_000,
+        "bound": {0.5: 1.4142135623730951, 3.0: 1.6875000000000007}[p], "seed": seed,
+        "n_pairs": 25, "warnings_3_4_sigma": 0, "passed": True, **_PAIRS_PINNED[seed, p],
+    }
+    assert rep == want
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_pairs_over_several_exponents_draw_each_pair_once(seed):
+    cfg = SimConfig(master_seed=seed, n_samples=4_000)
+    both = random_subordinate_pair_checks((0.5, 3.0), cfg, n_pairs=25)
+    assert both == [random_subordinate_pair_check(p, cfg, n_pairs=25) for p in (0.5, 3.0)]
+
+
+@pytest.mark.parametrize("ps, n_pairs, match", [((), 5, "exponent"), ((3.0,), 0, "n_pairs")])
+def test_pairs_reject_empty_work(ps, n_pairs, match):
+    cfg = SimConfig(master_seed=1, n_samples=10)
+    with pytest.raises(ValueError, match=match):
+        random_subordinate_pair_checks(ps, cfg, n_pairs=n_pairs)
+    if ps:
+        with pytest.raises(ValueError, match=match):
+            random_subordinate_pair_check(ps[0], cfg, n_pairs=n_pairs)
 
 
 def test_pairs_verdict_uses_largest_margin():

@@ -5,6 +5,7 @@ the concavity/majorization properties."""
 import numpy as np
 import pytest
 
+from sharpmart import uweak
 from sharpmart.uweak import (
     REGION_BOUNDARIES,
     EvaluationError,
@@ -148,6 +149,18 @@ class TestIsInterior:
         y = np.array([[0.1, 0.2, 0.5], [0.55, 1.0, 0.1]])
         with pytest.raises(EvaluationError, match="index 4$"):
             u_second_derivs(ctx3, x, y)
+
+    def test_second_derivs_classify_once(self, ctx3, monkeypatch):
+        # the unperturbed points are classified once, for the interior test
+        # and the formulas; the other four classifications are the moves
+        calls = []
+        regions = uweak._regions
+        monkeypatch.setattr(uweak, "_regions", lambda *a: calls.append(1) or regions(*a))
+        x, y = _random_points(ctx3, 2000, seed=3)
+        inner = is_interior(ctx3, x, y)
+        calls.clear()
+        u_second_derivs(ctx3, x[inner], y[inner])
+        assert len(calls) == 5
 
 
 class TestBoundaryContinuity:
