@@ -115,12 +115,18 @@ def cmd_constants(args) -> int:
     return 0 if any(r["ok"] for r in rows) else 1
 
 
+def _single_p(args):
+    """The one exponent `verify` and `figures` take, or None if not given."""
+    if args.p and len(args.p) > 1:
+        raise ValueError(f"{args.command} takes --p at most once, got {len(args.p)}")
+    return args.p[0] if args.p else None
+
+
 def cmd_verify(args) -> int:
-    kwargs = {
-        "p": args.p[0] if args.p else None,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
+    kwargs = {"seed": args.seed, "workers": args.workers}
+    p = _single_p(args)
+    if p is not None:  # otherwise the suite's own default applies
+        kwargs["p"] = p
     if args.n:
         kwargs["n"] = args.n
     if args.dt:
@@ -165,7 +171,8 @@ def _trajectories_csv(p: float, x0: float, delta_hint: float) -> str:
 
 
 def cmd_figures(args) -> int:
-    p = args.p[0] if args.p else 3.0
+    p = _single_p(args)
+    p = 3.0 if p is None else p
     if args.which == "regions":
         text = _regions_csv(p)
         name = f"regions_p{p:g}.csv"
@@ -188,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def common(sub):
-        sub.add_argument("--p", type=float, action="append", help="exponent (repeatable)")
+        sub.add_argument(
+            "--p", type=float, action="append", help="exponent (repeatable for constants)"
+        )
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--out", default=None, help=f"output dir (default ${OUT_ENV})")
 

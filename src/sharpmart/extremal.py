@@ -24,6 +24,8 @@ __all__ = [
     "harmonic_1d_example",
 ]
 
+_MARTINGALE_REL_TOL = 1e-12  # slack for the rounding of conditional averages
+
 
 @dataclass(frozen=True)
 class Step:
@@ -57,12 +59,13 @@ class Step:
 
 @dataclass(frozen=True)
 class AtomicMartingale:
+    """Steps on nested partitions: each step's bounds are bounds of the next."""
+
     steps: tuple
 
     def __post_init__(self):
         for a, b in zip(self.steps, self.steps[1:]):
-            prev = set(np.round(a.bounds, 15))
-            if not prev <= set(np.round(b.bounds, 15)):
+            if not np.all(np.isin(a.bounds, b.bounds)):
                 raise ValueError("partitions must be nested")
 
     def path(self, omega: float):
@@ -71,20 +74,17 @@ class AtomicMartingale:
     def final(self) -> Step:
         return self.steps[-1]
 
-    def check_martingale(self, rel_tol: float = 1e-12) -> bool:
+    def check_martingale(self) -> bool:
         """Conditional average of step n+1 over every atom of step n equals
-        the step-n value, up to rel_tol relative error."""
+        the step-n value, up to _MARTINGALE_REL_TOL relative error."""
         for cur, nxt in zip(self.steps, self.steps[1:]):
-            nb = np.asarray(nxt.bounds)
-            nv = np.asarray(nxt.values)
-            nlen = np.diff(nb)
-            for i, v in enumerate(cur.values):
-                lo, hi = cur.bounds[i], cur.bounds[i + 1]
-                sel = (nb[1:] > lo + 1e-15) & (nb[1:] <= hi + 1e-15)
-                avg = float(np.dot(nlen[sel], nv[sel])) / (hi - lo)
-                scale = max(abs(v), 1.0)
-                if abs(avg - v) > rel_tol * scale:
-                    return False
+            # the fine atoms of a coarse atom run from its left bound's index
+            first = np.searchsorted(nxt.bounds, cur.bounds[:-1])
+            mass = np.add.reduceat(nxt.lengths() * nxt.values, first)
+            v = np.asarray(cur.values)
+            err = np.abs(mass / cur.lengths() - v)
+            if np.any(err > _MARTINGALE_REL_TOL * np.maximum(np.abs(v), 1.0)):
+                return False
         return True
 
     def running_sup_pth_norm(self, p: float) -> float:
@@ -93,18 +93,17 @@ class AtomicMartingale:
     def weak_pth_norm(self, p: float) -> float:
         """sup_lambda lambda * P(max_n |X_n| >= lambda)^{1/p}, computed
         exactly from the atoms of the finest partition."""
-        fine = np.asarray(self.steps[-1].bounds)
-        lens = np.diff(fine)
-        mids = (fine[:-1] + fine[1:]) / 2
-        sup_abs = np.zeros_like(mids)
+        fine = self.steps[-1]
+        sup_abs = np.zeros(len(fine.values))
         for s in self.steps:
-            sup_abs = np.maximum(sup_abs, [abs(s.at(m)) for m in mids])
-        best = 0.0
-        for lam in sorted(set(sup_abs)):
-            if lam <= 0:
-                continue
-            best = max(best, lam * float(lens[sup_abs >= lam - 1e-15].sum()) ** (1 / p))
-        return best
+            # the atom of s holding each fine atom (a, b] is the last with bound <= a
+            at = np.searchsorted(s.bounds, fine.bounds[:-1], side="right") - 1
+            np.maximum(sup_abs, np.abs(np.asarray(s.values)[at]), out=sup_abs)
+        # lambda runs down the sorted sups; inside a tie group the mass only
+        # grows, so the group's last entry, P(sup >= lambda), is its largest
+        order = np.argsort(-sup_abs)
+        mass = np.cumsum(fine.lengths()[order])
+        return float(np.max(sup_abs[order] * mass ** (1 / p)))
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,7 @@ def build_section_example(params: ExtremalParams):
     # final split: to the corner (0, 1) or to the absorbing half-slope line
     split(even[n_steps] / 2, xa + xa, ya + xa, 0.0, ya - xa)
 
-    X = AtomicMartingale(tuple(xsteps))
-    Y = AtomicMartingale(tuple(ysteps))
-    return X, Y
+    return AtomicMartingale(tuple(xsteps)), AtomicMartingale(tuple(ysteps))
 
 
 @dataclass(frozen=True)
@@ -203,68 +200,46 @@ class RatioReport:
     primed_ratio: float
 
 
-def _ratio_from_atoms(p, x0, delta, n_steps) -> RatioReport:
-    even, odd = _ladder_weights(p, delta, n_steps)
-    growth = 1 + 2 * delta / p
-    x_levels = x0 * growth ** np.arange(1, n_steps + 1)
-    # shed atoms (even[n+1], odd[n]] carry the value 2 x_{n+1}; the final
-    # top atom [0, even[N]/2] carries 2/p
-    lengths = odd[:-1] - even[1:]
-    moment = float(np.dot(lengths, (2 * x_levels) ** p)) + (2 / p) ** p * even[-1] / 2
-    prob = even[-1] / 2
-    scale = 1 - (p - 2) * x0
+def _ratio_report(p, x0, prob, moment) -> RatioReport:
+    """The report for an exit probability and final moment; the primed
+    quantities normalize X_0 = x0 by 1 - (p-2) x0."""
+    scale = (1 - (p - 2) * x0) ** p
+    prob, moment = float(prob), float(moment)
     return RatioReport(
         prob=prob,
         moment=moment,
         ratio=prob / moment,
         primed_prob=prob,
-        primed_moment=moment / scale**p,
-        primed_ratio=prob * scale**p / moment,
+        primed_moment=moment / scale,
+        primed_ratio=prob * scale / moment,
     )
 
 
-def section_ratio(p: float, x0: float, delta: float, n_steps: int | None = None) -> RatioReport:
+def section_ratio(p: float, x0: float, delta: float, n_steps: int) -> RatioReport:
     """Exit probability, final moment and their ratio, from the exact atom
     bookkeeping without materializing the full filtration."""
-    if n_steps is None:
-        n_steps = round(math.log(1 / (p * x0)) / math.log(1 + 2 * delta / p))
     ExtremalParams(p, x0, delta, n_steps)  # validates the ladder identity
-    return _ratio_from_atoms(p, x0, delta, n_steps)
+    even, odd = _ladder_weights(p, delta, n_steps)
+    x_levels = x0 * (1 + 2 * delta / p) ** np.arange(1, n_steps + 1)
+    # shed atoms (even[n+1], odd[n]] carry the value 2 x_{n+1}; the final
+    # top atom [0, even[N]/2] carries 2/p
+    moment = float(np.dot(odd[:-1] - even[1:], (2 * x_levels) ** p)) + (2 / p) ** p * even[-1] / 2
+    return _ratio_report(p, x0, even[-1] / 2, moment)
 
 
 def evaluate_ratio(X: AtomicMartingale, Y: AtomicMartingale, p: float) -> RatioReport:
     """Same quantities measured directly on built processes."""
     fx, fy = X.final(), Y.final()
-    lens = fx.lengths()
-    prob = float(lens[np.asarray(fy.values) >= 1 - 1e-12].sum())
-    moment = fx.abs_pth_moment(p)
-    x0 = X.steps[0].values[0]
-    scale = 1 - (p - 2) * x0
-    return RatioReport(
-        prob=prob,
-        moment=moment,
-        ratio=prob / moment,
-        primed_prob=prob,
-        primed_moment=moment / scale**p,
-        primed_ratio=prob * scale**p / moment,
-    )
+    prob = fx.lengths()[np.asarray(fy.values) >= 1 - 1e-12].sum()
+    return _ratio_report(p, X.steps[0].values[0], prob, fx.abs_pth_moment(p))
 
 
 def build_p_lt1_example():
     """Two-step pair with |g_1| = 1 a.s. showing the constant 2 is sharp
     for exponents below one.  Returns (f, g, report)."""
-    f = AtomicMartingale(
-        (
-            Step((0.0, 1.0), (0.5,)),
-            Step((0.0, 0.75, 1.0), (0.0, 2.0)),
-        )
-    )
-    g = AtomicMartingale(
-        (
-            Step((0.0, 1.0), (0.5,)),
-            Step((0.0, 0.75, 1.0), (1.0, -1.0)),
-        )
-    )
+    start = Step((0.0, 1.0), (0.5,))
+    f = AtomicMartingale((start, Step((0.0, 0.75, 1.0), (0.0, 2.0))))
+    g = AtomicMartingale((start, Step((0.0, 0.75, 1.0), (1.0, -1.0))))
     report = {}
     for p in [round(0.1 * i, 1) for i in range(1, 10)]:
         f_norm = f.running_sup_pth_norm(p)

@@ -352,6 +352,8 @@ def _pair_chunk(args):
     a = rng.uniform(0.2, 1.0)
     b = q * a / (1 - q)
     sigma = rng.uniform(0.1, 0.9) / max(a, b)
+    if not sigma * max(a, b) < 1:  # each step multiplies f by 1 + sigma*xi > 0
+        raise RuntimeError("generator bug: negative martingale value")
     xi = np.array([a, -b])  # indexed by u >= q
     f = np.ones(n_paths)
     g_final = 1.0 - 2.0 * (rng.random(n_paths) >= 0.5)  # g0 = +-f0
@@ -363,8 +365,6 @@ def _pair_chunk(args):
         np.multiply(f, sigma, out=df)
         df *= xi.take(u[1] >= q)
         f += df
-        if np.any(f < 0):
-            raise RuntimeError("generator bug: negative martingale value")
         df *= 1.0 - 2.0 * (u[0] >= 0.5)  # predictable sign v = +-1: exact
         g_final += df
         np.maximum(g_star, np.abs(g_final), out=g_star)

@@ -36,7 +36,6 @@ def suite_w(p=None, seed=0, n=20_000, **_):
 
 
 def suite_u_weak(p=3.0, seed=0, n=20_000, **_):
-    p = 3.0 if p is None else p
     ctx = uweak.build_context(p)
     rng = np.random.default_rng(seed)
     report = {"suite": "u-weak", "p": p, "n": n}
@@ -81,7 +80,6 @@ def suite_u_weak(p=3.0, seed=0, n=20_000, **_):
 
 
 def suite_u_orth(p=1.5, seed=7, n=60, **_):
-    p = 1.5 if p is None else p
     ctx = orth.OrthContext(p)
     report = orth.orth_property_suite(ctx, n_samples=n, seed=seed)
     report["suite"] = "u-orth"
@@ -89,7 +87,6 @@ def suite_u_orth(p=1.5, seed=7, n=60, **_):
 
 
 def suite_ode(p=3.0, **_):
-    p = 3.0 if p is None else p
     rk = gfun.build_g_rk(p)
     bes = gfun.build_g_bessel(p)
     t = np.linspace(2 / p, min(rk.t_max, bes.t_max), 2000)
@@ -126,7 +123,6 @@ def suite_ode(p=3.0, **_):
 
 
 def suite_extremal(p=3.0, **_):
-    p = 3.0 if p is None else p
     params = extremal.resolve_params(p, 1 / (8 * p), 1.5)
     X, Y = extremal.build_section_example(params)
     rep_eval = extremal.evaluate_ratio(X, Y, p)
@@ -163,7 +159,6 @@ def suite_mc_weak_type(p=None, seed=0, n=10_000, workers=1, **_):
 
 
 def suite_mc_strip(p=2.0, seed=42, n=200_000, dt=1e-2, workers=1, **_):
-    p = 2.0 if p is None else p
     if not 1 <= p <= 2:
         raise ValueError(f"requires 1 <= p <= 2, got {p}")
     cfg = mc.SimConfig(master_seed=seed, n_samples=n, dt=dt, workers=workers)
@@ -185,7 +180,6 @@ def suite_mc_strip(p=2.0, seed=42, n=200_000, dt=1e-2, workers=1, **_):
 
 
 def suite_harmonic(p=2.0, seed=13, n=100_000, dt=1e-2, workers=1, **_):
-    p = 2.0 if p is None else p
     cfg = mc.SimConfig(master_seed=seed, n_samples=n, dt=dt, workers=workers)
     rect = mc.harmonic_rectangle_check(p, 20.0, cfg)
     oned = extremal.harmonic_1d_example(0.5, [0.5, 1.0, 1.5, 1.9, 1.999])

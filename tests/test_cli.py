@@ -110,7 +110,35 @@ def test_numerical_failure_exits_one(monkeypatch, capsys, error):
     assert capsys.readouterr().err == "error: numerical failure\n"
 
 
+def test_verify_forwards_p_only_when_given(monkeypatch, capsys):
+    seen = []
+
+    def record(name, **kwargs):
+        seen.append(kwargs)
+        return True, {"suite": name}
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    assert main(["verify", "ode"]) == 0
+    assert main(["verify", "ode", "--p", "4"]) == 0
+    assert "p" not in seen[0]
+    assert seen[1]["p"] == 4.0
+
+
+def test_verify_repeated_exponent_is_usage_error(capsys):
+    # one suite run takes one exponent; a second --p is refused, not dropped
+    assert main(["verify", "mc-strip", "--p", "1", "--p", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--p" in err
+
+
 # ----------------------------------------------------------------- figures
+
+
+def test_figures_repeated_exponent_is_usage_error(tmp_path, capsys):
+    assert main(["figures", "regions", "--p", "3", "--p", "4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--p" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_figures_regions_to_dir(tmp_path, capsys):

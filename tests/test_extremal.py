@@ -93,6 +93,61 @@ def test_martingale_requires_nested_partitions():
         )
 
 
+def test_nesting_is_exact_membership():
+    # 0.5 and the next double above it are different bounds: the later
+    # partition does not refine the earlier one, whatever rounding says
+    above = float(np.nextafter(0.5, 1.0))
+    with pytest.raises(ValueError, match="nested"):
+        AtomicMartingale(
+            (
+                Step((0.0, 0.5, 1.0), (1.0, 2.0)),
+                Step((0.0, above, 1.0), (1.0, 2.0)),
+            )
+        )
+
+
+def test_weak_norm_with_ties_and_zero_atoms():
+    # sup |X| is 2, 1, 1, 0 on four quarters: the tie at 1 must count its
+    # whole mass 1/2 + 1/4, and the zero atom nothing
+    g = AtomicMartingale(
+        (
+            Step((0.0, 1.0), (0.0,)),
+            Step((0.0, 0.25, 0.5, 0.75, 1.0), (2.0, -1.0, -1.0, 0.0)),
+        )
+    )
+    assert g.check_martingale()
+    # max(2 * (1/4)^{1/p}, 1 * (3/4)^{1/p}), each exact in floats
+    for p, expected in [(0.5, 0.5625), (1.0, 0.75), (2.0, 1.0)]:
+        value = g.weak_pth_norm(p)
+        assert type(value) is float
+        assert value == expected
+
+
+def _weak_norm_by_levels(m, p):
+    """Reference: P(max_n |X_n| >= lambda) summed atom by atom at every level."""
+    fine = m.final().bounds
+    lens = np.diff(fine)
+    sup = np.array([max(map(abs, m.path((a + b) / 2))) for a, b in zip(fine, fine[1:])])
+    levels = [lam * lens[sup >= lam].sum() ** (1 / p) for lam in set(sup) if lam > 0]
+    return max(levels, default=0.0)
+
+
+def test_weak_norm_matches_level_by_level_reference():
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.0, 1.0, 11)[1:-1]  # tenths: lengths do not sum exactly
+    for _ in range(50):
+        bounds, steps = {0.0, 1.0}, []
+        for _ in range(rng.integers(1, 5)):
+            bounds |= set(rng.choice(grid, size=rng.integers(0, 4), replace=False).tolist())
+            b = tuple(sorted(bounds))
+            steps.append(Step(b, tuple(rng.choice([-2.0, -1.0, 0.0, 0.5, 1.5], len(b) - 1))))
+        m = AtomicMartingale(tuple(steps))
+        for p in [0.5, 1.0, 2.5]:
+            assert m.weak_pth_norm(p) == pytest.approx(
+                _weak_norm_by_levels(m, p), rel=16 * np.finfo(float).eps, abs=0.0
+            )
+
+
 def test_weak_norm_simple_case():
     # one fair coin: |g| = 1 a.s., so the weak norm is 1 for every p
     g = AtomicMartingale(
@@ -116,6 +171,20 @@ def test_section_example_is_martingale(figure_pair):
     _, X, Y = figure_pair
     assert X.check_martingale()
     assert Y.check_martingale()
+
+
+def test_martingale_check_sees_one_perturbed_atom(figure_pair):
+    # X's final step is a martingale step; moving any one nonzero value by
+    # a relative 1e-9 breaks the conditional average of its coarse atom
+    _, X, _ = figure_pair
+    final = X.final()
+    nonzero = [i for i, v in enumerate(final.values) if v != 0.0]
+    assert len(nonzero) >= 4
+    for i in nonzero:
+        values = list(final.values)
+        values[i] *= 1 + 1e-9
+        moved = AtomicMartingale(X.steps[:-1] + (Step(final.bounds, tuple(values)),))
+        assert not moved.check_martingale()
 
 
 def test_section_example_subordination(figure_pair):
