@@ -1,11 +1,11 @@
 """Seeded Monte Carlo verification of the inequalities.
 
-Brownian motion in the strip |y| < 1 with a Brownian-bridge barrier
-correction, random dominated martingale pairs, and the rectangle check for
+Brownian exits from the strip |y| < 1 sampled by walk on spheres (no
+time step), random dominated martingale pairs, and the rectangle check for
 the harmonic-function analogue.  Every run is bit-reproducible from its
 master seed, independent of the worker count.
 
-Run:  python3 demos/05_monte_carlo.py     (about 5 seconds)
+Run:  python3 demos/05_monte_carlo.py     (about 2 seconds)
 """
 
 from sharpmart import SimConfig, kp
@@ -17,7 +17,7 @@ from sharpmart.mc import (
     strip_exit_moments,
 )
 
-cfg = SimConfig(master_seed=42, n_samples=200_000, dt=1e-2)
+cfg = SimConfig(master_seed=42, n_samples=200_000)
 
 print("Strip exit moments E|B1_tau|^p from the origin:")
 moments = dict(zip((1.0, 2.0), strip_exit_moments((1.0, 2.0), (0.0, 0.0), cfg)))

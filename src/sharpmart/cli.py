@@ -129,8 +129,6 @@ def cmd_verify(args) -> int:
         kwargs["p"] = p
     if args.n:
         kwargs["n"] = args.n
-    if args.dt:
-        kwargs["dt"] = args.dt
     ok, report = run_suite(args.suite, **kwargs)
     report["ok"] = ok
     manifest = RunManifest("verify", {"suite": args.suite, **kwargs}, args.seed)
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("suite", choices=sorted(SUITES))
     common(sv)
     sv.add_argument("--n", type=int, default=None, help="sample count")
-    sv.add_argument("--dt", type=float, default=None, help="time step")
     sv.add_argument("--workers", type=int, default=1)
     sv.set_defaults(func=cmd_verify)
 

@@ -1,17 +1,14 @@
 """Seeded Monte Carlo harnesses for the martingale inequalities.
 
-Strip-exit Brownian motion (with Brownian-bridge barrier correction),
-random non-negative martingale pairs under increment domination, pathwise
+Strip-exit sampling of 2-D Brownian motion by walk on spheres, random
+non-negative martingale pairs under increment domination, pathwise
 sampling of the atomic ladder chain, and the rectangle harmonic check.
 
-All strip simulations share one bridge-corrected Euler step
-(`_bridge_step`).  It evaluates the two bridge exponentials only for
-candidate paths, those near |y| = 1 or with a tiny uniform; for every
-other path the crossing probability is below its uniform, so the exit
-decisions are exactly those of the full test.  Without a side barrier the
-exit does not depend on x, so y is walked alone and x is drawn once per
-path from its exact law at the exit time (`_strip_chunk`); with one, and
-in the coupled coarse/fine pair, x and y are walked together.
+Every strip simulation runs one kernel, `_walk_chunk`: the walk on spheres
+of Muller (1956, Ann. Math. Stat. 27) samples where each path leaves the
+strip |y| < 1, and the rectangle |x| < r_bound with it, with no time step.
+It uses only the mean-value property of harmonic functions, so it shares
+no formula with `kp` or with the Poisson quadrature of `orth`.
 
 Each sample serves every exponent asked of it: `strip_exit_moments` takes
 all its moments from one set of exit points, and
@@ -47,7 +44,6 @@ __all__ = [
     "strip_exit_samples",
     "strip_exit_moment",
     "strip_exit_moments",
-    "strip_exit_bias_pair",
     "random_subordinate_pair_check",
     "random_subordinate_pair_checks",
     "section_chain_mc",
@@ -55,24 +51,24 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15
-_MAX_TIME = 60.0
-# Paths with a uniform below _EPS always get the exact bridge test; see
-# `_bridge_step` for the other candidates.
-_EPS = 2.0**-20
+# A walk stops once it is within _SHELL_EPS of the boundary; at p = 2 this
+# moves E X^2 by at most 2 _SHELL_EPS (see `_walk_chunk`).
+_SHELL_EPS = 1e-6
+# A path still walking after _MAX_STEPS jumps is censored.  At
+# _SHELL_EPS = 1e-6 a path from the origin takes about 20 jumps; the count
+# has a geometric tail: of 2^15 paths, 3 took more than 100, none 200.
+_MAX_STEPS = 1_000
 
 
 @dataclass(frozen=True)
 class SimConfig:
     master_seed: int
     n_samples: int
-    dt: float = 1e-2
     workers: int = 1
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        if not 0 < self.dt <= 1e-2:
-            raise ValueError("dt must lie in (0, 1e-2] for continuous schemes")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -87,11 +83,13 @@ class Estimate:
 
 @dataclass(frozen=True)
 class ExitEstimate(Estimate):
-    """A strip-exit moment with the kernel's bridge-exit and censored-path
-    counts (a censored path is still inside the strip at _MAX_TIME)."""
+    """A strip-exit moment with the walk's total jump count, its censored
+    paths (still walking after _MAX_STEPS jumps) and the shell width at
+    which paths stopped."""
 
-    bridge_exits: int
+    walk_steps: int
     censored: int
+    shell_eps: float
 
 
 def _estimate(values: np.ndarray, seed: int) -> Estimate:
@@ -100,116 +98,52 @@ def _estimate(values: np.ndarray, seed: int) -> Estimate:
     return Estimate(mean=float(values.mean()), std_error=se, n=n, seed=seed)
 
 
-def _bridge_step(y, dy, u, dt):
-    """One bridge-corrected Euler step of y in the strip |y| < 1 (Gobet 2000).
+def _walk_chunk(args):
+    """One chunk of 2-D Brownian paths started at (x0, y0), run by walk on
+    spheres to their exit from the strip |y| < 1, and from |x| < r_bound.
 
-    A path exits when y1 = y + dy leaves the strip, or else when its uniform
-    u falls below the Brownian bridge's crossing probability p_up + p_dn,
-    with p_up = exp(-2 (1 - y)(1 - y1) / dt) and p_dn likewise.  The
-    exponentials are taken only for candidates: paths with u < eps, or with
-    an end of the step within sqrt(c) of |y| = 1, c = (dt/2) ln(4/eps); this
-    covers every path whose smaller product (1 - y)(1 - y1), (1 + y)(1 + y1)
-    is below c.  Any other path has p_up + p_dn <= eps/2 < u, with a factor
-    2 to spare for rounding, so the skipped test could not have fired:
-    every decision is the full test's.
+    From (x, y) a path jumps to a uniform point of the circle of radius
+    d = min(1 - |y|, r_bound - |x|), the largest centred there inside the
+    domain; by the mean-value property the exit law from (x, y) is the
+    average of the exit laws from the points of that circle.  One
+    uniform angle is drawn per live path and step.  A path stops once
+    d < _SHELL_EPS and is projected onto the nearest side: a top or bottom
+    exit keeps its x, a side exit takes x = +-r_bound.  A path still
+    walking after _MAX_STEPS jumps is censored and keeps its last x.
 
-    Returns (y1, exited, theta, n_bridge): the new positions, the mask of
-    paths that left during the step, the fraction of the step at which each
-    of them (in path order) exits -- the linear crossing point, or 1/2 for
-    a bridge exit -- and the number of bridge exits.
+    The projection moves no top or bottom exit's x, and x^2 - y^2 is
+    harmonic, so without a side barrier E X^2 - x0^2 = E Y^2 - y0^2 with
+    |Y| in [1 - _SHELL_EPS, 1]: from the origin E X^2 lies in
+    [(1 - _SHELL_EPS)^2, 1], a bias of at most 2 _SHELL_EPS.
+
+    Returns (x at exit, side-exit flags, total jumps, censored paths).
     """
-    y1 = y + dy
-    ay1 = np.abs(y1)
-    exited = ay1 >= 1.0
-    reach = 1.0 - math.sqrt(0.5 * dt * math.log(4.0 / _EPS))
-    # every crossing path has |y1| >= 1 > reach, so `near` holds all exits
-    near = np.flatnonzero((np.maximum(np.abs(y), ay1) > reach) | (u < _EPS))
-    cand = near[~exited[near]]
-    yc, y1c = y[cand], y1[cand]
-    a_up = -2.0 * (1.0 - yc) * (1.0 - y1c) / dt
-    a_dn = -2.0 * (1.0 + yc) * (1.0 + y1c) / dt
-    # e^{-40} < 2^{-54}, less than half an ulp relative to any double, so
-    # where the exponents differ by more than 40 the smaller term cannot
-    # change the rounded sum; skipping it keeps np.exp off its slow
-    # subnormal path
-    lo = np.minimum(a_up, a_dn)
-    hi = np.maximum(a_up, a_dn)
-    p_cross = np.exp(hi)
-    both = hi - lo <= 40.0
-    p_cross[both] += np.exp(lo[both])
-    bridged = cand[u[cand] < p_cross]
-    exited[bridged] = True
-    ex = near[exited[near]]
-    theta = np.full(ex.size, 0.5)
-    crossed = ay1[ex] >= 1.0
-    c = ex[crossed]
-    theta[crossed] = (np.copysign(1.0, y1[c]) - y[c]) / dy[c]
-    return y1, exited, theta, bridged.size
-
-
-def _strip_chunk(args):
-    """One chunk of 2-D Brownian paths started at (x0, y0), absorbed on
-    |y| = 1 (bridge-corrected, `_bridge_step`) and optionally on
-    |x| = r_bound, censored after _MAX_TIME.
-
-    With a side barrier x and y are walked together, drawing dx, dy and u
-    per live path and step.  Without one, x does not affect the exit, so y
-    is walked alone: a path that exits in step k + 1 at fraction theta has
-    x = x0 + dx_1 + ... + dx_k + theta dx_{k+1}, which is distributed as
-    x0 + sqrt((k + theta^2) dt) Z, and Z is drawn once per path at the end;
-    a censored path has k = _MAX_TIME/dt and theta = 0.
-
-    Returns (x at exit, side-exit flags, bridge exits, censored paths).
-    """
-    seed_pair, n, x0, y0, dt, r_bound = args
+    seed_pair, n, x0, y0, r_bound = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    sd = math.sqrt(dt)
-    walk_x = r_bound < math.inf
-    n_steps = int(_MAX_TIME / dt)
+    live = np.arange(n)
     x = np.full(n, x0)
     y = np.full(n, y0)
-    out = np.empty(n)  # x at exit when walking x, else k + theta^2
-    side_out = np.zeros(n, dtype=bool)
-    filled = n_bridge = 0
-    for step in range(n_steps):
-        if y.size == 0:
+    xs = np.empty(n)
+    side = np.zeros(n, dtype=bool)
+    steps = 0
+    for k in range(_MAX_STEPS + 1):
+        to_edge = 1.0 - np.abs(y)
+        to_side = r_bound - np.abs(x)
+        d = np.minimum(to_edge, to_side)
+        stop = d < _SHELL_EPS
+        done, x_done, at_side = live[stop], x[stop], to_side[stop] < to_edge[stop]
+        xs[done] = np.where(at_side, np.copysign(r_bound, x_done), x_done)
+        side[done] = at_side
+        walk = ~stop
+        live, x, y, d = live[walk], x[walk], y[walk], d[walk]
+        if not live.size or k == _MAX_STEPS:
             break
-        dx = rng.normal(0.0, sd, y.size) if walk_x else None
-        dy = rng.normal(0.0, sd, y.size)
-        u = rng.random(y.size)
-        y1, stop, theta, bridged = _bridge_step(y, dy, u, dt)
-        n_bridge += bridged
-        if walk_x:
-            x1 = x + dx
-            val = x[stop] + theta * dx[stop]
-            side = np.abs(x1) >= r_bound
-            if side.any():  # rare: merge side exits with the y exits in path order
-                side &= ~stop
-                both = stop | side
-                merged = np.copysign(r_bound, x1[both])
-                merged[stop[both]] = val
-                side_out[filled : filled + merged.size] = side[both]
-                val, stop = merged, both
-            x = x1[~stop]
-        else:
-            val = step + theta * theta
-        out[filled : filled + val.size] = val
-        filled += val.size
-        y = y1[~stop]
-    # censored tail: probability ~ e^{-pi^2 T / 8}, negligible
-    if walk_x:
-        out[filled:] = x
-        return out, side_out, n_bridge, y.size
-    out[filled:] = n_steps
-    xs = x0 + np.sqrt(out * dt) * rng.standard_normal(n)
-    return xs, side_out, n_bridge, y.size
-
-
-def _run_chunks(worker, args_list, workers):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, args_list))
-    return [worker(a) for a in args_list]
+        angle = (2.0 * math.pi) * rng.random(live.size)
+        x += d * np.cos(angle)
+        y += d * np.sin(angle)
+        steps += live.size
+    xs[live] = x
+    return xs, side, steps, live.size
 
 
 def _chunk_sizes(n):
@@ -219,22 +153,22 @@ def _chunk_sizes(n):
     return sizes
 
 
-def _chunk_args(start, cfg: SimConfig, *extra):
-    """(seed pair, size, x0, y0, dt, *extra) for each chunk of paths started
-    at `start`, which must lie inside the strip."""
+def _strip_exits(start, cfg: SimConfig, r_bound: float):
+    """Every chunk of the walk from `start`, which must lie inside the
+    strip: x at exit, side-exit flags, and the summed jump and
+    censored-path counts."""
     x0, y0 = float(start[0]), float(start[1])
     if not abs(y0) < 1:
         raise ValueError("start must satisfy |y| < 1")
-    return [
-        ((cfg.master_seed, i), n, x0, y0, cfg.dt, *extra)
+    args = [
+        ((cfg.master_seed, i), n, x0, y0, r_bound)
         for i, n in enumerate(_chunk_sizes(cfg.n_samples))
     ]
-
-
-def _strip_exits(start, cfg: SimConfig, r_bound: float):
-    """Every chunk of the strip kernel: x at exit, side-exit flags, and the
-    summed bridge-exit and censored-path counts."""
-    parts = _run_chunks(_strip_chunk, _chunk_args(start, cfg, r_bound), cfg.workers)
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(_walk_chunk, args))
+    else:
+        parts = [_walk_chunk(a) for a in args]
     xs = np.concatenate([p[0] for p in parts])
     side = np.concatenate([p[1] for p in parts])
     return xs, side, sum(p[2] for p in parts), sum(p[3] for p in parts)
@@ -252,87 +186,18 @@ def strip_exit_moments(ps, start, cfg: SimConfig) -> list:
     ps = tuple(ps)
     if not ps:
         raise ValueError("need at least one exponent")
-    xs, _, n_bridge, censored = _strip_exits(start, cfg, math.inf)
+    xs, _, steps, censored = _strip_exits(start, cfg, math.inf)
     ax = np.abs(xs)
     ests = (_estimate(ax**p, cfg.master_seed) for p in ps)
-    return [ExitEstimate(e.mean, e.std_error, e.n, e.seed, n_bridge, censored) for e in ests]
+    return [
+        ExitEstimate(e.mean, e.std_error, e.n, e.seed, steps, censored, _SHELL_EPS)
+        for e in ests
+    ]
 
 
 def strip_exit_moment(p: float, start, cfg: SimConfig) -> ExitEstimate:
     """p-th absolute moment of the first coordinate at the strip exit."""
     return strip_exit_moments((p,), start, cfg)[0]
-
-
-def _coupled_chunk(args):
-    """Coarse-dt and half-dt strip simulations driven by the same fine
-    increments; used to isolate discretization bias from sampling noise."""
-    seed_pair, n, x0, y0, dt = args
-    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    sdf = math.sqrt(dt / 2)
-    hdt = dt / 2
-    state = {}
-    for tag in ("coarse", "fine"):
-        state[tag] = dict(
-            x=np.full(n, x0), y=np.full(n, y0), done=np.zeros(n, dtype=bool),
-            out=np.zeros(n),
-        )
-
-    def advance(tag, dx, dy, u, step_dt):
-        s = state[tag]
-        act = np.flatnonzero(~s["done"])
-        if not act.size:
-            return
-        x, dxa = s["x"][act], dx[act]
-        y1, exited, theta, _ = _bridge_step(s["y"][act], dy[act], u[act], step_dt)
-        s["out"][act[exited]] = x[exited] + theta * dxa[exited]
-        s["done"][act[exited]] = True
-        s["x"][act[~exited]] = (x + dxa)[~exited]
-        s["y"][act[~exited]] = y1[~exited]
-
-    for _ in range(int(_MAX_TIME / dt)):
-        both_done = state["coarse"]["done"] & state["fine"]["done"]
-        if both_done.all():
-            break
-        if both_done.any():  # joint compaction keeps the coupling aligned
-            keep = ~both_done
-            for tag in ("coarse", "fine"):
-                s = state[tag]
-                s.setdefault("final", []).append(s["out"][both_done])
-                for key in ("x", "y", "done", "out"):
-                    s[key] = s[key][keep]
-        n_act = state["coarse"]["x"].size
-        dx1 = rng.normal(0.0, sdf, n_act)
-        dy1 = rng.normal(0.0, sdf, n_act)
-        u1 = rng.random(n_act)
-        dx2 = rng.normal(0.0, sdf, n_act)
-        dy2 = rng.normal(0.0, sdf, n_act)
-        u2 = rng.random(n_act)
-        advance("fine", dx1, dy1, u1, hdt)
-        advance("fine", dx2, dy2, u2, hdt)
-        advance("coarse", dx1 + dx2, dy1 + dy2, u1, dt)
-    results = []
-    for tag in ("coarse", "fine"):
-        s = state[tag]
-        s["out"][~s["done"]] = s["x"][~s["done"]]
-        pieces = s.setdefault("final", [])
-        pieces.append(s["out"])
-        results.append(np.concatenate(pieces))
-    return tuple(results)
-
-
-def strip_exit_bias_pair(p: float, start, cfg: SimConfig):
-    """(coarse, fine) moment estimates at dt and dt/2 on coupled paths.
-
-    The shared driving noise cancels most sampling variance, so the
-    difference of the two means measures the discretization bias.
-    """
-    parts = _run_chunks(_coupled_chunk, _chunk_args(start, cfg), cfg.workers)
-    coarse = np.concatenate([p_[0] for p_ in parts])
-    fine = np.concatenate([p_[1] for p_ in parts])
-    return (
-        _estimate(np.abs(coarse) ** p, cfg.master_seed),
-        _estimate(np.abs(fine) ** p, cfg.master_seed),
-    )
 
 
 def _pair_chunk(args):
@@ -533,7 +398,7 @@ def harmonic_rectangle_check(p: float, R: float, cfg: SimConfig) -> dict:
         raise ValueError("requires R >= 5")
     if not 1 <= p <= 2:
         raise ValueError("requires 1 <= p <= 2")
-    xs, side, n_bridge, censored = _strip_exits((0.0, 0.0), cfg, R)
+    xs, side, steps, censored = _strip_exits((0.0, 0.0), cfg, R)
     moment = _estimate(np.abs(xs) ** p, cfg.master_seed)
     target = 1.0 / kp(p).value ** p
     mu = _estimate(1.0 - side.astype(float), cfg.master_seed)
@@ -550,7 +415,8 @@ def harmonic_rectangle_check(p: float, R: float, cfg: SimConfig) -> dict:
         "mu_v_ge_1": mu.mean,
         "mu_std_error": mu.std_error,
         "R": R,
-        "bridge_exits": n_bridge,
+        "walk_steps": steps,
+        "shell_eps": _SHELL_EPS,
         "censored": censored,
     }
     rep["passed"] = bool(rep["margin_sigma"] <= 4.0 and mu.mean >= 0.95)

@@ -161,7 +161,9 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     Verifies concavity in y, convexity in x, non-negative mixed second
     difference on the open quadrant, the two pointwise bounds
     U >= U(0,0) on |y| <= |x| and U <= |x|^p + K_p^{-p} in the strip, and
-    the majorization U >= V.  Returns worst margins per property.
+    the majorization U >= V, and U(0,0) K_p^p = 1 (`center_identity` is
+    its error; this is what ties the suite to K_p).  Returns worst margins
+    per property.
     """
     rng = np.random.default_rng(seed)
     kinvp = ctx.kp_value ** (-ctx.p)
@@ -203,6 +205,7 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     report["lower_bound_min"] = float(np.min(lower))
     report["upper_bound_min"] = float(np.min(upper))
     report["majorization_min"] = float(np.min(major))
+    report["center_identity"] = abs(u00 * ctx.kp_value**ctx.p - 1.0)
     report["passed"] = bool(
         report["concave_in_y_max"] <= tol
         and report["convex_in_x_min"] >= -tol
@@ -210,5 +213,6 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
         and report["lower_bound_min"] >= -tol
         and report["upper_bound_min"] >= -tol
         and report["majorization_min"] >= -tol
+        and report["center_identity"] <= tol
     )
     return report

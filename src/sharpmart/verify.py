@@ -18,21 +18,27 @@ def _sample_strip(rng, n, x_hi=2.5):
     return x, y
 
 
-def suite_w(p=None, seed=0, n=20_000, **_):
+def suite_w(p=0.5, seed=0, n=20_000, **_):
     rng = np.random.default_rng(seed)
     x, y = _sample_strip(rng, n)
     h = rng.uniform(-1.0, 1.0, n)
     h = np.maximum(h, -x)  # keep x + h >= 0
     k = h * rng.uniform(-1.0, 1.0, n)
     tangent_ok = np.all(wfun.w_tangent_check(x, y, h, k))
-    bounds_ok = np.all(wfun.w_bounds_check(x, y, p=0.5))
+    bounds_ok = np.all(wfun.w_bounds_check(x, y, p=p))
+    # at (1/2, 1/2) the indicator, W and (2x)^p all equal 1: no constant
+    # below 2 bounds W there, which makes 2 sharp
+    w_half = wfun.w_value(0.5, 0.5)
+    equality_gap = max(abs(w_half - 1.0), abs(w_half - (2 * 0.5) ** p))
     report = {
         "suite": "w",
+        "p": p,
         "n": n,
         "tangent_ok": bool(tangent_ok),
         "bounds_ok": bool(bounds_ok),
+        "equality_gap": equality_gap,
     }
-    return bool(tangent_ok and bounds_ok), report
+    return bool(tangent_ok and bounds_ok and equality_gap <= 1e-12), report
 
 
 def suite_u_weak(p=3.0, seed=0, n=20_000, **_):
@@ -158,10 +164,10 @@ def suite_mc_weak_type(p=None, seed=0, n=10_000, workers=1, **_):
     return bool(ok), {"suite": "mc-weak-type", "checks": reports}
 
 
-def suite_mc_strip(p=2.0, seed=42, n=200_000, dt=1e-2, workers=1, **_):
+def suite_mc_strip(p=2.0, seed=42, n=200_000, workers=1, **_):
     if not 1 <= p <= 2:
         raise ValueError(f"requires 1 <= p <= 2, got {p}")
-    cfg = mc.SimConfig(master_seed=seed, n_samples=n, dt=dt, workers=workers)
+    cfg = mc.SimConfig(master_seed=seed, n_samples=n, workers=workers)
     est = mc.strip_exit_moment(p, (0.0, 0.0), cfg)
     target = 1.0 / kp(p).value ** p
     report = {
@@ -173,14 +179,15 @@ def suite_mc_strip(p=2.0, seed=42, n=200_000, dt=1e-2, workers=1, **_):
         "seed": seed,
         "bound": target,
         "margin_sigma": abs(est.mean - target) / est.std_error,
-        "bridge_exits": est.bridge_exits,
+        "walk_steps": est.walk_steps,
+        "shell_eps": est.shell_eps,
         "censored": est.censored,
     }
     return bool(report["margin_sigma"] <= 4.0), report
 
 
-def suite_harmonic(p=2.0, seed=13, n=100_000, dt=1e-2, workers=1, **_):
-    cfg = mc.SimConfig(master_seed=seed, n_samples=n, dt=dt, workers=workers)
+def suite_harmonic(p=2.0, seed=13, n=100_000, workers=1, **_):
+    cfg = mc.SimConfig(master_seed=seed, n_samples=n, workers=workers)
     rect = mc.harmonic_rectangle_check(p, 20.0, cfg)
     oned = extremal.harmonic_1d_example(0.5, [0.5, 1.0, 1.5, 1.9, 1.999])
     report = {"suite": "harmonic", "rectangle": rect, "one_dim_sup": oned["sup"]}

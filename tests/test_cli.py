@@ -79,7 +79,15 @@ def test_verify_forwards_sampling_options(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["n"] == 40000
     assert report["seed"] == 5
-    assert report["censored"] == 0 and report["bridge_exits"] > 0
+    assert report["censored"] == 0 and report["walk_steps"] > report["n"]
+    assert report["shell_eps"] == 1e-6
+
+
+def test_verify_has_no_time_step_option():
+    # strip exits are sampled by walk on spheres, which has no time step
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "mc-strip", "--dt", "0.01"])
+    assert exc.value.code == 2
 
 
 def test_verify_mc_strip_without_a_bound_is_an_error(capsys):
@@ -92,6 +100,19 @@ def test_verify_mc_strip_without_a_bound_is_an_error(capsys):
 def test_verify_out_of_domain_exponent_is_usage_error(capsys):
     assert main(["verify", "u-weak", "--p", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("p", ["7", "1", "0"])
+def test_verify_w_refuses_exponent_outside_unit_interval(capsys, p):
+    # the suite checks W <= (2x)^p, which holds only for 0 < p < 1
+    assert main(["verify", "w", "--p", p]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_w_reports_its_exponent(capsys):
+    assert main(["verify", "w", "--p", "0.25", "--n", "2000"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["p"] == 0.25 and report["equality_gap"] == 0.0
 
 
 def test_verify_missing_out_dir_is_usage_error(tmp_path, capsys):

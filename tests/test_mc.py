@@ -16,20 +16,16 @@ from sharpmart import mc
 from sharpmart.constants import kp
 from sharpmart.extremal import resolve_params, section_ratio
 from sharpmart.mc import (
-    _EPS,
     Estimate,
     ExitEstimate,
     SimConfig,
-    _bridge_step,
     _lambda_scan,
     _pair_chunk,
-    _strip_chunk,
     _weak_type_verdict,
     harmonic_rectangle_check,
     random_subordinate_pair_check,
     random_subordinate_pair_checks,
     section_chain_mc,
-    strip_exit_bias_pair,
     strip_exit_moment,
     strip_exit_moments,
     strip_exit_samples,
@@ -53,8 +49,8 @@ def check_schema(report):
     "kwargs",
     [
         {"master_seed": 1, "n_samples": 0},
-        {"master_seed": 1, "n_samples": 10, "dt": 0.0},
-        {"master_seed": 1, "n_samples": 10, "dt": 0.02},
+        {"master_seed": 1, "n_samples": -5},
+        {"master_seed": 1, "n_samples": 10, "workers": -1},
         {"master_seed": 1, "n_samples": 10, "workers": 0},
     ],
 )
@@ -119,49 +115,14 @@ def test_strip_exit_samples_sides():
     assert side.mean() < 0.05
 
 
-def _full_bridge_step(y, dy, u, dt):
-    """The bridge test with both exponentials on every path."""
-    y1 = y + dy
-    up, dn = y1 >= 1.0, y1 <= -1.0
-    p_up = np.exp(-2.0 * (1.0 - y) * (1.0 - y1) / dt)
-    p_dn = np.exp(-2.0 * (1.0 + y) * (1.0 + y1) / dt)
-    bridge = ~(up | dn) & (u < p_up + p_dn)
-    theta = np.full(y.size, 0.5)
-    np.divide(1.0 - y, dy, out=theta, where=up)
-    np.divide(-1.0 - y, dy, out=theta, where=dn)
-    exited = up | dn | bridge
-    return y1, exited, theta[exited], int(bridge.sum())
-
-
-@pytest.mark.parametrize("dt", [1e-2, 1e-3])
-def test_bridge_step_candidates_change_no_decision(dt):
-    rng = np.random.default_rng(99)
-    n = 400_000
-    # crowd the barriers and the candidate edge; u = 0 bridge-exits any path
-    # whose crossing probability does not underflow, u < eps only near one
-    y = np.concatenate([rng.uniform(-1, 1, n // 2), np.sign(rng.uniform(-1, 1, n // 2))
-                        * (1 - rng.uniform(0, 0.4, n // 2) ** 2)])
-    dy = rng.normal(0.0, math.sqrt(dt), n)
-    u = rng.random(n)
-    u[::1000] = 0.0
-    u[1::1000] *= _EPS
-    got = _bridge_step(y, dy, u, dt)
-    want = _full_bridge_step(y, dy, u, dt)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert np.array_equal(got[2], want[2])
-    assert got[3] == want[3] > 0
-
-
-# Literal outputs of the kernel that evaluated both bridge exponentials on
-# every path; the side-barrier and coupled kernels must reproduce them bit
-# for bit at any worker count.
+# Literal outputs of the walk-on-spheres kernel at one worker; every worker
+# count must reproduce them bit for bit.
 @pytest.mark.parametrize(
     "p, R, seed, workers, want",
     [
-        (2.0, 6.0, 41, 1, (1.0017900540767959, 0.010066490039423006, 0.99985, 6.123341602655331e-05)),
-        (2.0, 20.0, 13, 2, (1.0183724706479602, 0.010317102702912806, 1.0, 0.0)),
-        (1.0, 6.0, 41, 3, (0.7407630814757554, 0.00336552907425151, 0.99985, 6.123341602655331e-05)),
+        (2.0, 6.0, 41, 1, (1.0247054922384424, 0.010247358571357678, 0.99965, 9.352623257089143e-05)),
+        (2.0, 20.0, 13, 2, (0.9853035000760568, 0.009835281076311835, 1.0, 0.0)),
+        (1.0, 6.0, 41, 3, (0.750825482289441, 0.0033947684451081, 0.99965, 9.352623257089143e-05)),
     ],
 )
 def test_harmonic_rectangle_is_pinned(p, R, seed, workers, want):
@@ -171,27 +132,9 @@ def test_harmonic_rectangle_is_pinned(p, R, seed, workers, want):
     assert (rep["estimate"], rep["std_error"], rep["mu_v_ge_1"], rep["mu_std_error"]) == want
 
 
-@pytest.mark.parametrize(
-    "seed, start, want",
-    [
-        (13, (0.0, 0.0), (1.0113124912532467, 0.010418594136922704,
-                          1.0076394848274326, 0.010219269394027444)),
-        (77, (0.3, -0.4), (0.9346913269727382, 0.00951041117211573,
-                           0.934034660544743, 0.009572745015332791)),
-    ],
-)
-def test_strip_exit_bias_pair_is_pinned(seed, start, want):
-    coarse, fine = strip_exit_bias_pair(2.0, start, SimConfig(master_seed=seed, n_samples=40_000))
-    assert (coarse.mean, coarse.std_error, fine.mean, fine.std_error) == want
-
-
-
 @pytest.mark.parametrize("start", [(2.0, 1.5), (0.0, -1.0), (0.0, math.nan)])
 def test_start_outside_strip_rejected(start):
-    # both the coupled pair and the strip moment refuse a start with |y| >= 1
     cfg = SimConfig(master_seed=1, n_samples=1000)
-    with pytest.raises(ValueError, match=r"\|y\| < 1"):
-        strip_exit_bias_pair(2.0, start, cfg)
     with pytest.raises(ValueError, match=r"\|y\| < 1"):
         strip_exit_moment(2.0, start, cfg)
 
@@ -201,65 +144,54 @@ def test_strip_moments_share_one_sample(workers):
     cfg = SimConfig(master_seed=11, n_samples=40_000, workers=workers)
     both = strip_exit_moments((1.0, 2.0), (0.3, -0.2), cfg)
     assert both == [strip_exit_moment(p, (0.3, -0.2), cfg) for p in (1.0, 2.0)]
-    # the one-exponent moments as they were when each p simulated its own paths
-    assert [(e.mean, e.std_error, e.n, e.seed, e.bridge_exits, e.censored) for e in both] == [
-        (0.7710884711435335, 0.0033875126019360857, 40_000, 11, 20_041, 0),
-        (1.0535756202198754, 0.010142577788421248, 40_000, 11, 20_041, 0),
+    # literal walk-on-spheres outputs at one worker
+    assert [(e.mean, e.std_error, e.n, e.seed, e.walk_steps, e.censored) for e in both] == [
+        (0.7704941763592001, 0.0034126902512307896, 40_000, 11, 845_094, 0),
+        (1.059507819382518, 0.010645764424664736, 40_000, 11, 845_094, 0),
     ]
     with pytest.raises(ValueError, match="exponent"):
         strip_exit_moments((), (0.0, 0.0), cfg)
 
 
-def _assert_same_law(a, b):
-    """E|x| and E x^2 of two samples agree within 4 combined sigma."""
-    for f in (np.abs, np.square):
-        fa, fb = f(a), f(b)
-        se = math.hypot(fa.std(ddof=1), fb.std(ddof=1)) / math.sqrt(fa.size)
-        assert abs(fa.mean() - fb.mean()) <= 4 * se
+@pytest.mark.parametrize("r_bound", [math.inf, 6.0])
+def test_strip_exit_samples_match_across_workers(r_bound):
+    # two chunks, so the pool really splits the work
+    one, two = (
+        strip_exit_samples((0.2, 0.1), SimConfig(master_seed=4, n_samples=40_000, workers=w), r_bound)
+        for w in (1, 2)
+    )
+    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
-# near the barrier most paths exit within a step or two, so an error of one
-# step (dt) in the y-only route's variance k + theta^2 is many sigma
-@pytest.mark.parametrize("start", [(0.0, 0.0), (0.7, 0.3), (0.0, 0.999)])
-def test_y_only_route_matches_x_walk_in_law(start):
-    # r_bound = 1e6 is never reached, so the x-walk kernel samples the same
-    # law as the y-only kernel (which draws x once at exit)
-    args = [((5, i), 1 << 15, start[0], start[1], 1e-2) for i in range(2)]
-    walk = np.concatenate([_strip_chunk(a + (1e6,))[0] for a in args])
-    alone = np.concatenate([_strip_chunk(a + (math.inf,))[0] for a in args])
-    _assert_same_law(walk, alone)
-    # the y-only draws are a different stream: the samples differ
-    assert not np.array_equal(walk, alone)
+def _within_p2_bias_bound(est):
+    """x^2 - y^2 is harmonic and |Y| >= 1 - eps at the stop, so from the
+    origin E X^2 lies in [(1 - eps)^2, 1]; checked within 4 sigma."""
+    four = 4 * est.std_error
+    return (1 - est.shell_eps) ** 2 - four <= est.mean <= 1 + four
 
 
-def test_censored_paths_keep_their_law(monkeypatch):
-    # over a horizon of ten steps most paths are still inside the strip
-    monkeypatch.setattr(mc, "_MAX_TIME", 0.1)
-    n = 1 << 14
-    walk = _strip_chunk(((5, 0), n, 0.0, 0.0, 1e-2, 1e6))
-    alone = _strip_chunk(((5, 0), n, 0.0, 0.0, 1e-2, math.inf))
-    assert walk[3] > 0.9 * n and alone[3] > 0.9 * n
-    _assert_same_law(walk[0], alone[0])
+def test_shell_bias_bound_at_p2(monkeypatch):
+    est = strip_exit_moment(2.0, (0.0, 0.0), SimConfig(master_seed=21, n_samples=1 << 18))
+    assert isinstance(est, ExitEstimate) and est.shell_eps == 1e-6
+    assert _within_p2_bias_bound(est)
+    assert est.censored == 0 and 15 * est.n < est.walk_steps < 30 * est.n
+    # a wide shell: the bound still holds, and the test resolves the bias
+    monkeypatch.setattr(mc, "_SHELL_EPS", 0.1)
+    wide = strip_exit_moment(2.0, (0.0, 0.0), SimConfig(master_seed=21, n_samples=1 << 17))
+    assert wide.shell_eps == 0.1
+    assert _within_p2_bias_bound(wide)
+    assert 1 - wide.mean > 4 * wide.std_error
 
 
-def test_strip_counts_bridge_exits_and_censored():
-    cfg = SimConfig(master_seed=3, n_samples=20_000)
+def test_censored_paths_are_counted(monkeypatch):
+    monkeypatch.setattr(mc, "_MAX_STEPS", 3)
+    cfg = SimConfig(master_seed=3, n_samples=5_000)
     est = strip_exit_moment(2.0, (0.0, 0.0), cfg)
-    assert isinstance(est, ExitEstimate)
-    # by reflection, about half of all first crossings happen inside a step
-    # whose endpoint is back in the strip; no path is still inside at T = 60
-    assert 0.4 * est.n < est.bridge_exits < 0.6 * est.n
-    assert est.censored == 0
-    _, side, n_bridge, censored = _strip_chunk(((3, 0), 5_000, 0.0, 0.0, 1e-2, math.inf))
-    assert not side.any() and censored == 0 and n_bridge > 0
-
-
-def test_coupled_bias_pair_is_small():
-    cfg = SimConfig(master_seed=13, n_samples=60_000)
-    coarse, fine = strip_exit_bias_pair(2.0, (0.0, 0.0), cfg)
-    # coupling cancels sampling noise, so the dt-refinement gap is far
-    # below the marginal standard errors
-    assert abs(coarse.mean - fine.mean) < coarse.std_error
+    assert 0 < est.censored < est.n
+    # every censored path made the full three jumps
+    assert est.walk_steps >= 3 * est.censored
+    rep = harmonic_rectangle_check(2.0, 6.0, cfg)
+    assert rep["censored"] == est.censored
 
 
 # ------------------------------------------------------------- random pairs
@@ -391,7 +323,7 @@ def test_harmonic_rectangle_sampled():
     assert rep["passed"]
     assert rep["bound"] == pytest.approx(1.0 / kp(2.0).value ** 2, rel=1e-14)
     assert rep["mu_v_ge_1"] >= 0.95
-    assert rep["censored"] == 0 and rep["bridge_exits"] > 0
+    assert rep["censored"] == 0 and rep["walk_steps"] > rep["n"]
     check_schema(rep)
 
 

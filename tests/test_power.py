@@ -1,0 +1,34 @@
+"""Power of the verification suites: each named mutation of what a suite
+checks must turn its verdict False (or, for an input it cannot check,
+refuse it), so a suite cannot pass having checked nothing."""
+
+import pytest
+
+from sharpmart import orth, wfun
+from sharpmart.verify import run_suite
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-2, 1 + 1e-2])
+def test_u_orth_sees_kp_off_by_one_percent(monkeypatch, factor):
+    kp_value = orth.OrthContext.kp_value.fget
+    monkeypatch.setattr(
+        orth.OrthContext, "kp_value", property(lambda ctx: factor * kp_value(ctx))
+    )
+    ok, report = run_suite("u-orth", n=5)
+    assert not ok
+    assert report["center_identity"] > report["tol"]
+
+
+def test_w_refuses_an_exponent_it_cannot_check():
+    # an exponent the bound W <= (2x)^p does not hold for is refused, not
+    # replaced by the default
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        run_suite("w", p=7.0, n=100)
+
+
+def test_w_sees_w_off_by_one_percent(monkeypatch):
+    w_value = wfun.w_value
+    monkeypatch.setattr(wfun, "w_value", lambda x, y: (1 + 1e-2) * w_value(x, y))
+    ok, report = run_suite("w", n=2_000)
+    assert not ok
+    assert report["equality_gap"] > 1e-3
