@@ -69,18 +69,15 @@ def _emit(args, name: str, text: str, manifest: RunManifest):
 
 def _constants_row(p: float) -> dict:
     row: dict = {"p": p}
-    try:
-        row["kp"] = kp(p).value if 0 < p else None
-    except Exception as exc:
-        row["kp"] = None
-        row.setdefault("errors", []).append(f"kp: {exc}")
     for label, fn in (
+        ("kp", lambda: kp(p).value),
         ("weak_nonneg", lambda: weak_constant_nonneg(p).value),
         ("reference", lambda: {c.name: c.value for c in reference_constants(p)}),
     ):
+        # a domain error becomes the row's error; any other exception is a bug
         try:
             row[label] = fn()
-        except Exception as exc:
+        except ValueError as exc:
             row[label] = None
             row.setdefault("errors", []).append(f"{label}: {exc}")
     row["ok"] = (

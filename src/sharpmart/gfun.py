@@ -9,11 +9,12 @@ integration of the gap u = t + 1 - G (the primary path, one ODEPACK call
 through `odeint`) and a closed form through modified Bessel functions,
 which linearize the equation.  The closed form is a ratio of the
 exponentially scaled I_nu and K_nu, so it runs in double precision without
-the overflow of the unscaled basis.  Both tabulate G and the gap u; G' is
-read from u as (p/2)^{p+1} t^{p-2} u^2, never from t + 1 - G, which loses u
-to cancellation once u is far below t.  The inverse h = G^{-1} is obtained
-from the tabulated G by Newton steps on the interpolating cubic of the
-interval that holds each argument.
+the overflow of the unscaled basis.  Both tabulate the gap u alone, and G is
+carried by it: G = t + 1 - u and G' = (p/2)^{p+1} t^{p-2} u^2.  A value
+rebuilt as t + 1 - G would lose u to cancellation once u is far below t, so
+nothing is.  The inverse h = G^{-1} is obtained by Newton steps on the cubic
+of G, read from the gap's interpolant, on the interval that holds each
+argument.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "build_g_bessel",
     "h_of",
     "h_prime",
-    "default_t_max",
 ]
 
 
@@ -42,8 +42,7 @@ class ConstructionError(RuntimeError):
     pass
 
 
-def default_t_max(p: float) -> float:
-    return max(10.0, 20.0 / p)
+_T_MAX = 10.0  # right end of every table; p > 2 puts its left end 2/p below 1
 
 
 def g_rhs(p: float, t, g):
@@ -57,43 +56,44 @@ def _slope_from_gap(p: float, t, u):
 
 @dataclass(frozen=True)
 class GSolution:
-    """Tabulated increasing solution with C1 cubic Hermite interpolants of
-    G and of the gap u = t + 1 - G (slopes G' and 1 - G').
+    """The increasing solution G, tabulated by its gap u = t + 1 - G on
+    `grid` and interpolated by one C1 cubic Hermite spline of u with slopes
+    1 - G'.
 
-    `u_values` defaults to grid + 1 - g_values; the builders pass the gap
-    they computed, which keeps its relative accuracy where u << t.
+    `g_values` (with G(2/p) = 1 exactly) and `gprime_values` are derived
+    from `u_values`; `g`, `gap` and `gprime` evaluate the same spline, so
+    G = t + 1 - u holds exactly between nodes as well.
     """
 
     p: float
     grid: np.ndarray
-    g_values: np.ndarray
-    gprime_values: np.ndarray
+    u_values: np.ndarray = field(repr=False)
     method: str
-    u_values: np.ndarray = field(repr=False, default=None)
-    _spline: CubicHermiteSpline = field(repr=False, default=None)
-    _u_spline: CubicHermiteSpline = field(repr=False, default=None)
+    g_values: np.ndarray = field(init=False, repr=False)
+    gprime_values: np.ndarray = field(init=False, repr=False)
+    _spline: CubicHermiteSpline = field(init=False, repr=False)
 
     def __post_init__(self):
-        t, g, gp = self.grid, self.g_values, self.gprime_values
+        p, t, u = self.p, self.grid, self.u_values
         if np.any(np.diff(t) <= 0):
             raise ConstructionError("grid must be strictly increasing")
-        if abs(t[0] - 2 / self.p) > 1e-12 or abs(g[0] - 1.0) > 1e-12:
-            raise ConstructionError("solution must start at (2/p, 1)")
-        if abs(gp[0] - self.p / 2) > 1e-9:
-            raise ConstructionError(f"initial slope {gp[0]} != p/2")
+        if abs(t[0] - 2 / p) > 1e-12 or abs(u[0] - 2 / p) > 1e-12:
+            raise ConstructionError("table must start at t = 2/p with u = 2/p")
+        bad = np.nonzero(~(u > 0))[0]  # NaN included
+        if bad.size:
+            raise ConstructionError(f"bound G < t+1 violated at t={t[bad[0]]}")
+        g = t + 1 - u
+        g[0] = 1.0  # the initial condition; t + 1 - u may round it by an ulp
         bad = np.nonzero(np.diff(g) <= 0)[0]
         if bad.size:
             raise ConstructionError(f"solution not increasing at t={t[bad[0]]}")
-        bad = np.nonzero(g >= t + 1)[0]
-        if bad.size:
-            raise ConstructionError(f"bound G < t+1 violated at t={t[bad[0]]}")
+        gp = _slope_from_gap(p, t, u)
         bad = np.nonzero(gp < 1.0 - 1e-12)[0]
         if bad.size:
             raise ConstructionError(f"slope < 1 at t={t[bad[0]]}")
-        object.__setattr__(self, "_spline", CubicHermiteSpline(t, g, gp))
-        u = t + 1 - g if self.u_values is None else self.u_values
-        object.__setattr__(self, "u_values", u)
-        object.__setattr__(self, "_u_spline", CubicHermiteSpline(t, u, 1 - gp))
+        object.__setattr__(self, "g_values", g)
+        object.__setattr__(self, "gprime_values", gp)
+        object.__setattr__(self, "_spline", CubicHermiteSpline(t, u, 1 - gp))
 
     @property
     def t_max(self) -> float:
@@ -111,47 +111,41 @@ class GSolution:
             )
         return np.clip(t, 2 / self.p, self.t_max)
 
-    def g(self, t):
+    def gap(self, t):
+        """u(t) = t + 1 - G(t), interpolated with its relative accuracy."""
         return self._spline(self._check_domain(t))
+
+    def g(self, t):
+        t = self._check_domain(t)
+        return t + 1 - self._spline(t)
 
     def gprime(self, t):
         """G'(t) from the interpolated gap, free of the cancellation in
         t + 1 - G."""
         t = self._check_domain(t)
-        return _slope_from_gap(self.p, t, self._u_spline(t))
-
-
-def _from_gap(p: float, ts, u, method: str) -> GSolution:
-    g = ts + 1 - u
-    g[0] = 1.0  # the initial condition; t + 1 - u may round it by an ulp
-    return GSolution(p, ts, g, _slope_from_gap(p, ts, u), method, u)
+        return _slope_from_gap(self.p, t, self._spline(t))
 
 
 _ODEINT_SUCCESS = "Integration successful."
 
 
-def build_g_rk(p: float, t_max: float | None = None, step: float = 1e-3) -> GSolution:
-    """Integrate the gap u = t + 1 - G with LSODA; tabulate G on a uniform
-    grid of spacing at most `step`.
+def build_g_rk(p: float, step: float = 1e-3) -> GSolution:
+    """Integrate the gap u = t + 1 - G with LSODA; tabulate it on a uniform
+    grid of [2/p, 10] with spacing at most `step`.
 
     u solves u' = 1 - c t^{p-2} u^2, u(2/p) = 2/p, c = (p/2)^{p+1}.  One
     `odeint` call (ODEPACK LSODA, which switches between Adams and BDF as
     the problem stiffens for large t) returns u on the whole grid, so the
     only Python work per step is the right-hand side.  The tolerance is
-    purely relative because u falls to 2e-6 at p = 8 and 1e-8 at p = 10;
-    G' is tabulated from u, since t + 1 - G would lose u to cancellation.
+    purely relative because u falls to 2e-6 at p = 8 and 1e-8 at p = 10.
     A failed integration raises `ConstructionError`.
     """
     if not p > 2:
         raise ValueError(f"requires p > 2, got {p}")
-    if t_max is None:
-        t_max = default_t_max(p)
-    t0 = 2 / p
-    if not t_max > t0:
-        raise ValueError("t_max must exceed 2/p")
     if step > 1e-3:
         raise ValueError("step must be <= 1e-3")
-    ts = np.linspace(t0, t_max, int(math.ceil((t_max - t0) / step)) + 1)
+    t0 = 2 / p
+    ts = np.linspace(t0, _T_MAX, int(math.ceil((_T_MAX - t0) / step)) + 1)
     c = (p / 2) ** (p + 1)
     u, info = odeint(
         lambda u, t: 1 - c * t ** (p - 2) * u[0] ** 2,
@@ -163,8 +157,7 @@ def build_g_rk(p: float, t_max: float | None = None, step: float = 1e-3) -> GSol
     )
     if info["message"] != _ODEINT_SUCCESS:
         raise ConstructionError(f"LSODA failed: {info['message']}")
-    u = u[:, 0]
-    return _from_gap(p, ts, u, "lsoda")
+    return GSolution(p, ts, u[:, 0], "lsoda")
 
 
 _BESSEL_NODES = 300
@@ -197,27 +190,24 @@ def _bessel_gap(p: float, t):
     return ((p - 1) / 2 + (p / 2) * z * R) / ((p / 2) ** (p + 1) * t ** (p - 1))
 
 
-def build_g_bessel(p: float, t_max: float | None = None) -> GSolution:
-    """Evaluate G through the Bessel linearization of the Riccati equation.
+def build_g_bessel(p: float) -> GSolution:
+    """Evaluate the gap of G on [2/p, 10] through the Bessel linearization
+    of the Riccati equation.
 
     Nodes are cubically graded towards the left endpoint, where the
     solution's curvature concentrates; interpolation error there dominates
-    the uniform-grid budget by orders of magnitude.  G' is tabulated from
-    the gap u directly, not from t + 1 - G, which would lose u to
-    cancellation once u is far below t.
+    the uniform-grid budget by orders of magnitude.
     """
     if not p > 2:
         raise ValueError(f"requires p > 2, got {p}")
-    if t_max is None:
-        t_max = default_t_max(p)
     s = np.linspace(0.0, 1.0, _BESSEL_NODES)
-    ts = 2 / p + (t_max - 2 / p) * s**3
+    ts = 2 / p + (_T_MAX - 2 / p) * s**3
     ts[0] = 2 / p
     u = _bessel_gap(p, ts)
     bad = np.nonzero(~np.isfinite(u))[0]
     if bad.size:
         raise ConstructionError(f"non-finite Bessel value at t={ts[bad[0]]}")
-    return _from_gap(p, ts, u, "bessel")
+    return GSolution(p, ts, u, "bessel")
 
 
 def h_of(sol: GSolution, s):
@@ -226,10 +216,10 @@ def h_of(sol: GSolution, s):
 
     The arguments are sorted and located in `g_values` by one
     `searchsorted`; each is then solved by Newton steps, started from linear
-    interpolation, on the cubic that interpolates G on its interval, read
-    from the spline's own coefficients, until a step falls below 1e-13.
-    Each value equals that of a scalar call, and node values map to their
-    nodes exactly.
+    interpolation, on the cubic of G = t + 1 - u on its interval, read from
+    the gap spline's coefficients, until a step falls below 1e-13.  Each
+    value equals that of a scalar call, and node values map to their nodes
+    exactly.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 1 - 1e-12) or np.any(s_arr > sol.s_max + 1e-12):
@@ -239,7 +229,10 @@ def h_of(sol: GSolution, s):
     ss = flat[order]
     g, x = sol.g_values, sol.grid
     i = np.clip(np.searchsorted(g, ss, side="right") - 1, 0, g.size - 2)
-    c3, c2, c1, c0 = sol._spline.c[:, i]
+    # G = t + 1 - u, so its cubic on an interval is -u3, -u2, 1 - u1, g_i
+    c3, c2, c1 = np.negative(sol._spline.c[:3, i])
+    c1 += 1
+    c0 = g[i]
     w = x[i + 1] - x[i]
     d = (ss - c0) / (g[i + 1] - c0) * w
     # each point stops at its own first step below 1e-13, so its value does
@@ -254,8 +247,12 @@ def h_of(sol: GSolution, s):
         act = act[np.abs(d_new - da) >= 1e-13]
         if not act.size:
             break
+    t_sorted = x[i] + d
+    # the last cubic may miss s_max at d = w by an ulp; sorted, those
+    # arguments come last
+    t_sorted[np.searchsorted(ss, sol.s_max) :] = sol.t_max
     t = np.empty_like(flat)
-    t[order] = x[i] + d
+    t[order] = t_sorted
     t = t.reshape(s_arr.shape)
     return t if np.ndim(s) else float(t)
 

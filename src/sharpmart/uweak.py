@@ -2,7 +2,8 @@
 
 The half-plane splits into eight regions D0..D7 (first match wins, in index
 order, with |y| throughout); U is defined by a separate closed form on each
-region, two of which involve the auxiliary function G and its inverse h.
+region, two of which involve the auxiliary function G (D6 reads it only
+through its gap u = t + 1 - G, never as a difference) and its inverse h.
 The gradient and all three second derivatives are closed forms per region
 as well.  One dispatcher, `_by_region`, classifies each point once, keeps
 the h(x+|y|) that classification computed, and runs the value, gradient or
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import weak_constant_pth_power
 from .gfun import GSolution, build_g_rk, h_of
 
 __all__ = [
@@ -58,7 +60,7 @@ class UWContext:
     @property
     def coef(self) -> float:
         """p^p / (2^p (p-1)), the scale of the majorant."""
-        return self.p**self.p / (2**self.p * (self.p - 1))
+        return weak_constant_pth_power(self.p)
 
 
 def build_context(p: float) -> UWContext:
@@ -158,10 +160,9 @@ def _value(ctx, r, x, Y, h):
         return c * h ** (p - 1) * ((p - 1) * h - p * x)
     if r == 6:
         t = x - Y + 1
-        G = ctx.g.g(t)
         return (
             1
-            - 2 * (1 - Y) / (2 + x - Y - G)
+            - 2 * (1 - Y) / ctx.g.gap(t)
             - c * t ** (p - 1) * (x - (p - 1) * (1 - Y))
         )
     if r == 7:
@@ -195,11 +196,10 @@ def _gradient(ctx, r, x, Y, h):
     if r == 5:
         core = 2 * (h - x) / (h - (x + Y) + 1) ** 2
         return core - p * c * h ** (p - 1), core
-    # D6
+    # D6: 2 + x - Y - G(t) is the gap u(t), and 1 + x - G(t) = u + Y - 1
     t = x - Y + 1
-    G = ctx.g.g(t)
-    den = 2 + x - Y - G
-    return 2 * (1 - Y) / den**2 - p * c * t ** (p - 1), 2 * (1 + x - G) / den**2
+    u = ctx.g.gap(t)
+    return 2 * (1 - Y) / u**2 - p * c * t ** (p - 1), 2 * (u + Y - 1) / u**2
 
 
 def _hessian(ctx, r, x, Y, h):
@@ -245,16 +245,15 @@ def _hessian(ctx, r, x, Y, h):
             2 / den**2 * (hp - 1 - shared),
             2 / den**2 * (hp - shared),
         )
-    # D6
+    # D6, with G(t) - x - Y = 2 - 2Y - u(t)
     t = x - Y + 1
-    G = ctx.g.g(t)
+    u = ctx.g.gap(t)
     Gp = ctx.g.gprime(t)
-    den = 2 + x - Y - G
-    common = -4 * (1 - Y) * (1 - Gp) / den**3
+    common = -4 * (1 - Y) * (1 - Gp) / u**3
     return (
         common - p ** (p + 1) / 2**p * t ** (p - 2),
-        2 * (1 - Gp) * (G - x - Y) / den**3,
-        common + 2 * (2 - Gp) / den**2,
+        2 * (1 - Gp) * (2 - 2 * Y - u) / u**3,
+        common + 2 * (2 - Gp) / u**2,
     )
 
 

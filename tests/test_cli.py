@@ -52,6 +52,16 @@ def test_constants_negative_p_fails(capsys):
     assert rows[0]["errors"]
 
 
+def test_constants_row_keeps_only_domain_errors(monkeypatch):
+    # a ValueError is a row error; any other exception is a bug and propagates
+    def broken(p):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(cli, "kp", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["constants", "--p", "1.5"])
+
+
 # ----------------------------------------------------------------- verify
 
 

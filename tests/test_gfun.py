@@ -18,7 +18,6 @@ from sharpmart.gfun import (
     GSolution,
     build_g_bessel,
     build_g_rk,
-    default_t_max,
     g_rhs,
     h_of,
     h_prime,
@@ -185,14 +184,32 @@ class TestErrors:
                 build_g_rk(p)
 
     def test_default_span(self):
-        assert default_t_max(3.0) >= 10.0
-        assert default_t_max(6.0) >= 10.0
+        for build in (build_g_rk, build_g_bessel):
+            assert build(3.0).t_max == 10.0
+            assert build(6.0).t_max == 10.0
 
     def test_solution_validation(self):
-        grid = np.array([2 / 3, 2.0, 3.0])
-        with pytest.raises((ValueError, ConstructionError)):
-            GSolution(p=3.0, grid=grid, g_values=np.array([1.0, 0.5, 2.0]),
-                      gprime_values=np.array([1.5, 1.0, 1.0]), method="bogus")
+        # at p = 3 the start is t = u = 2/3, and G' = (3/2)^4 t u^2
+        grid = np.array([2 / 3, 1.0, 2.0])
+        GSolution(3.0, grid, np.array([2 / 3, 0.7, 0.6]), "ok")
+        cases = [
+            ("strictly increasing", np.array([2 / 3, 2.0, 2.0]), [2 / 3, 0.7, 0.6]),
+            ("must start", grid, [0.7, 0.7, 0.6]),
+            ("G < t\\+1", grid, [2 / 3, 0.7, 0.0]),
+            ("G < t\\+1", grid, [2 / 3, np.nan, 0.6]),
+            ("not increasing", grid, [2 / 3, 1.5, 0.6]),
+            ("slope < 1", grid, [2 / 3, 0.4, 0.6]),
+        ]
+        for match, t, u in cases:
+            with pytest.raises(ConstructionError, match=match):
+                GSolution(3.0, t, np.array(u), "bogus")
+
+    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
+    def test_g_is_its_gap(self, build):
+        sol = build(3.0)
+        t = np.random.default_rng(5).uniform(2 / 3, sol.t_max, 1000)
+        assert np.array_equal(sol.g(t), t + 1 - sol.gap(t))
+        assert np.array_equal(sol.gap(sol.grid), sol.u_values)
 
 
 class TestBesselRoute:

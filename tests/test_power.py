@@ -2,9 +2,11 @@
 checks must turn its verdict False (or, for an input it cannot check,
 refuse it), so a suite cannot pass having checked nothing."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from sharpmart import orth, wfun
+from sharpmart import extremal, orth, uweak, wfun
 from sharpmart.verify import run_suite
 
 
@@ -32,3 +34,29 @@ def test_w_sees_w_off_by_one_percent(monkeypatch):
     ok, report = run_suite("w", n=2_000)
     assert not ok
     assert report["equality_gap"] > 1e-3
+
+
+@pytest.mark.parametrize("region", range(8))
+def test_u_weak_sees_one_region_shifted(monkeypatch, region):
+    value = uweak._value
+
+    def shifted(ctx, r, x, Y, h):
+        return value(ctx, r, x, Y, h) + (1e-6 if r == region else 0.0)
+
+    monkeypatch.setattr(uweak, "_value", shifted)
+    ok, report = run_suite("u-weak", n=2_000)
+    assert not ok
+    assert report["boundary_gap_scaled_max"] > 1e-10
+
+
+def test_extremal_reports_the_p_lt1_martingales(monkeypatch):
+    build = extremal.build_p_lt1_example
+
+    def broken():
+        _, g, small_p = build()
+        return SimpleNamespace(check_martingale=lambda: False), g, small_p
+
+    monkeypatch.setattr(extremal, "build_p_lt1_example", broken)
+    ok, report = run_suite("extremal")
+    assert not ok
+    assert report["p_lt1_martingales"] is False
