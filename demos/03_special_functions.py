@@ -2,7 +2,8 @@
 
 * W: the quadratic-capped function for the p < 1 bound with constant 2.
 * U (ladder regions): the p > 2 function, piecewise over regions D0-D7.
-* U (orthogonal): the Poisson-integral function for 1 <= p <= 2.
+* U (orthogonal): for 1 <= p <= 2, the harmonic extension of |t|^p from the
+  strip's edges, one quadrature against the strip's Poisson kernel.
 
 Run:  python3 demos/03_special_functions.py
 """

@@ -60,3 +60,15 @@ def test_extremal_reports_the_p_lt1_martingales(monkeypatch):
     ok, report = run_suite("extremal")
     assert not ok
     assert report["p_lt1_martingales"] is False
+
+
+@pytest.mark.parametrize("n", [5, 60])
+def test_u_orth_sees_the_p2_closed_form(monkeypatch, n):
+    # x^2 / 1e4 leaves U(0, 0), and so K_p, alone, and keeps every shape
+    # margin positive: only the closed form x^2 + 1 - y^2 sees it
+    u_orth = orth.u_orth
+    monkeypatch.setattr(orth, "u_orth", lambda ctx, x, y: u_orth(ctx, x, y) + 1e-4 * x * x)
+    ok, report = run_suite("u-orth", p=2.0, n=n)
+    assert not ok
+    assert report["closed_form_gap"] > report["tol"]
+    assert report["center_identity"] <= report["tol"]
