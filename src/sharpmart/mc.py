@@ -16,20 +16,18 @@ all its moments from one set of exit points, and
 (p enters only ||f||_p^p).  `strip_exit_moment` and
 `random_subordinate_pair_check` are their one-exponent forms.
 
-Determinism contract: work is cut into fixed-size chunks; chunk i uses
-``SeedSequence([master_seed, i])``, so reports are bit-identical for a
-given master seed regardless of worker count or scheduling.  Strip chunks
-run on `cfg.workers` processes.  Random pairs (pair j uses
-``SeedSequence([master_seed, 10_000 + j])``) run serially and ignore
-`cfg.workers`: a pool would roughly triple the check's peak resident
-memory, one interpreter and numpy per worker, and threads measured no
-faster than serial.
+Determinism contract: strip chunk i (of fixed size) uses
+``SeedSequence([master_seed, i])`` and random pair j uses
+``SeedSequence([master_seed, 10_000 + j])``.  Both run on a pool of
+`cfg.workers` threads (numpy releases the GIL in array work) and are
+combined in index order, so reports are bit-identical for a given master
+seed at any worker count.  `section_chain_mc` draws one serial stream.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +78,10 @@ class Estimate:
     n: int
     seed: int
 
+    def margin_sigma(self, target: float) -> float:
+        """|mean - target| in standard errors; inf for a sample with no spread."""
+        return abs(self.mean - target) / self.std_error if self.std_error > 0 else math.inf
+
 
 @dataclass(frozen=True)
 class ExitEstimate(Estimate):
@@ -94,7 +96,9 @@ class ExitEstimate(Estimate):
 
 def _estimate(values: np.ndarray, seed: int) -> Estimate:
     n = values.size
-    se = float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
+    se = float(values.std(ddof=1)) / math.sqrt(n)
     return Estimate(mean=float(values.mean()), std_error=se, n=n, seed=seed)
 
 
@@ -146,13 +150,6 @@ def _walk_chunk(args):
     return xs, side, steps, live.size
 
 
-def _chunk_sizes(n):
-    sizes = [_CHUNK] * (n // _CHUNK)
-    if n % _CHUNK:
-        sizes.append(n % _CHUNK)
-    return sizes
-
-
 def _strip_exits(start, cfg: SimConfig, r_bound: float):
     """Every chunk of the walk from `start`, which must lie inside the
     strip: x at exit, side-exit flags, and the summed jump and
@@ -161,14 +158,11 @@ def _strip_exits(start, cfg: SimConfig, r_bound: float):
     if not abs(y0) < 1:
         raise ValueError("start must satisfy |y| < 1")
     args = [
-        ((cfg.master_seed, i), n, x0, y0, r_bound)
-        for i, n in enumerate(_chunk_sizes(cfg.n_samples))
+        ((cfg.master_seed, i), min(_CHUNK, cfg.n_samples - first), x0, y0, r_bound)
+        for i, first in enumerate(range(0, cfg.n_samples, _CHUNK))
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_walk_chunk, args))
-    else:
-        parts = [_walk_chunk(a) for a in args]
+    with ThreadPoolExecutor(cfg.workers) as pool:
+        parts = list(pool.map(_walk_chunk, args))
     xs = np.concatenate([p[0] for p in parts])
     side = np.concatenate([p[1] for p in parts])
     return xs, side, sum(p[2] for p in parts), sum(p[3] for p in parts)
@@ -256,6 +250,24 @@ def _lambda_scan(g, grid, f_pp, p, bound):
     return ratio, se, margin
 
 
+def _pair_scans(args):
+    """One pair's lambda-scan rows (grid, ratio, std error, margin) and
+    largest fixed-time ratio, per exponent; g* and |g| are sorted once for
+    the grid (set by the median of g*) and every scan.  The path arrays
+    never leave the call, so at most `workers` pairs are in memory."""
+    seed_pair, n, ps, bounds = args
+    g_star, g_fin, f_pps = _pair_chunk((seed_pair, n, ps))
+    g_star.sort()
+    g_fin.sort()
+    med = float(np.mean(g_star[(n - 1) // 2 : n // 2 + 1]))  # np.median's arithmetic
+    grid = np.geomspace(0.1 * med, 10 * med, 20)
+    return [
+        ((grid, *_lambda_scan(g_star, grid, f_pp, p, bound)),
+         float(_lambda_scan(g_fin, grid, f_pp, p, bound)[0].max()))
+        for p, bound, f_pp in zip(ps, bounds, f_pps)
+    ]
+
+
 def _weak_type_verdict(ratio, margin, bound) -> dict:
     """Verdict over all scanned rows: the largest margin among rows with a
     defined margin must be <= 4 sigma, and a row with P = 1 or 0 (no
@@ -281,10 +293,9 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
     Both the running-supremum and the final-time level sets are reported,
     since the two weak norms coincide only in the limit.
 
-    p enters only ||f||_p^p, so each pair is drawn once for all exponents,
-    and its g* and |g| are sorted once for the lambda grid (set by the
-    median of g*) and every scan.  Pairs run serially and ignore
-    `cfg.workers`: a process pool would roughly triple peak memory.
+    p enters only ||f||_p^p, so each pair is drawn once for all exponents
+    (`_pair_scans`).  Pairs run on `cfg.workers` threads and are combined
+    in pair order.
     """
     ps = tuple(ps)
     if not ps:
@@ -294,24 +305,13 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
     if not all(p < 1 or p >= 2 for p in ps):
         raise ValueError("regime must be p < 1 or p >= 2")
     bounds = [weak_constant_nonneg(p).value ** p for p in ps]
-    rows = [[] for _ in ps]
-    worst_fixed = [-math.inf] * len(ps)
-    for j in range(n_pairs):
-        g_star, g_fin, f_pps = _pair_chunk(
-            ((cfg.master_seed, 10_000 + j), cfg.n_samples, ps)
-        )
-        g_star.sort()
-        g_fin.sort()
-        n = g_star.size
-        med = float(np.mean(g_star[(n - 1) // 2 : n // 2 + 1]))  # np.median's arithmetic
-        grid = np.geomspace(0.1 * med, 10 * med, 20)
-        for k, (p, bound, f_pp) in enumerate(zip(ps, bounds, f_pps)):
-            rows[k].append((grid, *_lambda_scan(g_star, grid, f_pp, p, bound)))
-            fixed = _lambda_scan(g_fin, grid, f_pp, p, bound)[0]
-            worst_fixed[k] = max(worst_fixed[k], float(fixed.max()))
+    args = [((cfg.master_seed, 10_000 + j), cfg.n_samples, ps, bounds) for j in range(n_pairs)]
+    with ThreadPoolExecutor(cfg.workers) as pool:
+        pairs = list(pool.map(_pair_scans, args))
     reports = []
-    for p, bound, p_rows, fixed in zip(ps, bounds, rows, worst_fixed):
-        lam, ratio, se, margin = (np.concatenate(c) for c in zip(*p_rows))
+    for k, (p, bound) in enumerate(zip(ps, bounds)):
+        rows, fixed = zip(*(pair[k] for pair in pairs))
+        lam, ratio, se, margin = (np.concatenate(c) for c in zip(*rows))
         i = int(np.argmax(ratio))
         reports.append({
             "check": "random_subordinate_pairs",
@@ -323,18 +323,15 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
             "ratio_excess": float(ratio[i]) / bound - 1.0,
             "seed": cfg.master_seed,
             "worst_lambda": float(lam[i]),
-            "worst_fixed_time_ratio": fixed,
+            "worst_fixed_time_ratio": max(fixed),
             "n_pairs": n_pairs,
             **_weak_type_verdict(ratio, margin, bound),
         })
     return reports
 
 
-def random_subordinate_pair_check(
-    p: float, cfg: SimConfig, n_pairs: int = 100
-) -> dict:
-    """`random_subordinate_pair_checks` for the one exponent p; serial,
-    whatever `cfg.workers` says."""
+def random_subordinate_pair_check(p: float, cfg: SimConfig, n_pairs: int = 100) -> dict:
+    """`random_subordinate_pair_checks` for the one exponent p."""
     return random_subordinate_pair_checks((p,), cfg, n_pairs)[0]
 
 
@@ -377,12 +374,12 @@ def section_chain_mc(params: ExtremalParams, cfg: SimConfig) -> dict:
         "estimate": moment.mean,
         "std_error": moment.std_error,
         "bound": exact.moment,
-        "margin_sigma": abs(moment.mean - exact.moment) / moment.std_error,
+        "margin_sigma": moment.margin_sigma(exact.moment),
         "seed": cfg.master_seed,
         "prob_estimate": prob.mean,
         "prob_std_error": prob.std_error,
         "prob_exact": exact.prob,
-        "prob_margin_sigma": abs(prob.mean - exact.prob) / prob.std_error,
+        "prob_margin_sigma": prob.margin_sigma(exact.prob),
     }
     rep["passed"] = bool(
         rep["margin_sigma"] <= 3.0 and rep["prob_margin_sigma"] <= 3.0
@@ -402,15 +399,14 @@ def harmonic_rectangle_check(p: float, R: float, cfg: SimConfig) -> dict:
     moment = _estimate(np.abs(xs) ** p, cfg.master_seed)
     target = 1.0 / kp(p).value ** p
     mu = _estimate(1.0 - side.astype(float), cfg.master_seed)
-    se = moment.std_error
     rep = {
         "check": "harmonic_rectangle",
         "p": p,
         "n": moment.n,
         "estimate": moment.mean,
-        "std_error": se,
+        "std_error": moment.std_error,
         "bound": target,
-        "margin_sigma": abs(moment.mean - target) / se if se > 0 else math.inf,
+        "margin_sigma": moment.margin_sigma(target),
         "seed": moment.seed,
         "mu_v_ge_1": mu.mean,
         "mu_std_error": mu.std_error,

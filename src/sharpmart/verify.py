@@ -101,13 +101,14 @@ def suite_ode(p=3.0, **_):
     bes = gfun.build_g_bessel(p)
     t = np.linspace(2 / p, min(rk.t_max, bes.t_max), 2000)
     cross = float(np.max(np.abs(rk.g(t) - bes.g(t))))
-    # The Bessel table's G' comes from its gap u, while g_rhs rebuilds it
-    # from t + 1 - G, which cancels: at p = 10 (u ~ 1e-8) this residual
-    # exceeds its bound although both tables are right.  rk.gprime and
-    # h_prime read G' from rk's interpolated gap, not from t + 1 - G.
-    resid = float(
-        np.max(np.abs(bes.gprime_values - gfun.g_rhs(p, bes.grid, bes.g_values)))
-    )
+    # the gap u = t + 1 - G solves u' = 1 - (p/2)^{p+1} t^{p-2} u^2; at the
+    # Bessel table's interior nodes u' is a 4th-order central difference
+    # of its closed form, whose step 3e-4 t balances truncation and rounding
+    tb, ub = bes.grid[1:-1], bes.u_values[1:-1]
+    h = 3e-4 * tb
+    um2, um1, up1, up2 = (gfun._bessel_gap(p, tb + k * h) for k in (-2, -1, 1, 2))
+    du = (8 * (up1 - um1) - (up2 - um2)) / (12 * h)
+    resid = float(np.max(np.abs(du - 1 + (p / 2) ** (p + 1) * tb ** (p - 2) * ub**2)))
     gp_min = float(np.min(rk.gprime(t)))
     s = np.linspace(1 + 1e-9, rk.s_max - 1e-9, 500)
     hs = gfun.h_of(rk, s)
@@ -182,7 +183,7 @@ def suite_mc_strip(p=2.0, seed=42, n=200_000, workers=1, **_):
         "std_error": est.std_error,
         "seed": seed,
         "bound": target,
-        "margin_sigma": abs(est.mean - target) / est.std_error,
+        "margin_sigma": est.margin_sigma(target),
         "walk_steps": est.walk_steps,
         "shell_eps": est.shell_eps,
         "censored": est.censored,

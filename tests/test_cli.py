@@ -107,6 +107,13 @@ def test_verify_mc_strip_without_a_bound_is_an_error(capsys):
     assert "1 <= p <= 2" in capsys.readouterr().err
 
 
+def test_verify_mc_strip_one_path_is_an_error(capsys):
+    # one path has no standard error: a usage error, not a traceback
+    assert cli.main(["verify", "mc-strip", "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_out_of_domain_exponent_is_usage_error(capsys):
     assert main(["verify", "u-weak", "--p", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -75,6 +75,13 @@ def test_worker_count_does_not_change_results():
         2.0, (0.0, 0.0), SimConfig(master_seed=7, n_samples=50_000, workers=3)
     )
     assert a == b
+    pairs = [
+        random_subordinate_pair_checks(
+            (0.5, 3.0), SimConfig(master_seed=7, n_samples=4_000, workers=w), n_pairs=6
+        )
+        for w in (1, 2, 3)
+    ]
+    assert pairs[0] == pairs[1] == pairs[2]
 
 
 def test_different_seeds_differ():

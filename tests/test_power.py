@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sharpmart import extremal, orth, uweak, wfun
+from sharpmart import extremal, gfun, orth, uweak, wfun
 from sharpmart.verify import run_suite
 
 
@@ -47,6 +47,19 @@ def test_u_weak_sees_one_region_shifted(monkeypatch, region):
     ok, report = run_suite("u-weak", n=2_000)
     assert not ok
     assert report["boundary_gap_scaled_max"] > 1e-10
+
+
+def test_ode_sees_a_wrong_gap(monkeypatch):
+    # a relative error of 1e-7 (t - 2/p) in the Bessel gap keeps the cross
+    # check with LSODA under its 1e-6 bound; only the gap equation sees it
+    bessel_gap = gfun._bessel_gap
+    monkeypatch.setattr(
+        gfun, "_bessel_gap", lambda p, t: bessel_gap(p, t) * (1 + 1e-7 * (t - 2 / p))
+    )
+    ok, report = run_suite("ode", p=3.0)
+    assert not ok
+    assert report["cross_method_sup"] < 1e-6
+    assert report["ode_residual_max"] > 1e-8
 
 
 def test_extremal_reports_the_p_lt1_martingales(monkeypatch):

@@ -47,7 +47,8 @@ def test_mc_strip_rejects_p_without_a_bound(p):
 
 
 def test_ode_residual_is_measured():
-    # the residual is taken on the Bessel table, whose G' is not g_rhs of G
+    # the residual is a finite difference of the Bessel closed form: small,
+    # never exactly 0
     ok, report = run_suite("ode", p=3.0)
     assert ok, report
     assert 0 < report["ode_residual_max"] < 1e-8
@@ -55,20 +56,19 @@ def test_ode_residual_is_measured():
 
 def test_ode_slopes_at_p10():
     # G' and h' come from the gap u, not from t + 1 - G (which read
-    # gprime_min 0.9999996 here); the verdict still fails on
-    # ode_residual_max, whose g_rhs side takes t + 1 - G
+    # gprime_min 0.9999996 here)
     _, report = run_suite("ode", p=10.0)
     assert report["gprime_min"] >= 1
     assert report["h_prime_max"] <= 1 + 1e-9
 
 
 @pytest.mark.parametrize(
-    "name, p", [("ode", 8.0), ("u-weak", 8.0), ("u-weak", 10.0)],
-    ids=["ode", "u-weak", "u-weak-p10"],
+    "name, p", [("ode", 8.0), ("ode", 10.0), ("u-weak", 8.0), ("u-weak", 10.0)],
+    ids=["ode", "ode-p10", "u-weak", "u-weak-p10"],
 )
 def test_large_exponent(name, p):
-    # at p = 8 the gap t + 1 - G falls to 2e-6 and the ODE for G is stiff;
-    # at p = 10 |U| reaches 1e9 on the D5/D6 edge, where the boundary gap
-    # is rounding only relative to |U|
+    # at p = 8 and 10 the gap t + 1 - G falls to 2e-6 and 1e-8, and the ODE
+    # for G is stiff; at p = 10 |U| reaches 1e9 on the D5/D6 edge, where the
+    # boundary gap is rounding only relative to |U|
     ok, report = run_suite(name, p=p, n=20_000)
     assert ok, report
