@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -124,7 +125,9 @@ def cmd_verify(args) -> int:
     p = _single_p(args)
     if p is not None:  # otherwise the suite's own default applies
         kwargs["p"] = p
-    if args.n:
+    if args.n is not None:
+        if "n" not in inspect.signature(SUITES[args.suite]).parameters:
+            raise ValueError(f"suite {args.suite!r} takes no --n")
         kwargs["n"] = args.n
     ok, report = run_suite(args.suite, **kwargs)
     report["ok"] = ok

@@ -13,7 +13,7 @@ no formula with `kp` or with the Poisson quadrature of `orth`.
 Each sample serves every exponent asked of it: `strip_exit_moments` takes
 all its moments from one set of exit points, and
 `random_subordinate_pair_checks` draws each pair once for all exponents
-(p enters only ||f||_p^p).  `strip_exit_moment` and
+(p enters only ||f||_p^p, read from the step law).  `strip_exit_moment` and
 `random_subordinate_pair_check` are their one-exponent forms.
 
 Determinism contract: strip chunk i (of fixed size) uses
@@ -152,11 +152,11 @@ def _walk_chunk(args):
 
 def _strip_exits(start, cfg: SimConfig, r_bound: float):
     """Every chunk of the walk from `start`, which must lie inside the
-    strip: x at exit, side-exit flags, and the summed jump and
-    censored-path counts."""
+    strip and the barrier: x at exit, side-exit flags, and the summed jump
+    and censored-path counts."""
     x0, y0 = float(start[0]), float(start[1])
-    if not abs(y0) < 1:
-        raise ValueError("start must satisfy |y| < 1")
+    if not (abs(y0) < 1 and abs(x0) < r_bound):  # also refuses NaN
+        raise ValueError(f"start must satisfy |y| < 1 and |x| < {r_bound}, got {start}")
     args = [
         ((cfg.master_seed, i), min(_CHUNK, cfg.n_samples - first), x0, y0, r_bound)
         for i, first in enumerate(range(0, cfg.n_samples, _CHUNK))
@@ -197,7 +197,11 @@ def strip_exit_moment(p: float, start, cfg: SimConfig) -> ExitEstimate:
 def _pair_chunk(args):
     """One random non-negative martingale f with a sign-transformed g,
     drawn once for every exponent in `ps`; returns the data the weak-type
-    ratio needs: g* and |g| at the final time, and sup_n E f_n^p per p.
+    ratio needs: g* and |g| at the final time, and ||f||_p^p per p.
+
+    ||f||_p^p = sup_n E f_n^p is read from the step law: f_n is a product of
+    n i.i.d. factors 1 + sigma xi, so E f_n^p = m_p^n with m_p = E (1 + sigma
+    xi)^p, >= 1 for p >= 1 and <= 1 for p < 1 (Jensen); the sup is max(1, m_p)^N.
 
     Each step draws its two uniforms (v's sign, then the step of f) as one
     (2, n) block, the same stream as two draws of n.  The sign and the
@@ -217,7 +221,6 @@ def _pair_chunk(args):
     f = np.ones(n_paths)
     g_final = 1.0 - 2.0 * (rng.random(n_paths) >= 0.5)  # g0 = +-f0
     g_star = np.ones(n_paths)
-    f_pp = [1.0] * len(ps)
     df = np.empty(n_paths)
     for _ in range(n_steps):
         u = rng.random((2, n_paths))
@@ -227,8 +230,8 @@ def _pair_chunk(args):
         df *= 1.0 - 2.0 * (u[0] >= 0.5)  # predictable sign v = +-1: exact
         g_final += df
         np.maximum(g_star, np.abs(g_final), out=g_star)
-        f_pp = [max(m, float(np.mean(f**p))) for m, p in zip(f_pp, ps)]
-    return g_star, np.abs(g_final), tuple(f_pp)
+    m_p = (q * (1 + sigma * a) ** p + (1 - q) * (1 - sigma * b) ** p for p in ps)
+    return g_star, np.abs(g_final), tuple(max(1.0, m) ** n_steps for m in m_p)
 
 
 def _lambda_scan(g, grid, f_pp, p, bound):
@@ -287,7 +290,9 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
 
     For each pair the ratio lambda^p P(g* >= lambda) / ||f||_p^p is scanned
     over a lambda grid; no ratio may exceed the sharp constant by more than
-    4 sigma (`_weak_type_verdict`).  The report gives the largest ratio
+    4 sigma (`_weak_type_verdict`).  ||f||_p^p is exact, read from the
+    pair's step law (`_pair_chunk`), so each row's binomial `std_error`
+    is its whole error.  The report gives the largest ratio
     (`estimate`, with its `std_error` and `ratio_excess` = ratio/bound - 1)
     and, as `margin_sigma`, the largest margin over all rows, which decides.
     Both the running-supremum and the final-time level sets are reported,

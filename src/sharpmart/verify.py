@@ -215,4 +215,6 @@ SUITES = {
 def run_suite(name: str, **kwargs):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if kwargs.get("n", 1) < 1:
+        raise ValueError(f"n must be at least 1, got {kwargs['n']}")
     return SUITES[name](**kwargs)

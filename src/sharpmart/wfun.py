@@ -12,24 +12,26 @@ import numpy as np
 __all__ = ["w_value", "w_gradient_ext", "w_tangent_check", "w_bounds_check"]
 
 
-def _check_x(x):
-    if np.any(np.asarray(x) < 0):
+def _prep(x, y):
+    """x and y as float arrays; x must be non-negative and neither NaN."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("coordinates must not be NaN")
+    if np.any(x < 0):
         raise ValueError("first coordinate must be non-negative")
+    return x, y
 
 
 def w_value(x, y):
-    _check_x(x)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _prep(x, y)
     inner = x + np.abs(y) <= 1
     val = np.where(inner, 2 * x - x**2 + y**2, 1.0)
     return val if val.ndim else float(val)
 
 
 def w_gradient_ext(x, y):
-    _check_x(x)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _prep(x, y)
     inner = x + np.abs(y) <= 1
     phi = np.where(inner, 2 - 2 * x, 0.0)
     psi = np.where(inner, 2 * y, 0.0)

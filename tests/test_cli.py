@@ -114,6 +114,16 @@ def test_verify_mc_strip_one_path_is_an_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["w", "--n", "0"], ["mc-strip", "--n", "0"], ["ode", "--n", "5"]]
+)
+def test_verify_n_is_used_or_refused(capsys, argv):
+    # --n 0 samples nothing, and ode reads no n: neither may run and pass
+    assert main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_out_of_domain_exponent_is_usage_error(capsys):
     assert main(["verify", "u-weak", "--p", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

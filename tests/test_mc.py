@@ -146,6 +146,17 @@ def test_start_outside_strip_rejected(start):
         strip_exit_moment(2.0, start, cfg)
 
 
+@pytest.mark.parametrize(
+    "start, r_bound", [((7.0, 0.2), 5.0), ((-5.0, 0.0), 5.0), ((math.nan, 0.0), math.inf)]
+)
+def test_start_outside_barrier_rejected(start, r_bound):
+    # past the barrier every path would read as a side exit at x = +-r_bound,
+    # and a NaN start would walk every path until it is censored
+    cfg = SimConfig(master_seed=1, n_samples=1000)
+    with pytest.raises(ValueError, match=r"\|x\| <"):
+        strip_exit_samples(start, cfg, r_bound=r_bound)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_strip_moments_share_one_sample(workers):
     cfg = SimConfig(master_seed=11, n_samples=40_000, workers=workers)
@@ -212,7 +223,34 @@ def test_pair_chunk_is_deterministic_and_valid():
     g_star, g_fin, (f_pp,) = a
     assert np.all(g_star >= np.abs(g_fin) - 1e-15)
     assert np.all(g_star >= 1.0)  # |g_0| = 1
-    assert f_pp >= 1.0  # running sup starts at E f_0^p = 1
+    assert f_pp >= 1.0  # f_pp = max(1, m_p)^N
+
+
+def _enumerated_f_pp(seed_pair, p):
+    """sup_{n<=N} E f_n^p by summing over the binomial count of up-steps,
+    on the law replayed from the pair's first four draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
+    n_steps = int(rng.integers(5, 26))
+    q = rng.uniform(0.2, 0.8)
+    a = rng.uniform(0.2, 1.0)
+    b = q * a / (1 - q)
+    sigma = rng.uniform(0.1, 0.9) / max(a, b)
+    up, down = (1 + sigma * a) ** p, (1 - sigma * b) ** p
+    return max(
+        sum(math.comb(n, k) * q**k * (1 - q) ** (n - k) * up**k * down ** (n - k)
+            for k in range(n + 1))
+        for n in range(n_steps + 1)
+    )
+
+
+def test_pair_chunk_f_pp_is_the_step_law_closed_form():
+    ps = (0.5, 2.0, 3.0, 6.0)
+    for j in range(24):
+        seed_pair = (11, 10_000 + j)
+        _, _, f_pps = _pair_chunk((seed_pair, 10, ps))
+        assert f_pps[0] == 1.0  # E f_n^p <= 1 for p < 1, and E f_0^p = 1
+        for p, f_pp in zip(ps, f_pps):
+            assert f_pp == pytest.approx(_enumerated_f_pp(seed_pair, p), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("p, bound", [(0.5, math.sqrt(2)), (3.0, 27 / 16)])
@@ -231,20 +269,21 @@ def test_random_pairs_respect_weak_bound(p, bound):
 
 # Reports of the kernel that drew each step's uniforms in two calls and
 # chose v and the step of f with np.where; the branch-free kernel must
-# reproduce every key bit for bit.
+# reproduce every key bit for bit.  The p = 3 entries divide by the exact
+# ||f||_p^p of each pair's step law; at p < 1 that is 1.
 _PAIRS_PINNED = {
     (7, 0.5): dict(estimate=0.9815637418878093, std_error=0.0, ratio_excess=-0.3059296219442881,
                    worst_lambda=0.9634673793887978, worst_fixed_time_ratio=0.7118057022175444,
                    margin_sigma=-50.23957652592795),
-    (7, 3.0): dict(estimate=0.6189047714923158, std_error=0.005928690990454988,
-                   ratio_excess=-0.6332416168934426, worst_lambda=1.0928201507033266,
-                   worst_fixed_time_ratio=0.33737290175333007, margin_sigma=-27.673067968360076),
+    (7, 3.0): dict(estimate=0.5975809460576958, std_error=0.005724423100531577,
+                   ratio_excess=-0.645877957891736, worst_lambda=1.0928201507033266,
+                   worst_fixed_time_ratio=0.32574901194874395, margin_sigma=-19.15561501096858),
     (8, 0.5): dict(estimate=0.9945684039719729, std_error=0.0, ratio_excess=-0.2967339371975364,
                    worst_lambda=0.9891663101793574, worst_fixed_time_ratio=0.74214687163111,
                    margin_sigma=-51.44534647506445),
-    (8, 3.0): dict(estimate=0.4102387255174076, std_error=0.004347733946392989,
-                   ratio_excess=-0.7568955700637585, worst_lambda=1.118432525376097,
-                   worst_fixed_time_ratio=0.2469633975220292, margin_sigma=-28.072743682540768),
+    (8, 3.0): dict(estimate=0.4169039737948137, std_error=0.004418372636488047,
+                   ratio_excess=-0.7529457933067771, worst_lambda=1.118432525376097,
+                   worst_fixed_time_ratio=0.2509758718632557, margin_sigma=-41.00170065010332),
 }
 
 

@@ -53,6 +53,14 @@ class TestClassify:
         assert set(np.unique(labels)) <= set(range(8))
 
 
+@pytest.mark.parametrize("fn", [classify, u_value, u_gradient_ext, is_interior])
+@pytest.mark.parametrize("pt", [(0.5, np.nan), (np.nan, 0.1), ([0.2, np.nan], 0.0)])
+def test_nan_rejected(ctx3, fn, pt):
+    # NaN fails every region predicate and would land in D7
+    with pytest.raises(ValueError, match="NaN"):
+        fn(ctx3, *pt)
+
+
 class TestValues:
     def test_pinned(self, ctx3):
         assert u_value(ctx3, 0.0, 0.0) == 0.0

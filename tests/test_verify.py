@@ -34,6 +34,12 @@ def test_unknown_suite_raises():
         run_suite("nope")
 
 
+@pytest.mark.parametrize("name", ["w", "u-weak", "mc-strip"])
+def test_suite_refuses_an_empty_sample(name):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        run_suite(name, n=0)
+
+
 def test_suite_accepts_p_override():
     ok, report = run_suite("ode", p=4.0)
     assert ok, report

@@ -43,6 +43,13 @@ class TestValues:
         with pytest.raises(ValueError):
             w_value(-0.1, 0.0)
 
+    @pytest.mark.parametrize("fn", [w_value, w_gradient_ext])
+    @pytest.mark.parametrize("pt", [(0.5, np.nan), (np.nan, 0.1), ([0.2, np.nan], 0.0)])
+    def test_nan_rejected(self, fn, pt):
+        # NaN fails the inner-triangle test and would read as W = 1
+        with pytest.raises(ValueError, match="NaN"):
+            fn(*pt)
+
 
 class TestGradient:
     @pytest.mark.parametrize(
