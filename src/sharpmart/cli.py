@@ -23,7 +23,6 @@ from . import __version__
 from .constants import kp, reference_constants, weak_constant_nonneg
 from .extremal import build_section_example, resolve_params
 from .gfun import ConstructionError
-from .orth import QuadratureError
 from .uweak import REGION_BOUNDARIES, EvaluationError, build_context
 from .verify import SUITES, run_suite
 
@@ -231,7 +230,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, ConstructionError, QuadratureError) as exc:
+    except (EvaluationError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

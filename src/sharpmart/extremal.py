@@ -114,7 +114,8 @@ class ExtremalParams:
     n_steps: int
 
     def __post_init__(self):
-        resid = self.x0 * (1 + 2 * self.delta / self.p) ** self.n_steps - 1 / self.p
+        # in log1p form: (1 + 2 delta/p)^N rounds by about N ulp
+        resid = self.x0 * math.exp(self.n_steps * math.log1p(2 * self.delta / self.p)) - 1 / self.p
         if abs(resid) > 1e-12:
             raise ValueError(f"parameters violate the ladder identity by {resid}")
 
@@ -130,7 +131,7 @@ def resolve_params(p: float, x0: float, delta_hint: float) -> ExtremalParams:
         raise ValueError("delta_hint must be positive")
     ratio = 1 / (p * x0)
     n = max(1, round(math.log(ratio) / math.log(1 + 2 * delta_hint / p)))
-    delta = (p / 2) * (ratio ** (1.0 / n) - 1)
+    delta = (p / 2) * math.expm1(math.log(ratio) / n)
     if not delta > 0:
         raise ValueError("no positive step size solves the ladder identity")
     return ExtremalParams(p, x0, delta, n)

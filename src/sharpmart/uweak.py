@@ -68,10 +68,10 @@ def build_context(p: float) -> UWContext:
 
 
 def _prep(x, y):
-    """x, y and |y| as broadcast float arrays; x must be non-negative, neither NaN."""
+    """x, y and |y| as broadcast float arrays; x finite and non-negative, y not NaN."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if np.isnan(x).any() or np.isnan(y).any():
-        raise ValueError("coordinates must not be NaN")
+    if not np.isfinite(x).all() or np.isnan(y).any():
+        raise ValueError("coordinates must not be NaN, and x must be finite")
     if np.any(x < 0):
         raise ValueError("first coordinate must be non-negative")
     return x, y, np.abs(y)

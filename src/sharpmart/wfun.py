@@ -13,11 +13,11 @@ __all__ = ["w_value", "w_gradient_ext", "w_tangent_check", "w_bounds_check"]
 
 
 def _prep(x, y):
-    """x and y as float arrays; x must be non-negative and neither NaN."""
+    """x and y as float arrays; x must be finite and non-negative, y not NaN."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.isnan(x).any() or np.isnan(y).any():
-        raise ValueError("coordinates must not be NaN")
+    if not np.isfinite(x).all() or np.isnan(y).any():
+        raise ValueError("coordinates must not be NaN, and x must be finite")
     if np.any(x < 0):
         raise ValueError("first coordinate must be non-negative")
     return x, y

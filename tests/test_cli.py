@@ -14,7 +14,6 @@ from sharpmart import __version__, cli
 from sharpmart.cli import OUT_ENV, main
 from sharpmart.constants import kp
 from sharpmart.gfun import ConstructionError
-from sharpmart.orth import QuadratureError
 from sharpmart.uweak import EvaluationError
 
 
@@ -148,7 +147,7 @@ def test_verify_missing_out_dir_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "does not exist" in err
 
 
-@pytest.mark.parametrize("error", [EvaluationError, ConstructionError, QuadratureError])
+@pytest.mark.parametrize("error", [EvaluationError, ConstructionError])
 def test_numerical_failure_exits_one(monkeypatch, capsys, error):
     def fail(name, **kwargs):
         raise error("numerical failure")

@@ -60,6 +60,17 @@ def test_params_validate_ladder_identity():
         ExtremalParams(p=3.0, x0=1 / 24, delta=1.4, n_steps=3)
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 10.0])
+@pytest.mark.parametrize("hint", [1e-4, 1e-5])
+def test_fine_ladders_resolve(p, hint):
+    # ~1e5-1e6 steps: (1 + 2 delta/p)^N would round by more than the 1e-12
+    # the identity allows; a step size off by 1e-9 relative still fails it
+    params = resolve_params(p, 1e-2, hint)
+    assert params.delta == pytest.approx(hint, rel=0.05)
+    with pytest.raises(ValueError, match="ladder identity"):
+        ExtremalParams(p, 1e-2, params.delta * (1 + 1e-9), params.n_steps)
+
+
 # ------------------------------------------------------------ atomic steps
 
 

@@ -28,7 +28,6 @@ from sharpmart.mc import (
     section_chain_mc,
     strip_exit_moment,
     strip_exit_moments,
-    strip_exit_samples,
 )
 
 SCHEMA = json.loads(
@@ -115,7 +114,7 @@ def test_start_near_barrier_exits_with_small_moment():
 
 def test_strip_exit_samples_sides():
     cfg = SimConfig(master_seed=11, n_samples=30_000)
-    xs, side = strip_exit_samples((0.0, 0.0), cfg, r_bound=5.0)
+    xs, side = mc._strip_exits((0.0, 0.0), cfg, 5.0)[:2]
     assert xs.shape == side.shape == (30_000,)
     assert np.all(np.abs(xs) <= 5.0 + 1e-12)
     # side flags the rare |x| = R exits; nearly all paths leave through |y| = 1
@@ -154,7 +153,7 @@ def test_start_outside_barrier_rejected(start, r_bound):
     # and a NaN start would walk every path until it is censored
     cfg = SimConfig(master_seed=1, n_samples=1000)
     with pytest.raises(ValueError, match=r"\|x\| <"):
-        strip_exit_samples(start, cfg, r_bound=r_bound)
+        mc._strip_exits(start, cfg, r_bound)[:2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -174,10 +173,8 @@ def test_strip_moments_share_one_sample(workers):
 @pytest.mark.parametrize("r_bound", [math.inf, 6.0])
 def test_strip_exit_samples_match_across_workers(r_bound):
     # two chunks, so the pool really splits the work
-    one, two = (
-        strip_exit_samples((0.2, 0.1), SimConfig(master_seed=4, n_samples=40_000, workers=w), r_bound)
-        for w in (1, 2)
-    )
+    cfgs = (SimConfig(master_seed=4, n_samples=40_000, workers=w) for w in (1, 2))
+    one, two = (mc._strip_exits((0.2, 0.1), cfg, r_bound)[:2] for cfg in cfgs)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
@@ -340,6 +337,15 @@ def test_pairs_verdict_fails_an_errorless_row_above_the_bound():
     margin = np.array([-10.0, np.nan])  # second row: P = 1, no binomial error
     assert not _weak_type_verdict(ratio, margin, 1.5)["passed"]
     assert _weak_type_verdict(ratio, margin, 2.0)["passed"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pairs_pass_at_a_few_paths(n):
+    # with a few paths the empirical P is often 1 far above the true P; such a
+    # row is judged at P's exact one-sided lower bound alpha^(1/n)
+    for seed in range(5):
+        reports = random_subordinate_pair_checks((0.5, 3.0), SimConfig(seed, n), n_pairs=50)
+        assert all(r["passed"] for r in reports), (seed, reports)
 
 
 def test_random_pairs_rejects_intermediate_exponents():

@@ -53,12 +53,26 @@ class TestClassify:
         assert set(np.unique(labels)) <= set(range(8))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fn", [classify, u_value, u_gradient_ext, is_interior])
-@pytest.mark.parametrize("pt", [(0.5, np.nan), (np.nan, 0.1), ([0.2, np.nan], 0.0)])
+@pytest.mark.parametrize(
+    "pt",
+    [(0.5, np.nan), (np.nan, 0.1), ([0.2, np.nan], 0.0), (np.inf, 0.1), ([0.2, np.inf], 0.0)],
+)
 def test_nan_rejected(ctx3, fn, pt):
-    # NaN fails every region predicate and would land in D7
-    with pytest.raises(ValueError, match="NaN"):
+    # NaN fails every region predicate and would land in D7; an infinite x
+    # would leave the tabulated inverse of G as a numerical failure
+    with pytest.raises(ValueError, match="NaN, and x must be finite"):
         fn(ctx3, *pt)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_y_lies_in_d0(ctx3):
+    # |y| = inf is in D0 (|y| >= 1), where U = 1 - c x^p holds no G
+    for y in (np.inf, -np.inf):
+        assert classify(ctx3, 0.5, y) == 0
+        assert u_value(ctx3, 0.5, y) == 1 - ctx3.coef * 0.5**3
+        assert u_gradient_ext(ctx3, 0.5, y) == (-3 * ctx3.coef * 0.5**2, 0.0)
 
 
 class TestValues:

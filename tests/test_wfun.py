@@ -43,12 +43,23 @@ class TestValues:
         with pytest.raises(ValueError):
             w_value(-0.1, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fn", [w_value, w_gradient_ext])
-    @pytest.mark.parametrize("pt", [(0.5, np.nan), (np.nan, 0.1), ([0.2, np.nan], 0.0)])
+    @pytest.mark.parametrize(
+        "pt",
+        [(0.5, np.nan), (np.nan, 0.1), ([0.2, np.nan], 0.0), (np.inf, 0.1), ([0.2, np.inf], 0.0)],
+    )
     def test_nan_rejected(self, fn, pt):
-        # NaN fails the inner-triangle test and would read as W = 1
-        with pytest.raises(ValueError, match="NaN"):
+        # NaN fails the inner-triangle test and would read as W = 1; so would
+        # an infinite x, after inf - inf in the other branch
+        with pytest.raises(ValueError, match="NaN, and x must be finite"):
             fn(*pt)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_y_is_outside_the_triangle(self):
+        for y in (np.inf, -np.inf):
+            assert w_value(0.5, y) == 1.0
+            assert w_gradient_ext(0.5, y) == (0.0, 0.0)
 
 
 class TestGradient:
