@@ -3,15 +3,14 @@ defining formulas.
 
 Every value is in closed form and every exponent is a plain float.  The
 Dirichlet beta function in K_p is evaluated through the Hurwitz zeta
-function, beta(s) = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4)) (DLMF 25.11).
+function, beta(s) = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4)) (DLMF 25.11);
+`scipy.special` is imported by that one function, not by this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import zeta
 
 __all__ = [
     "SharpConstant",
@@ -48,6 +47,8 @@ class SharpConstant:
 
 def _dirichlet_beta(s: float) -> float:
     """sum_{k>=0} (-1)^k (2k+1)^{-s} from two Hurwitz zeta values."""
+    from scipy.special import zeta
+
     return float(4.0**-s * (zeta(s, 0.25) - zeta(s, 0.75)))
 
 

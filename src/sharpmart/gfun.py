@@ -6,8 +6,8 @@ G solves the Riccati-type initial value problem
 
 for a fixed p > 2.  Two independent constructions are provided: an LSODA
 integration of the gap u = t + 1 - G (the primary path, one ODEPACK call
-through `odeint`) and a closed form through modified Bessel functions,
-which linearize the equation.  The closed form is a ratio of the
+through `scipy.integrate.odeint`) and a closed form through modified Bessel
+functions, which linearize the equation.  The closed form is a ratio of the
 exponentially scaled I_nu and K_nu, so it runs in double precision without
 the overflow of the unscaled basis.  Both tabulate the gap u alone, and G is
 carried by it: G = t + 1 - u and G' = (p/2)^{p+1} t^{p-2} u^2.  A value
@@ -15,6 +15,9 @@ rebuilt as t + 1 - G would lose u to cancellation once u is far below t, so
 nothing is.  The inverse h = G^{-1} is obtained by Newton steps on the cubic
 of G, read from the gap's interpolant, on the interval that holds each
 argument.
+
+Each scipy subpackage is imported by the function that calls it, so
+importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import odeint
-from scipy.interpolate import CubicHermiteSpline
-from scipy.special import ive, kve
 
 __all__ = [
     "ConstructionError",
@@ -54,6 +54,28 @@ def _slope_from_gap(p: float, t, u):
     return (p / 2) ** (p + 1) * t ** (p - 2) * u**2
 
 
+class _Hermite:
+    """C1 piecewise cubic through (x_i, y_i) with slopes m_i.
+
+    c[k, i] is the coefficient of (t - x_i)^{3-k} on [x_i, x_{i+1}], and
+    both the coefficients and the evaluation follow the arithmetic of
+    scipy's CubicHermiteSpline, so the values are the same floats.
+    """
+
+    def __init__(self, x, y, m):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (m[:-1] + m[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))
+
+    def __call__(self, t):
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        s = t - self.x[i]
+        c3, c2, c1, c0 = self.c[:, i]
+        return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+
 @dataclass(frozen=True)
 class GSolution:
     """The increasing solution G, tabulated by its gap u = t + 1 - G on
@@ -71,7 +93,7 @@ class GSolution:
     method: str
     g_values: np.ndarray = field(init=False, repr=False)
     gprime_values: np.ndarray = field(init=False, repr=False)
-    _spline: CubicHermiteSpline = field(init=False, repr=False)
+    _spline: _Hermite = field(init=False, repr=False)
 
     def __post_init__(self):
         p, t, u = self.p, self.grid, self.u_values
@@ -93,7 +115,7 @@ class GSolution:
             raise ConstructionError(f"slope < 1 at t={t[bad[0]]}")
         object.__setattr__(self, "g_values", g)
         object.__setattr__(self, "gprime_values", gp)
-        object.__setattr__(self, "_spline", CubicHermiteSpline(t, u, 1 - gp))
+        object.__setattr__(self, "_spline", _Hermite(t, u, 1 - gp))
 
     @property
     def t_max(self) -> float:
@@ -140,6 +162,8 @@ def build_g_rk(p: float, step: float = 1e-3) -> GSolution:
     purely relative because u falls to 2e-6 at p = 8 and 1e-8 at p = 10.
     A failed integration raises `ConstructionError`.
     """
+    from scipy.integrate import odeint
+
     if not p > 2:
         raise ValueError(f"requires p > 2, got {p}")
     if step > 1e-3:
@@ -165,6 +189,8 @@ _BESSEL_NODES = 300
 
 def _bessel_log_derivative(nu: float, z, e):
     """w'/w for w = I_nu(z) + c K_nu(z), with the scaled weight e = c e^{-2z}."""
+    from scipy.special import ive, kve
+
     return nu / z + (ive(nu + 1, z) - e * kve(nu + 1, z)) / (ive(nu, z) + e * kve(nu, z))
 
 
@@ -179,6 +205,8 @@ def _bessel_gap(p: float, t):
     the scaled K part at z0 = z(2/p) is fixed by u(2/p) = 2/p, which is
     k'/k = p^2/4 there.
     """
+    from scipy.special import ive, kve
+
     t = np.asarray(t, dtype=float)
     nu = (p - 1) / p
     beta = (p / 2) ** ((p - 1) / 2)

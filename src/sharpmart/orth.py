@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,22 @@ class OrthContext:
         return kp(self.p).value
 
 
+def _points(x, y):
+    """x and y as broadcast float arrays; ValueError unless x is finite and
+    y is not NaN (an infinite y lies outside the strip)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not np.isfinite(x).all() or np.isnan(y).any():
+        raise ValueError("requires points (x, y) with finite x and y not NaN")
+    return x, y
+
+
 def u_orth(ctx: OrthContext, x, y):
     """Harmonic extension of |t|^p from the edges y = +-1 of the strip.
 
     x and y broadcast; a float for scalar input.  x must be finite and y
-    not NaN; an infinite y lies outside the strip.
+    not NaN; an infinite y lies outside the strip.  Inside the strip the
+    integrand reaches (2|x| + 30)^p, so a point where that is not a finite
+    double (|x| > 6.7e153 at p = 2) is refused, not answered NaN.
 
     The strip's Poisson kernel for both edges together (Widder 1961) is
     P(d) = (c/2) cosh(pi d/2) / (sinh^2(pi d/2) + c^2), c = cos(pi y/2).
@@ -75,13 +87,16 @@ def u_orth(ctx: OrthContext, x, y):
     8, up to 9e-10 at x ~ 0, 1 - |y| ~ 0.02).  Summing panel by panel keeps
     temporaries at (points x 16).
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if not np.isfinite(x).all() or np.isnan(y).any():
-        raise ValueError("requires points (x, y) with finite x and y not NaN")
+    x, y = _points(x, y)
     p = ctx.p
     u = np.asarray(np.abs(x) ** p)
     inside = np.abs(y) < 1
     a = np.abs(x[inside])[:, None]
+    limit = (sys.float_info.max ** (1 / p) - 30) / 2  # (2 limit + 30)^p is finite
+    if np.max(a, initial=0.0) > limit:
+        raise ValueError(
+            f"requires (2|x| + 30)^p finite inside the strip: |x| <= {limit:.4g} at p = {p}"
+        )
     ap = u[inside][:, None]
     c = np.sin(np.pi / 2 * (1 - np.abs(y[inside])))[:, None]  # cos(pi y/2), exact as |y| -> 1
     r = np.sqrt(a)
@@ -101,8 +116,8 @@ def u_orth(ctx: OrthContext, x, y):
 
 def v_orth(ctx: OrthContext, x, y):
     """Majorized payoff: indicator of |y| >= 1 minus K_p^p |x|^p; x and y
-    broadcast, a float for scalar input."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    broadcast, a float for scalar input, with the input check of `u_orth`."""
+    x, y = _points(x, y)
     val = (np.abs(y) >= 1).astype(float) - ctx.kp_value**ctx.p * np.abs(x) ** ctx.p
     return val if val.ndim else float(val)
 

@@ -11,8 +11,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
+from scipy.interpolate import CubicHermiteSpline
 
-from sharpmart import gfun
 from sharpmart.gfun import (
     ConstructionError,
     GSolution,
@@ -165,16 +166,31 @@ class TestInverseLookup:
         assert float(np.max(np.abs(h_of(rk, s) - _h_newton_on_spline(rk, s)))) <= 1e-13
 
 
+class TestSplineAgainstScipy:
+    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
+    @pytest.mark.parametrize("p", [3.0, 10.0])
+    def test_hermite_matches_cubic_hermite_spline(self, build, p):
+        # the gap spline is numpy's own; scipy's on the same (t, u, 1 - G')
+        # is the reference, on the nodes, both ends and 1e4 points between
+        sol = build(p)
+        ref = CubicHermiteSpline(sol.grid, sol.u_values, 1 - sol.gprime_values)
+        t = np.concatenate([sol.grid, np.random.default_rng(5).uniform(2 / p, 10.0, 10_000)])
+        want = ref(t)
+        assert np.all(np.abs(sol.gap(t) - want) <= 4 * np.spacing(np.abs(want)))
+        assert np.all(np.abs(sol._spline.c - ref.c) <= 4 * np.spacing(np.abs(ref.c)))
+
+
 class TestErrors:
     def test_failed_integration_is_a_construction_error(self, monkeypatch):
-        odeint = gfun.odeint
+        # build_g_rk imports odeint when it is called, so patch it at scipy
+        odeint = scipy.integrate.odeint
 
         def failing(*args, **kwargs):
             u, info = odeint(*args, **kwargs)
             info["message"] = "Excess work done on this call (perhaps wrong Dfun type)."
             return u, info
 
-        monkeypatch.setattr(gfun, "odeint", failing)
+        monkeypatch.setattr(scipy.integrate, "odeint", failing)
         with pytest.raises(ConstructionError, match="LSODA failed: Excess work"):
             build_g_rk(3.0)
 

@@ -210,3 +210,20 @@ class TestErrors:
         # an infinite y lies outside the strip
         assert u_orth(ctx, 0.5, math.inf) == 0.5**1.5
         assert u_orth(ctx, 0.5, -math.inf) == 0.5**1.5
+
+    def test_payoff_point_outside_the_domain(self):
+        # v_orth shares u_orth's input check
+        ctx = OrthContext(1.5)
+        for x, y in [(math.nan, 0.0), (math.inf, 0.5), (0.3, math.nan), ([0.2, -math.inf], 0.5)]:
+            with pytest.raises(ValueError, match="finite x"):
+                v_orth(ctx, x, y)
+        assert v_orth(ctx, 0.5, math.inf) == 1 - kp(1.5).value ** 1.5 * 0.5**1.5
+
+    def test_integrand_overflow_is_refused(self):
+        # inside the strip the integrand reaches (2|x| + 30)^p; at p = 2 that
+        # overflows past |x| ~ 6.7e153, where U ~ x^2 is still finite
+        ctx = OrthContext(2.0)
+        with pytest.raises(ValueError, match=r"\(2\|x\| \+ 30\)\^p finite"):
+            u_orth(ctx, 7.2e153, 0.5)
+        x = 6e153
+        assert u_orth(ctx, x, 0.5) == pytest.approx(x * x + 1 - 0.25, rel=1e-14, abs=0)

@@ -49,6 +49,18 @@ def test_u_weak_sees_one_region_shifted(monkeypatch, region):
     assert report["boundary_gap_scaled_max"] > 1e-10
 
 
+@pytest.mark.parametrize("factor", [1 - 1e-2, 1 + 1e-2])
+@pytest.mark.parametrize("p", [3.0, 6.0])
+def test_u_weak_sees_the_constant_off_by_one_percent(monkeypatch, p, factor):
+    # unscaled, the scaled boundary gap is 1.2e-14 at p = 3 and 4.5e-14 at
+    # p = 6; off by 1 %, it is 5.0e-3 and 4.0e-3
+    constant = uweak.weak_constant_pth_power
+    monkeypatch.setattr(uweak, "weak_constant_pth_power", lambda q: factor * constant(q))
+    ok, report = run_suite("u-weak", p=p, n=2_000)
+    assert not ok
+    assert report["boundary_gap_scaled_max"] > 1e-3
+
+
 def test_ode_sees_a_wrong_gap(monkeypatch):
     # a relative error of 1e-7 (t - 2/p) in the Bessel gap keeps the cross
     # check with LSODA under its 1e-6 bound; only the gap equation sees it
