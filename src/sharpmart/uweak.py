@@ -11,6 +11,12 @@ Hessian formula of each region on that region's points; values, U_x, U_xx
 and U_yy are even in y, U_y and U_xy odd.  Every public evaluator broadcasts
 x against y and returns arrays of the broadcast shape, or Python scalars
 (int labels, float values, bool verdicts) when both are scalars.
+
+A point is interior when its label survives the four moves of x or y by
+tol.  A move shifts the slack of each region inequality by at most tol times
+a bound (h' in (0, 1] bounds those that read h), so `is_interior` moves and
+classifies again only the points whose slack over bound lies in a band of
+2 tol + 1e-12; every other point keeps its label.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ __all__ = [
     "u_second_derivs",
     "is_interior",
     "tangent_check",
-    "diagonal_monotone_check",
     "majorization_check",
     "REGION_BOUNDARIES",
 ]
@@ -291,18 +296,55 @@ def u_gradient_ext(ctx: UWContext, x, y):
     return _by_region(ctx, x, y, _gradient, (False, True))
 
 
-def _stable(ctx, x, y, base, tol):
-    """True where the labels `base` of (x, y) survive tol-sized moves."""
+def _stable(ctx, x, y, Y, base, hs, tol):
+    """True where the labels `base` of (x, y) survive the four moves by tol.
+    Only the points where some inequality `_regions` tests has a slack over
+    bound within the band are moved; a NaN h, read by no predicate, flags none.
+    s - 1 is also the slack of Y < 1 - x, and s_max - s keeps the table-end
+    error of a move."""
+    p, s = ctx.p, x + Y
+    band = 2 * tol + 1e-12
+    near = np.zeros(x.shape, dtype=bool)
+    for slack, bound in (
+        (Y - 1, 1),
+        (Y - (p - 1) * x, p - 1),
+        (x + 1 - 2 / p - Y, 1),
+        (Y - (p - 2) / 2 * x, max(1, (p - 2) / 2)),
+        (s - 1, 1),
+        (ctx.g.s_max - s, 1),
+        (hs - x, 2),
+        (x - (hs + s - 1) / 2, 2),
+        (Y - (1 - hs + s) / 2, 2),
+    ):
+        near |= np.abs(slack) <= band * bound
+    xn, yn, bn = x[near], y[near], base[near]
     ok = np.ones(x.shape, dtype=bool)
-    for dx, dy in ((tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol)):
-        ok &= _regions(ctx, np.maximum(x + dx, 0.0), np.abs(y + dy))[0] == base
+    ok[near] = np.logical_and.reduce(
+        [
+            _regions(ctx, np.maximum(xn + dx, 0.0), np.abs(yn + dy))[0] == bn
+            for dx, dy in ((tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol))
+        ]
+    )
     return ok
 
 
 def is_interior(ctx: UWContext, x, y, tol: float = 1e-8):
-    """True where the classification is stable under tol-sized perturbations."""
+    """True where the classification is stable under the four moves of x or
+    y by tol.
+
+    A move shifts each region inequality's slack by at most tol times its
+    bound: 1, p - 1, max(1, (p - 2)/2), or 2 where it reads h = h(x+|y|),
+    as h' lies in (0, 1].  A point whose every slack over its bound exceeds
+    the band 2 tol + 1e-12 (the floor lies above h's 1e-13 Newton tolerance
+    and the predicates' rounding) keeps its label; only the points inside
+    the band are moved and classified again, so the verdict is the one
+    moving every point gives, table-end `EvaluationError` included.
+    """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     x, y, Y = _prep(x, y)
-    ok = _stable(ctx, x, y, _regions(ctx, x, Y)[0], tol)
+    labels, hs = _regions(ctx, x, Y)
+    ok = _stable(ctx, x, y, Y, labels, hs, tol)
     return ok if ok.ndim else bool(ok)
 
 
@@ -311,7 +353,7 @@ def u_second_derivs(ctx: UWContext, x, y):
     The points are classified once, for the interior test and the formulas."""
     x, y, Y = _prep(x, y)
     labels, hs = _regions(ctx, x, Y)
-    bad = np.flatnonzero(np.logical_not(_stable(ctx, x, y, labels, 1e-8)))
+    bad = np.flatnonzero(np.logical_not(_stable(ctx, x, y, Y, labels, hs, 1e-8)))
     if bad.size:
         raise EvaluationError(
             f"second derivatives undefined at region boundary point index {bad[0]}"
@@ -331,17 +373,6 @@ def tangent_check(ctx: UWContext, x, y, h, k, slack: float = 1e-9):
     rhs = u + phi * h + psi * k + slack
     ok = lhs <= rhs
     return ok if np.ndim(ok) else bool(ok)
-
-
-def diagonal_monotone_check(ctx: UWContext, x, y, t_grid, slack: float = 1e-9):
-    """phi - psi sampled along the diagonal (x+t, y+t) is non-increasing."""
-    t = np.sort(np.asarray(t_grid, dtype=float))
-    xs, ys = x + t, y + t
-    if np.any(xs < 0) or np.any(np.abs(ys) >= 1):
-        raise ValueError("diagonal segment must satisfy x+t >= 0, |y+t| < 1")
-    phi, psi = u_gradient_ext(ctx, xs, ys)
-    H = phi - psi
-    return bool(np.all(np.diff(H) <= slack))
 
 
 def majorization_check(ctx: UWContext, x, y, slack: float = 1e-10):

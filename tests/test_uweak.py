@@ -11,7 +11,6 @@ from sharpmart.uweak import (
     EvaluationError,
     build_context,
     classify,
-    diagonal_monotone_check,
     is_interior,
     majorization_check,
     tangent_check,
@@ -174,15 +173,75 @@ class TestIsInterior:
 
     def test_second_derivs_classify_once(self, ctx3, monkeypatch):
         # the unperturbed points are classified once, for the interior test
-        # and the formulas; the other four classifications are the moves
-        calls = []
+        # and the formulas; the other four classifications are the moves,
+        # and they see only the points near a region boundary
+        sizes = []
         regions = uweak._regions
-        monkeypatch.setattr(uweak, "_regions", lambda *a: calls.append(1) or regions(*a))
+        monkeypatch.setattr(
+            uweak, "_regions", lambda ctx, x, Y: sizes.append(x.size) or regions(ctx, x, Y)
+        )
         x, y = _random_points(ctx3, 2000, seed=3)
         inner = is_interior(ctx3, x, y)
-        calls.clear()
+        sizes.clear()
         u_second_derivs(ctx3, x[inner], y[inner])
-        assert len(calls) == 5
+        assert len(sizes) == 5
+        assert sizes[0] == np.count_nonzero(inner) > 1900
+        assert max(sizes[1:]) <= 5
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_bad_tol_rejected(self, ctx3, tol):
+        # no band can be drawn: NaN flags no point, inf every one, and below 0 none
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            is_interior(ctx3, [0.3, 0.5, 1.2], [0.1, 0.9, 0.5], tol=tol)
+
+    def test_zero_tol_is_interior_everywhere(self, ctx3):
+        x = np.array([0.3, 0.5, 1.2, 0.3, 0.0])
+        y = np.array([0.1, 0.9, 0.5, 1.0, 0.0])
+        assert np.all(is_interior(ctx3, x, y, tol=0.0))
+
+
+def _interior_by_moves(ctx, x, y, tol):
+    """The definition: the label survives each of the four moves by tol."""
+    base = classify(ctx, x, y)
+    ok = np.ones(base.shape, dtype=bool)
+    for dx, dy in ((tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol)):
+        ok &= classify(ctx, np.maximum(x + dx, 0.0), y + dy) == base
+    return ok
+
+
+class TestInteriorBand:
+    # is_interior moves only the points inside a band around the region
+    # boundaries; on and around every boundary, the curved D5/D6 and D5/D7
+    # edges included, it must agree with moving every point
+    OFFSETS = np.array([0, 0.5, -0.5, 1, -1, 2, -2, 4, -4, 8, -8])
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 10.0])
+    def test_matches_the_definition(self, p):
+        ctx = build_context(p)
+        rng = np.random.default_rng(int(4 * p))
+        curves = REGION_BOUNDARIES(ctx, 60)
+        bx = np.concatenate([c[2] for c in curves])
+        by = np.concatenate([c[3] for c in curves])
+        for tol in (1e-8, 2e-5, 5e-4, 1e-3):
+            d = np.multiply.outer(self.OFFSETS * tol, np.ones_like(bx))
+            x = np.concatenate([np.maximum(bx + d, 0).ravel(), np.tile(bx, d.shape[0])])
+            y = np.concatenate([np.tile(by, d.shape[0]), (by + d).ravel()])
+            y = np.where(rng.random(y.size) < 0.5, y, -y)
+            x = np.concatenate([x, rng.uniform(0, 2, 5000)])
+            y = np.concatenate([y, rng.uniform(-1.5, 1.5, 5000)])
+            want = _interior_by_moves(ctx, x, y, tol)
+            assert 0 < np.count_nonzero(~want) < x.size
+            assert np.array_equal(is_interior(ctx, x, y, tol=tol), want), (p, tol)
+
+    def test_end_of_table_still_raises(self, ctx3):
+        # a point just inside the table whose move by tol leaves it
+        s_max = ctx3.g.s_max
+        x, y = s_max - 0.5 - 1e-9, 0.5
+        assert classify(ctx3, x, y) == 7
+        for fn in (is_interior, _interior_by_moves):
+            with pytest.raises(EvaluationError, match="beyond tabulated inverse domain"):
+                fn(ctx3, np.array([x]), np.array([y]), 1e-8)
+        assert is_interior(ctx3, x - 1e-6, y)
 
 
 class TestBoundaryContinuity:
@@ -317,11 +376,18 @@ class TestTangent:
             tangent_check(ctx3, 0.2, 0.0, 0.1, 0.2)
 
 
+def _diagonal_slope_gap(ctx, x, y, t):
+    """phi - psi along the diagonal segment (x + t, y + t)."""
+    phi, psi = u_gradient_ext(ctx, x + t, y + t)
+    return phi - psi
+
+
 class TestDiagonalMonotone:
+    # phi - psi is non-increasing along every diagonal segment in the strip
     def test_deep_region_segment(self, ctx3):
         # far right of the strip psi vanishes and phi decreases in x
         t = np.linspace(0, 0.3, 50)
-        assert diagonal_monotone_check(ctx3, 3.0, 0.1, t)
+        assert np.all(np.diff(_diagonal_slope_gap(ctx3, 3.0, 0.1, t)) <= 1e-9)
 
     def test_random_segments(self, ctx3):
         rng = np.random.default_rng(9)
@@ -330,7 +396,7 @@ class TestDiagonalMonotone:
             y = rng.uniform(-0.9, 0.5)
             span = rng.uniform(0.01, min(0.4, 0.99 - y))
             t = np.linspace(0, span, 20)
-            assert diagonal_monotone_check(ctx3, x, y, t)
+            assert np.all(np.diff(_diagonal_slope_gap(ctx3, x, y, t)) <= 1e-9)
 
 
 class TestMajorization:
