@@ -13,6 +13,7 @@ import inspect
 import io
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -29,12 +30,23 @@ from .verify import SUITES, run_suite
 OUT_ENV = "SHARPMART_OUT"
 
 
+def _scipy_version() -> str:
+    """scipy's version from its package metadata: a manifest imports no
+    scipy module, and `import sharpmart.cli` not even the metadata reader."""
+    from importlib.metadata import version
+
+    return version("scipy")
+
+
 @dataclass
 class RunManifest:
     command: str
     parameters: dict
     seed: int
     artifact_version: str = field(default_factory=lambda: __version__)
+    python: str = field(default_factory=platform.python_version)
+    numpy: str = field(default_factory=lambda: np.__version__)
+    scipy: str = field(default_factory=_scipy_version)
     timestamp: str = field(
         default_factory=lambda: time.strftime(
             "%Y-%m-%dT%H:%M:%SZ",

@@ -5,12 +5,15 @@ order, with |y| throughout); U is defined by a separate closed form on each
 region, two of which involve the auxiliary function G (D6 reads it only
 through its gap u = t + 1 - G, never as a difference) and its inverse h.
 The gradient and all three second derivatives are closed forms per region
-as well.  One dispatcher, `_by_region`, classifies each point once, keeps
-the h(x+|y|) that classification computed, and runs the value, gradient or
-Hessian formula of each region on that region's points; values, U_x, U_xx
+as well.  One helper, `_classified`, prepares and classifies a point set
+once and keeps the h(x+|y|) that classification computed; every evaluator
+reads its result, and the dispatcher `_dispatch` runs the value, gradient or
+Hessian formula of each region on that region's points.  Values, U_x, U_xx
 and U_yy are even in y, U_y and U_xy odd.  Every public evaluator broadcasts
 x against y and returns arrays of the broadcast shape, or Python scalars
 (int labels, float values, bool verdicts) when both are scalars.
+`verify u-weak` reads all of its checks on one sample from one
+classification, through `_sample_checks`.
 
 A point is interior when its label survives the four moves of x or y by
 tol.  A move shifts the slack of each region inequality by at most tol times
@@ -45,6 +48,12 @@ __all__ = [
 ]
 
 N_REGIONS = 8
+
+# the tolerances of the property checks, each set once for the public checks
+# and for `_sample_checks`
+_INTERIOR_TOL = 1e-8
+_TANGENT_SLACK = 1e-9
+_MAJORIZATION_SLACK = 1e-10
 
 
 class EvaluationError(RuntimeError):
@@ -116,10 +125,16 @@ def _regions(ctx, x, Y):
     return np.select(list(d04) + [d5, d6], [0, 1, 2, 3, 4, 5, 6], default=7), hs
 
 
+def _classified(ctx, x, y):
+    """(x, y, |y|, labels, h): the points prepared by `_prep` and classified
+    once by `_regions`, for every evaluator that reads them to share."""
+    x, y, Y = _prep(x, y)
+    return (x, y, Y, *_regions(ctx, x, Y))
+
+
 def classify(ctx: UWContext, x, y):
     """Region index 0..7 per point; predicates tested in index order."""
-    x, _, Y = _prep(x, y)
-    labels, _ = _regions(ctx, x, Y)
+    labels = _classified(ctx, x, y)[3]
     return labels if labels.ndim else int(labels)
 
 
@@ -127,8 +142,7 @@ def _by_region(ctx, x, y, formula, odd):
     """`formula(ctx, r, x, |y|, h)` on each region r's points, each point
     classified once.  `odd` flags, per component of the result, those that
     change sign where y < 0.  One array per component, floats for scalars."""
-    x, y, Y = _prep(x, y)
-    return _dispatch(ctx, x, y, Y, *_regions(ctx, x, Y), formula, odd)
+    return _dispatch(ctx, *_classified(ctx, x, y), formula, odd)
 
 
 def _dispatch(ctx, x, y, Y, labels, hs, formula, odd):
@@ -328,7 +342,7 @@ def _stable(ctx, x, y, Y, base, hs, tol):
     return ok
 
 
-def is_interior(ctx: UWContext, x, y, tol: float = 1e-8):
+def is_interior(ctx: UWContext, x, y, tol: float = _INTERIOR_TOL):
     """True where the classification is stable under the four moves of x or
     y by tol.
 
@@ -342,26 +356,34 @@ def is_interior(ctx: UWContext, x, y, tol: float = 1e-8):
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    x, y, Y = _prep(x, y)
-    labels, hs = _regions(ctx, x, Y)
-    ok = _stable(ctx, x, y, Y, labels, hs, tol)
+    ok = _stable(ctx, *_classified(ctx, x, y), tol)
     return ok if ok.ndim else bool(ok)
 
 
 def u_second_derivs(ctx: UWContext, x, y):
     """(U_xx, U_xy, U_yy) on region interiors; errors on boundary points.
     The points are classified once, for the interior test and the formulas."""
-    x, y, Y = _prep(x, y)
-    labels, hs = _regions(ctx, x, Y)
-    bad = np.flatnonzero(np.logical_not(_stable(ctx, x, y, Y, labels, hs, 1e-8)))
+    pts = _classified(ctx, x, y)
+    bad = np.flatnonzero(np.logical_not(_stable(ctx, *pts, _INTERIOR_TOL)))
     if bad.size:
         raise EvaluationError(
             f"second derivatives undefined at region boundary point index {bad[0]}"
         )
-    return _dispatch(ctx, x, y, Y, labels, hs, _hessian, (False, True, False))
+    return _dispatch(ctx, *pts, _hessian, (False, True, False))
 
 
-def tangent_check(ctx: UWContext, x, y, h, k, slack: float = 1e-9):
+def _tangent(ctx, x, y, h, k, u, phi, psi, slack):
+    """U(x+h, y+k) <= u + phi*h + psi*k + slack, given U and its extended
+    gradient (phi, psi) at (x, y)."""
+    return u_value(ctx, x + h, y + k) <= u + phi * h + psi * k + slack
+
+
+def _majorized(ctx, x, y, u, slack):
+    """u >= V(x, y) - slack, given u = U(x, y)."""
+    return u >= v_value(ctx, x, y) - slack
+
+
+def tangent_check(ctx: UWContext, x, y, h, k, slack: float = _TANGENT_SLACK):
     """U(x+h, y+k) <= U(x,y) + phi*h + psi*k, for jumps with |k| <= |h|."""
     x, y, h, k = (np.asarray(a, dtype=float) for a in (x, y, h, k))
     if np.any(x < 0) or np.any(x + h < 0):
@@ -369,15 +391,33 @@ def tangent_check(ctx: UWContext, x, y, h, k, slack: float = 1e-9):
     if np.any(np.abs(k) > np.abs(h) + 1e-15):
         raise ValueError("requires |k| <= |h|")
     u, phi, psi = _by_region(ctx, x, y, _value_gradient, (False, False, True))
-    lhs = u_value(ctx, x + h, y + k)
-    rhs = u + phi * h + psi * k + slack
-    ok = lhs <= rhs
+    ok = _tangent(ctx, x, y, h, k, u, phi, psi, slack)
     return ok if np.ndim(ok) else bool(ok)
 
 
-def majorization_check(ctx: UWContext, x, y, slack: float = 1e-10):
-    ok = u_value(ctx, x, y) >= v_value(ctx, x, y) - slack
+def majorization_check(ctx: UWContext, x, y, slack: float = _MAJORIZATION_SLACK):
+    ok = _majorized(ctx, x, y, u_value(ctx, x, y), slack)
     return ok if np.ndim(ok) else bool(ok)
+
+
+def _sample_checks(ctx, x, y, h, k):
+    """The checks of `verify u-weak` on one sample of points (x, y), float
+    arrays, with jumps (h, k) that keep x + h >= 0 and |k| <= |h|, from one
+    classification of the sample: the tangent and majorization verdicts per
+    point, the interior mask, (U_xx, U_xy, U_yy) on the interior points, and
+    U_y at (x, |y|).  The tolerances and slacks are the public checks'
+    defaults."""
+    pts = _classified(ctx, x, y)
+    u, phi, psi = _dispatch(ctx, *pts, _value_gradient, (False, False, True))
+    inter = _stable(ctx, *pts, _INTERIOR_TOL)
+    hess = _dispatch(ctx, *(a[inter] for a in pts), _hessian, (False, True, False))
+    return (
+        _tangent(ctx, x, y, h, k, u, phi, psi, _TANGENT_SLACK),
+        _majorized(ctx, x, y, u, _MAJORIZATION_SLACK),
+        inter,
+        hess,
+        psi * np.where(y < 0, -1.0, 1.0),  # psi is odd in y: exact
+    )
 
 
 def _boundary_curves(ctx, n: int):

@@ -123,6 +123,16 @@ def test_verify_n_is_used_or_refused(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_verify_u_weak_small_n_runs(capsys, n):
+    # below n = 10 the diagonal sample still has one point, so --n is used as
+    # given rather than ending in an empty reduction
+    assert main(["verify", "u-weak", "--n", str(n)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True and report["n"] == n
+    assert 1 <= report["n_interior"] <= n
+
+
 def test_verify_out_of_domain_exponent_is_usage_error(capsys):
     assert main(["verify", "u-weak", "--p", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -199,6 +209,19 @@ def test_figures_regions_to_dir(tmp_path, capsys):
     assert manifest["command"] == "figures"
     assert manifest["artifact_version"] == __version__
     assert manifest["parameters"]["p"] == 3.0
+
+
+def test_manifest_records_library_versions(tmp_path):
+    import platform
+
+    import numpy as np
+    import scipy
+
+    assert main(["verify", "ode", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "verify_ode.json.manifest.json").read_text())
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
 
 
 def test_figures_trajectories_default_parameters(tmp_path):

@@ -4,6 +4,7 @@ refuse it), so a suite cannot pass having checked nothing."""
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sharpmart import extremal, gfun, orth, uweak, wfun
@@ -97,3 +98,14 @@ def test_u_orth_sees_the_p2_closed_form(monkeypatch, n):
     assert not ok
     assert report["closed_form_gap"] > report["tol"]
     assert report["center_identity"] <= report["tol"]
+
+
+def test_u_weak_fails_with_no_interior_point(monkeypatch):
+    # with every point flagged a boundary point the Hessian form is read
+    # nowhere: the verdict is False, not a numpy error on an empty array
+    monkeypatch.setattr(uweak, "_stable", lambda ctx, x, *_: np.zeros(x.shape, dtype=bool))
+    ok, report = run_suite("u-weak", n=2_000)
+    assert not ok
+    assert report["n_interior"] == 0
+    assert report["hessian_form_max"] is None
+    assert report["tangent_ok"] and report["majorization_ok"]

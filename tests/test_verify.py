@@ -1,8 +1,10 @@
 """Every named verification suite must pass at a fixed seed."""
 
+import numpy as np
 import pytest
 
-from sharpmart.verify import SUITES, run_suite
+from sharpmart import uweak
+from sharpmart.verify import SUITES, _sample_strip, run_suite
 
 # smaller sample sizes than the suite defaults: this file checks wiring and
 # that the properties hold, not tight statistical power
@@ -78,3 +80,68 @@ def test_large_exponent(name, p):
     # boundary gap is rounding only relative to |U|
     ok, report = run_suite(name, p=p, n=20_000)
     assert ok, report
+
+
+def _u_weak_by_public_checks(p, seed, n):
+    """`verify u-weak` composed of the public checks, each of which
+    classifies the sample again: the oracle of the one-classification suite."""
+    ctx = uweak.build_context(p)
+    rng = np.random.default_rng(seed)
+    report = {"suite": "u-weak", "p": p, "n": n}
+    gaps, scaled = [], []
+    for ra, rb, bx, by in uweak.REGION_BOUNDARIES(ctx, max(200, n // 50)):
+        va = uweak.u_branch(ctx, ra, bx, by)
+        vb = uweak.u_branch(ctx, rb, bx, by)
+        gap = np.abs(va - vb)
+        gaps.append(float(np.max(gap)))
+        scaled.append(float(np.max(gap / np.maximum(1, np.maximum(np.abs(va), np.abs(vb))))))
+    report["boundary_gap_max"] = max(gaps)
+    report["boundary_gap_scaled_max"] = max(scaled)
+
+    x, y = _sample_strip(rng, n, x_hi=1.8)
+    h = rng.uniform(-1.0, 1.0, n)
+    h = np.maximum(h, -x)
+    k = h * rng.uniform(-1.0, 1.0, n)
+    report["tangent_ok"] = bool(np.all(uweak.tangent_check(ctx, x, y, h, k)))
+
+    inter = uweak.is_interior(ctx, x, y)
+    xi, yi = x[inter], y[inter]
+    uxx, uxy, uyy = uweak.u_second_derivs(ctx, xi, yi)
+    hh = rng.uniform(-1.0, 1.0, xi.size)
+    kk = hh * rng.uniform(-1.0, 1.0, xi.size)
+    form = uxx * hh**2 + 2 * uxy * hh * kk + uyy * kk**2
+    report["hessian_form_max"] = float(np.max(form))
+
+    report["majorization_ok"] = bool(np.all(uweak.majorization_check(ctx, x, y)))
+    xd = rng.uniform(0.0, 0.99, n // 10)
+    diag = uweak.u_value(ctx, xd, xd)
+    report["diagonal_nonpos_max"] = float(np.max(diag))
+    phi, psi = uweak.u_gradient_ext(ctx, x, np.abs(y))
+    report["u_y_min_upper_half"] = float(np.min(psi))
+    return report
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("p", [2.5, 3.0, 6.0, 10.0])
+def test_u_weak_matches_the_public_checks(p, seed):
+    # one classification of the sample gives the very numbers the public
+    # checks give, each classifying it again
+    ok, report = run_suite("u-weak", p=p, seed=seed, n=5_000)
+    assert ok, report
+    assert 0 < report.pop("n_interior") <= 5_000
+    assert report == _u_weak_by_public_checks(p, seed, 5_000)
+
+
+def test_u_weak_classifies_its_sample_once(monkeypatch):
+    # the sample once, the four interior moves, the shifted points of the
+    # tangent check and the diagonal: seven classifications
+    seen = []
+    regions = uweak._regions
+    monkeypatch.setattr(
+        uweak, "_regions", lambda ctx, x, Y: seen.append((x.copy(), Y.copy())) or regions(ctx, x, Y)
+    )
+    ok, _ = run_suite("u-weak", p=3.0, seed=0, n=2_000)
+    assert ok
+    x, y = _sample_strip(np.random.default_rng(0), 2_000, x_hi=1.8)
+    assert sum(np.array_equal(sx, x) and np.array_equal(sY, np.abs(y)) for sx, sY in seen) == 1
+    assert len(seen) == 7
