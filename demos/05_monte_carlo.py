@@ -9,11 +9,9 @@ Run:  python3 demos/05_monte_carlo.py     (about 2 seconds)
 """
 
 from sharpmart import SimConfig, kp
-from sharpmart.extremal import resolve_params
 from sharpmart.mc import (
     harmonic_rectangle_check,
     random_subordinate_pair_checks,
-    section_chain_mc,
     strip_exit_moments,
 )
 
@@ -38,11 +36,6 @@ small = SimConfig(master_seed=5, n_samples=10_000)
 for r in random_subordinate_pair_checks((0.5, 3.0), small, n_pairs=100):
     print(f"  p = {r['p']}: worst empirical ratio {r['estimate']:.4f} "
           f"vs bound {r['bound']:.4f} (passed: {r['passed']})")
-
-print("\nPathwise sampling of the extremal chain matches the exact atoms:")
-r = section_chain_mc(resolve_params(3.0, 1 / 24, 1.5), SimConfig(9, 500_000))
-print(f"  P(Y reaches 1): {r['prob_estimate']:.5f} vs exact {r['prob_exact']:.5f} "
-      f"({r['prob_margin_sigma']:.2f} sigma)")
 
 print("\nRectangle check for the harmonic pair u = x, v = y (R = 20):")
 r = harmonic_rectangle_check(2.0, 20.0, SimConfig(13, 100_000))

@@ -196,23 +196,18 @@ class RatioReport:
     prob: float
     moment: float
     ratio: float
-    primed_prob: float
-    primed_moment: float
     primed_ratio: float
 
 
 def _ratio_report(p, x0, prob, moment) -> RatioReport:
     """The report for an exit probability and final moment; the primed
-    quantities normalize X_0 = x0 by 1 - (p-2) x0."""
-    scale = (1 - (p - 2) * x0) ** p
+    ratio normalizes X_0 = x0 by 1 - (p-2) x0."""
     prob, moment = float(prob), float(moment)
     return RatioReport(
         prob=prob,
         moment=moment,
         ratio=prob / moment,
-        primed_prob=prob,
-        primed_moment=moment / scale,
-        primed_ratio=prob * scale / moment,
+        primed_ratio=prob * (1 - (p - 2) * x0) ** p / moment,
     )
 
 

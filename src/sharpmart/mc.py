@@ -1,8 +1,8 @@
 """Seeded Monte Carlo harnesses for the martingale inequalities.
 
 Strip-exit sampling of 2-D Brownian motion by walk on spheres, random
-non-negative martingale pairs under increment domination, pathwise
-sampling of the atomic ladder chain, and the rectangle harmonic check.
+non-negative martingale pairs under increment domination, and the
+rectangle harmonic check.
 
 Every strip simulation runs one kernel, `_walk_chunk`: the walk on spheres
 of Muller (1956, Ann. Math. Stat. 27) samples where each path leaves the
@@ -21,7 +21,7 @@ Determinism contract: strip chunk i (of fixed size) uses
 ``SeedSequence([master_seed, 10_000 + j])``.  Both run on a pool of
 `cfg.workers` threads (numpy releases the GIL in array work) and are
 combined in index order, so reports are bit-identical for a given master
-seed at any worker count.  `section_chain_mc` draws one serial stream.
+seed at any worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import kp, weak_constant_nonneg
-from .extremal import ExtremalParams, _ladder_weights, section_ratio
 
 __all__ = [
     "SimConfig",
@@ -43,7 +42,6 @@ __all__ = [
     "strip_exit_moments",
     "random_subordinate_pair_check",
     "random_subordinate_pair_checks",
-    "section_chain_mc",
     "harmonic_rectangle_check",
 ]
 
@@ -336,58 +334,6 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
 def random_subordinate_pair_check(p: float, cfg: SimConfig, n_pairs: int = 100) -> dict:
     """`random_subordinate_pair_checks` for the one exponent p."""
     return random_subordinate_pair_checks((p,), cfg, n_pairs)[0]
-
-
-def section_chain_mc(params: ExtremalParams, cfg: SimConfig) -> dict:
-    """Pathwise sampling of the atomic ladder chain; cross-checks the exact
-    exit probability and final moment from the atom bookkeeping."""
-    p, delta, n_steps = params.p, params.delta, params.n_steps
-    even, odd = _ladder_weights(p, delta, n_steps)
-    keep_odd = odd[0] / even[0]            # 1/(1+delta)
-    keep_even = even[1] / odd[0]           # q(1+delta)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
-    n = cfg.n_samples
-    x = np.full(n, params.x0)
-    alive = np.ones(n, dtype=bool)
-    frozen = np.zeros(n, dtype=bool)
-    for m in range(n_steps):
-        u = rng.random(n)
-        shed = alive & (u >= keep_odd)
-        x[shed] = 0.0
-        alive &= ~shed
-        x[alive] *= 1 + delta
-        u = rng.random(n)
-        stay = u < keep_even
-        up = alive & ~stay
-        x[alive] *= (1 + 2 * delta / p) / (1 + delta)
-        x[up] *= 2.0
-        frozen |= up
-        alive &= stay
-    u = rng.random(n)
-    top = alive & (u < 0.5)
-    x[alive & ~top] = 0.0
-    x[top] = 2 / p
-    prob = _estimate(top.astype(float), cfg.master_seed)
-    moment = _estimate(np.abs(x) ** p, cfg.master_seed)
-    exact = section_ratio(p, params.x0, delta, n_steps)
-    rep = {
-        "check": "section_chain_mc",
-        "p": p,
-        "n": n,
-        "estimate": moment.mean,
-        "std_error": moment.std_error,
-        "bound": exact.moment,
-        "margin_sigma": moment.margin_sigma(exact.moment),
-        "seed": cfg.master_seed,
-        "prob_estimate": prob.mean,
-        "prob_std_error": prob.std_error,
-        "prob_exact": exact.prob,
-        "prob_margin_sigma": prob.margin_sigma(exact.prob),
-    }
-    rep["passed"] = bool(
-        rep["margin_sigma"] <= 3.0 and rep["prob_margin_sigma"] <= 3.0
-    )
-    return rep
 
 
 def harmonic_rectangle_check(p: float, R: float, cfg: SimConfig) -> dict:

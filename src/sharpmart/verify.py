@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import extremal, gfun, mc, orth, uweak, wfun
-from .constants import kp
+from .constants import kp, weak_constant_pth_power
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -136,7 +136,9 @@ def suite_ode(p=3.0, **_):
 
 
 def suite_extremal(p=3.0, **_):
-    params = extremal.resolve_params(p, 1 / (8 * p), 1.5)
+    # the ladder's step weight q needs p - p delta + 4 delta > 0; at the hint
+    # p / (2(p - 2)), below 1.5 for p > 3, that is p^2 / (2(p - 2))
+    params = extremal.resolve_params(p, 1 / (8 * p), min(1.5, p / (2 * (p - 2))))
     X, Y = extremal.build_section_example(params)
     rep_eval = extremal.evaluate_ratio(X, Y, p)
     fast = extremal.section_ratio(p, params.x0, params.delta, params.n_steps)
@@ -147,7 +149,10 @@ def suite_extremal(p=3.0, **_):
         "p": p,
         "x_martingale": X.check_martingale(),
         "y_martingale": Y.check_martingale(),
-        "ratio_fast_vs_direct": abs(rep_eval.ratio - fast.ratio),
+        # relative to max(1, ratio): the ratio is 1e2 at p = 6 and 7e5 at p = 10
+        "ratio_fast_vs_direct": abs(rep_eval.ratio - fast.ratio) / max(1.0, abs(fast.ratio)),
+        # the theorem bounds every primed ratio by c_p^p
+        "primed_ratio_over_constant": rep_eval.primed_ratio / weak_constant_pth_power(p),
         "p_lt1_identity": all(v["identity_holds"] for v in small_p.values()),
         "p_lt1_martingales": f.check_martingale() and g.check_martingale(),
         "harmonic_sup": harm["sup"],
@@ -156,6 +161,7 @@ def suite_extremal(p=3.0, **_):
         report["x_martingale"]
         and report["y_martingale"]
         and report["ratio_fast_vs_direct"] < 1e-12
+        and report["primed_ratio_over_constant"] <= 1 + 1e-12
         and report["p_lt1_identity"]
         and report["p_lt1_martingales"]
         and report["harmonic_sup"] > 2 - 1e-5

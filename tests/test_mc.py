@@ -14,7 +14,6 @@ import pytest
 
 from sharpmart import mc
 from sharpmart.constants import kp
-from sharpmart.extremal import resolve_params, section_ratio
 from sharpmart.mc import (
     Estimate,
     ExitEstimate,
@@ -25,7 +24,6 @@ from sharpmart.mc import (
     harmonic_rectangle_check,
     random_subordinate_pair_check,
     random_subordinate_pair_checks,
-    section_chain_mc,
     strip_exit_moment,
     strip_exit_moments,
 )
@@ -351,20 +349,6 @@ def test_pairs_pass_at_a_few_paths(n):
 def test_random_pairs_rejects_intermediate_exponents():
     with pytest.raises(ValueError):
         random_subordinate_pair_check(1.5, SimConfig(master_seed=1, n_samples=10))
-
-
-# ------------------------------------------------------------- ladder chain
-
-
-def test_section_chain_matches_exact_atoms():
-    params = resolve_params(3.0, 1 / 24, 1.5)
-    rep = section_chain_mc(params, SimConfig(master_seed=31, n_samples=300_000))
-    exact = section_ratio(3.0, params.x0, params.delta, params.n_steps)
-    assert rep["passed"]
-    assert rep["bound"] == pytest.approx(exact.moment, rel=1e-14)
-    assert rep["prob_exact"] == pytest.approx(exact.prob, rel=1e-14)
-    assert rep["margin_sigma"] <= 3.0 and rep["prob_margin_sigma"] <= 3.0
-    check_schema(rep)
 
 
 # --------------------------------------------------------- rectangle check

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sharpmart import extremal, gfun, orth, uweak, wfun
+from sharpmart import extremal, gfun, orth, uweak, verify, wfun
 from sharpmart.verify import run_suite
 
 
@@ -20,6 +20,20 @@ def test_u_orth_sees_kp_off_by_one_percent(monkeypatch, factor):
     ok, report = run_suite("u-orth", n=5)
     assert not ok
     assert report["center_identity"] > report["tol"]
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("p", [1.25, 1.5])
+def test_u_orth_sees_kp_off_by_one_in_a_million(monkeypatch, p, factor):
+    # the identities and pointwise bounds are gated at U's own precision,
+    # not at the second differences' tol = 1.2e-5
+    kp_value = orth.OrthContext.kp_value.fget
+    monkeypatch.setattr(
+        orth.OrthContext, "kp_value", property(lambda ctx: factor * kp_value(ctx))
+    )
+    ok, report = run_suite("u-orth", p=p, n=5)
+    assert not ok
+    assert report["pointwise_tol"] < report["center_identity"] < report["tol"]
 
 
 def test_w_refuses_an_exponent_it_cannot_check():
@@ -86,6 +100,17 @@ def test_extremal_reports_the_p_lt1_martingales(monkeypatch):
     ok, report = run_suite("extremal")
     assert not ok
     assert report["p_lt1_martingales"] is False
+
+
+def test_extremal_sees_the_constant_halved(monkeypatch):
+    # at p = 3 the primed ratio is 0.854 of c_p^p; against half of c_p^p it
+    # exceeds the bound the theorem puts on every primed ratio
+    constant = verify.weak_constant_pth_power
+    monkeypatch.setattr(verify, "weak_constant_pth_power", lambda q: 0.5 * constant(q))
+    ok, report = run_suite("extremal", p=3.0)
+    assert not ok
+    assert report["primed_ratio_over_constant"] > 1.7
+    assert report["x_martingale"] and report["ratio_fast_vs_direct"] < 1e-12
 
 
 @pytest.mark.parametrize("n", [5, 60])

@@ -82,6 +82,16 @@ def test_large_exponent(name, p):
     assert ok, report
 
 
+@pytest.mark.parametrize("p", [2.05, 2.5, 4.0, 6.0, 7.1, 9.6, 10.8, 10.9, 12.0, 16.0, 40.0])
+def test_extremal_at_any_p_above_two(p):
+    # the ratio is 1e2 at p = 6 and 3e5 at p = 9.6, where an absolute 1e-12
+    # gap is rounding; a fixed delta hint of 1.5 gave a step weight q <= 0
+    # at p = 10.8 and from p = 11.7
+    ok, report = run_suite("extremal", p=p)
+    assert ok, report
+    assert report["primed_ratio_over_constant"] < 1
+
+
 def _u_weak_by_public_checks(p, seed, n):
     """`verify u-weak` composed of the public checks, each of which
     classifies the sample again: the oracle of the one-classification suite."""
