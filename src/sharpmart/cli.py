@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .constants import kp, reference_constants, weak_constant_nonneg
-from .extremal import build_section_example, resolve_params
+from .extremal import build_section_example, ladder_delta_hint, resolve_params
 from .gfun import ConstructionError
 from .uweak import REGION_BOUNDARIES, EvaluationError, build_context
 from .verify import SUITES, run_suite
@@ -188,7 +188,7 @@ def cmd_figures(args) -> int:
         params = {"which": "regions", "p": p}
     else:
         x0 = args.x if args.x is not None else 1 / 24
-        delta = args.delta if args.delta is not None else 1.5
+        delta = args.delta if args.delta is not None else ladder_delta_hint(p)
         text = _trajectories_csv(p, x0, delta)
         name = f"trajectories_p{p:g}.csv"
         params = {"which": "trajectories", "p": p, "x": x0, "delta": delta}

@@ -16,6 +16,7 @@ __all__ = [
     "AtomicMartingale",
     "ExtremalParams",
     "resolve_params",
+    "ladder_delta_hint",
     "build_section_example",
     "section_ratio",
     "RatioReport",
@@ -135,6 +136,15 @@ def resolve_params(p: float, x0: float, delta_hint: float) -> ExtremalParams:
     if not delta > 0:
         raise ValueError("no positive step size solves the ladder identity")
     return ExtremalParams(p, x0, delta, n)
+
+
+def ladder_delta_hint(p: float) -> float:
+    """The default delta hint for `resolve_params`, min(1.5, p / (2(p - 2))).
+
+    The ladder's step weight q needs p - p delta + 4 delta > 0; at the hint
+    p / (2(p - 2)), below 1.5 for p > 3, that is p^2 / (2(p - 2)).  For
+    p <= 3 the hint is 1.5."""
+    return 1.5 if p <= 3 else p / (2 * (p - 2))
 
 
 def _ladder_weights(p: float, delta: float, n: int):

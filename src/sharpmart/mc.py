@@ -7,8 +7,11 @@ rectangle harmonic check.
 Every strip simulation runs one kernel, `_walk_chunk`: the walk on spheres
 of Muller (1956, Ann. Math. Stat. 27) samples where each path leaves the
 strip |y| < 1, and the rectangle |x| < r_bound with it, with no time step.
-It uses only the mean-value property of harmonic functions, so it shares
-no formula with `kp` or with the Poisson quadrature of `orth`.
+Each jump takes one transcendental, t = tan(pi u) of the half angle
+(`_jump`), and the stopped paths are classified as top/bottom or side
+exits once, after the walk.  It uses only the mean-value property of
+harmonic functions, so it shares no formula with `kp` or with the Poisson
+quadrature of `orth`.
 
 Each sample serves every exponent asked of it: `strip_exit_moments` takes
 all its moments from one set of exit points, and
@@ -102,6 +105,16 @@ def _estimate(values: np.ndarray, seed: int) -> Estimate:
     return Estimate(mean=float(values.mean()), std_error=se, n=n, seed=seed)
 
 
+def _jump(d: np.ndarray, u: np.ndarray):
+    """The jump d (cos 2 pi u, sin 2 pi u) from one tangent: with
+    t = tan(pi u) and w = 2d / (1 + t^2), cos 2 pi u = w/d - 1 and
+    sin 2 pi u = w t / d.  At u = 1/2, t is about 1.6e16 and t^2 stays
+    finite, so the jump is (-d, ~0)."""
+    t = np.tan(math.pi * u)
+    w = 2.0 * d / (1.0 + t * t)
+    return w - d, w * t
+
+
 def _walk_chunk(args):
     """One chunk of 2-D Brownian paths started at (x0, y0), run by walk on
     spheres to their exit from the strip |y| < 1, and from |x| < r_bound.
@@ -110,10 +123,13 @@ def _walk_chunk(args):
     d = min(1 - |y|, r_bound - |x|), the largest centred there inside the
     domain; by the mean-value property the exit law from (x, y) is the
     average of the exit laws from the points of that circle.  One
-    uniform angle is drawn per live path and step.  A path stops once
-    d < _SHELL_EPS and is projected onto the nearest side: a top or bottom
-    exit keeps its x, a side exit takes x = +-r_bound.  A path still
-    walking after _MAX_STEPS jumps is censored and keeps its last x.
+    uniform u is drawn per live path and step, and the jump at angle
+    2 pi u takes one transcendental, tan(pi u) (`_jump`).  A path stops once
+    d < _SHELL_EPS, and its (x, y) is recorded.  After the walk the stopped
+    paths are classified once: each is projected onto the nearest side, so
+    a top or bottom exit keeps its x and a side exit takes x = +-r_bound.
+    A path still walking after _MAX_STEPS jumps is censored, unflagged, and
+    keeps its last x.
 
     The projection moves no top or bottom exit's x, and x^2 - y^2 is
     harmonic, so without a side barrier E X^2 - x0^2 = E Y^2 - y0^2 with
@@ -128,25 +144,28 @@ def _walk_chunk(args):
     x = np.full(n, x0)
     y = np.full(n, y0)
     xs = np.empty(n)
-    side = np.zeros(n, dtype=bool)
+    ys = np.empty(n)
     steps = 0
     for k in range(_MAX_STEPS + 1):
-        to_edge = 1.0 - np.abs(y)
-        to_side = r_bound - np.abs(x)
-        d = np.minimum(to_edge, to_side)
+        d = np.minimum(1.0 - np.abs(y), r_bound - np.abs(x))
         stop = d < _SHELL_EPS
-        done, x_done, at_side = live[stop], x[stop], to_side[stop] < to_edge[stop]
-        xs[done] = np.where(at_side, np.copysign(r_bound, x_done), x_done)
-        side[done] = at_side
+        i = np.flatnonzero(stop)
+        done = live[i]
+        xs[done] = x[i]
+        ys[done] = y[i]
         walk = ~stop
         live, x, y, d = live[walk], x[walk], y[walk], d[walk]
         if not live.size or k == _MAX_STEPS:
             break
-        angle = (2.0 * math.pi) * rng.random(live.size)
-        x += d * np.cos(angle)
-        y += d * np.sin(angle)
+        dx, dy = _jump(d, rng.random(live.size))
+        x += dx
+        y += dy
         steps += live.size
     xs[live] = x
+    ys[live] = y
+    side = r_bound - np.abs(xs) < 1.0 - np.abs(ys)
+    side[live] = False
+    xs = np.where(side, np.copysign(r_bound, xs), xs)
     return xs, side, steps, live.size
 
 

@@ -136,9 +136,7 @@ def suite_ode(p=3.0, **_):
 
 
 def suite_extremal(p=3.0, **_):
-    # the ladder's step weight q needs p - p delta + 4 delta > 0; at the hint
-    # p / (2(p - 2)), below 1.5 for p > 3, that is p^2 / (2(p - 2))
-    params = extremal.resolve_params(p, 1 / (8 * p), min(1.5, p / (2 * (p - 2))))
+    params = extremal.resolve_params(p, 1 / (8 * p), extremal.ladder_delta_hint(p))
     X, Y = extremal.build_section_example(params)
     rep_eval = extremal.evaluate_ratio(X, Y, p)
     fast = extremal.section_ratio(p, params.x0, params.delta, params.n_steps)

@@ -124,8 +124,8 @@ def test_strip_exit_samples_sides():
 @pytest.mark.parametrize(
     "p, R, seed, workers, want",
     [
-        (2.0, 6.0, 41, 1, (1.0247054922384424, 0.010247358571357678, 0.99965, 9.352623257089143e-05)),
-        (2.0, 20.0, 13, 2, (0.9853035000760568, 0.009835281076311835, 1.0, 0.0)),
+        (2.0, 6.0, 41, 1, (1.0247054922384427, 0.010247358571357688, 0.99965, 9.352623257089143e-05)),
+        (2.0, 20.0, 13, 2, (0.985303500076057, 0.009835281076311849, 1.0, 0.0)),
         (1.0, 6.0, 41, 3, (0.750825482289441, 0.0033947684451081, 0.99965, 9.352623257089143e-05)),
     ],
 )
@@ -134,6 +134,22 @@ def test_harmonic_rectangle_is_pinned(p, R, seed, workers, want):
         p, R, SimConfig(master_seed=seed, n_samples=40_000, workers=workers)
     )
     assert (rep["estimate"], rep["std_error"], rep["mu_v_ge_1"], rep["mu_std_error"]) == want
+
+
+def test_jump_matches_cos_and_sin():
+    # the walk's tan(pi u) form of the jump against numpy's cos and sin of
+    # 2 pi u, on seeded u and the edge values; at u = 1/2, t ~ 1.6e16
+    edges = [0.0, 0.25, 0.5, 0.75, 2.0**-53, 1 - 2.0**-53]
+    rng = np.random.default_rng(22)
+    u = np.concatenate([rng.random(100_000), edges])
+    d = np.concatenate([rng.uniform(1e-6, 1.0, 100_000), np.ones(len(edges))])
+    dx, dy = mc._jump(d, u)
+    c, s = dx / d, dy / d
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
+    assert np.max(np.abs(c - np.cos(2 * np.pi * u))) <= 1e-15
+    assert np.max(np.abs(s - np.sin(2 * np.pi * u))) <= 1e-15
+    assert np.max(np.abs(np.hypot(c, s) - 1.0)) <= 1e-15
+    assert c[u == 0.5] == -1.0
 
 
 @pytest.mark.parametrize("start", [(2.0, 1.5), (0.0, -1.0), (0.0, math.nan)])
@@ -161,8 +177,8 @@ def test_strip_moments_share_one_sample(workers):
     assert both == [strip_exit_moment(p, (0.3, -0.2), cfg) for p in (1.0, 2.0)]
     # literal walk-on-spheres outputs at one worker
     assert [(e.mean, e.std_error, e.n, e.seed, e.walk_steps, e.censored) for e in both] == [
-        (0.7704941763592001, 0.0034126902512307896, 40_000, 11, 845_094, 0),
-        (1.059507819382518, 0.010645764424664736, 40_000, 11, 845_094, 0),
+        (0.7704941763592001, 0.0034126902512307883, 40_000, 11, 845_094, 0),
+        (1.0595078193825178, 0.010645764424664701, 40_000, 11, 845_094, 0),
     ]
     with pytest.raises(ValueError, match="exponent"):
         strip_exit_moments((), (0.0, 0.0), cfg)
@@ -205,6 +221,18 @@ def test_censored_paths_are_counted(monkeypatch):
     assert est.walk_steps >= 3 * est.censored
     rep = harmonic_rectangle_check(2.0, 6.0, cfg)
     assert rep["censored"] == est.censored
+
+
+def test_censored_paths_near_a_side_are_not_side_exits(monkeypatch):
+    # censored before the first jump, every path sits 0.5 from the side
+    # barrier and 1 from the edges: it keeps its x and is not a side exit
+    monkeypatch.setattr(mc, "_MAX_STEPS", 0)
+    xs, side, steps, censored = mc._strip_exits(
+        (4.5, 0.0), SimConfig(master_seed=1, n_samples=1_000), 5.0
+    )
+    assert (steps, censored) == (0, 1_000)
+    assert not side.any()
+    assert np.all(xs == 4.5)
 
 
 # ------------------------------------------------------------- random pairs
