@@ -187,7 +187,7 @@ def cmd_figures(args) -> int:
         name = f"regions_p{p:g}.csv"
         params = {"which": "regions", "p": p}
     else:
-        x0 = args.x if args.x is not None else 1 / 24
+        x0 = args.x if args.x is not None else 1 / (8 * p)
         delta = args.delta if args.delta is not None else ladder_delta_hint(p)
         text = _trajectories_csv(p, x0, delta)
         name = f"trajectories_p{p:g}.csv"
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sf = subs.add_parser("figures", help="export plot-ready CSV data")
     sf.add_argument("which", choices=["regions", "trajectories"])
     common(sf)
-    sf.add_argument("--x", type=float, default=None, help="start value of X")
+    sf.add_argument("--x", type=float, default=None, help="start value of X; default 1/(8p)")
     sf.add_argument("--delta", type=float, default=None, help="ladder step size")
     sf.set_defaults(func=cmd_figures)
     return parser

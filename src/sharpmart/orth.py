@@ -3,8 +3,9 @@
 Inside the strip |y| < 1 the function is the harmonic extension of |t|^p
 from both edges y = +-1; outside it equals |x|^p.  It is one integral of
 |x + d|^p against the strip's own Poisson kernel, folded to d >= 0 and
-taken by one fixed composite Gauss-Legendre rule at every point at once.
-At p = 2 it is x^2 + 1 - y^2.
+taken by a composite Gauss-Legendre rule graded toward the kernel's spike
+in as many levels as the point's distance to the edge needs; the points
+that share a rule are summed together.  At p = 2 it is x^2 + 1 - y^2.
 """
 
 from __future__ import annotations
@@ -26,15 +27,54 @@ __all__ = [
 ]
 
 
+# (floor of c = cos(pi y/2), geometric levels): a point's rule takes the
+# levels of the first band whose floor its c reaches
+_BANDS = ((1e-2, 4), (1e-3, 6), (1e-5, 8), (0.0, 20))
+
+
 @functools.cache
-def _rule():
-    """Nodes (panels, 16) and weights (panels, 16, 1) of 16-point Gauss-Legendre
+def _rule(levels):
+    """Nodes and weights, both (16 (levels + 4),), of 16-point Gauss-Legendre
     panels on [0, 1]: four of width 1/4, the first split geometrically by 3
-    toward 0 down to [0, 3^-20 / 4].  Built on first use, not on import."""
-    edges = np.concatenate([[0.0], 3.0 ** np.arange(-20, 0) / 4, np.arange(1, 5) / 4])
+    toward 0 in `levels` levels, down to [0, 3^-levels / 4].  Built on first
+    use, not on import."""
+    edges = np.concatenate([[0.0], 3.0 ** np.arange(-levels, 0) / 4, np.arange(1, 5) / 4])
     mid, half = (edges[1:] + edges[:-1])[:, None] / 2, np.diff(edges)[:, None] / 2
     t, w = np.polynomial.legendre.leggauss(16)
-    return mid + half * t, (half * w)[:, :, None]
+    return (mid + half * t).ravel(), (half * w).ravel()
+
+
+def _rule_levels(y):
+    """c = cos(pi y/2), exact as |y| -> 1, and each point's level count from
+    `_BANDS`, for y inside the strip."""
+    c = np.sin(np.pi / 2 * (1 - np.abs(y)))
+    return c, np.select([c >= floor for floor, _ in _BANDS], [n for _, n in _BANDS])
+
+
+def _integral(p, a, c, levels):
+    """int_0^inf [(a+d)^p + |a-d|^p - 2a^p] P(d)/(c/2) dd at 1-D a = |x| and
+    c, each point on the rule of its level count.  Points of one count are
+    summed together, the three pieces' nodes on one axis, in chunks whose
+    temporaries stay near 2^16 elements."""
+    total = np.empty_like(a)
+    for n in np.unique(levels):
+        t, w = _rule(n)
+        (group,) = np.nonzero(levels == n)
+        for idx in np.array_split(group, math.ceil(3 * t.size * group.size / 2**16)):
+            ai, ci = a[idx, None, None], c[idx, None, None]
+            r = np.sqrt(ai)
+            # piece k is s = s0 + h t: [-r, -r/2] and [-r/2, 0] from their
+            # singular ends d = 0 and the kink, then [0, sqrt(30)]
+            s0 = np.concatenate([-r, np.zeros_like(r), np.zeros_like(r)], axis=1)
+            h = np.concatenate([r / 2, -r / 2, np.full_like(r, math.sqrt(30.0))], axis=1)
+            s = s0 + h * t
+            d = ai + s * np.abs(s)
+            # P/(c/2) in e^{-pi d/2}: no overflow at large d, no cancellation at 0
+            e = np.exp(-np.pi / 2 * d)
+            kernel = 2 * e * (1 + e * e) / (np.expm1(-np.pi * d) ** 2 + (2 * ci * e) ** 2)
+            f = ((ai + d) ** p + (s * s) ** p - 2 * ai**p) * kernel * 2 * np.abs(s)
+            total[idx] = np.sum(np.abs(h[:, :, 0]) * (f @ w), axis=1)
+    return total
 
 
 @dataclass(frozen=True)
@@ -79,38 +119,30 @@ def u_orth(ctx: OrthContext, x, y):
     d = a + 30, P < c e^{-pi d/2} < c e^{-47}: the dropped tail is below
     1e-17 c.
 
-    s runs over three pieces, each the affine image of the fixed nodes on
+    s runs over three pieces, each the affine image of one rule's nodes on
     [0, 1] from its singular end: [-sqrt(a), -sqrt(a)/2] from the spike at
     d = 0, [-sqrt(a)/2, 0] and [0, sqrt(30)] from the kink.  The grading is
     by 3, not 8: P's poles at d = +-i (2/pi) asin(c) can lie 45 degrees off
     it, and a panel much longer than its distance to them loses digits (by
-    8, up to 9e-10 at x ~ 0, 1 - |y| ~ 0.02).  Summing panel by panel keeps
-    temporaries at (points x 16).
+    8, up to 9e-10 at x ~ 0, 1 - |y| ~ 0.02).  The spike is only as narrow
+    as c, so each point takes its number of geometric levels from c: 4 at
+    c >= 1e-2, 6 at c >= 1e-3, 8 at c >= 1e-5 and 20 below.  Against 20
+    levels everywhere that errs by at most 5e-16 of max(1, |U|); two levels
+    fewer in one of the first three bands errs by 2e-14 to 1e-11 for
+    1.25 <= p <= 2.
     """
     x, y = _points(x, y)
     p = ctx.p
     u = np.asarray(np.abs(x) ** p)
     inside = np.abs(y) < 1
-    a = np.abs(x[inside])[:, None]
+    a = np.abs(x[inside])
     limit = (sys.float_info.max ** (1 / p) - 30) / 2  # (2 limit + 30)^p is finite
     if np.max(a, initial=0.0) > limit:
         raise ValueError(
             f"requires (2|x| + 30)^p finite inside the strip: |x| <= {limit:.4g} at p = {p}"
         )
-    ap = u[inside][:, None]
-    c = np.sin(np.pi / 2 * (1 - np.abs(y[inside])))[:, None]  # cos(pi y/2), exact as |y| -> 1
-    r = np.sqrt(a)
-    total = np.zeros_like(a)
-    for s0, h in ((-r, r / 2), (0.0, -r / 2), (0.0, math.sqrt(30.0))):
-        for t, w in zip(*_rule()):
-            s = s0 + h * t
-            d = a + s * np.abs(s)
-            # P/(c/2) in e^{-pi d/2}: no overflow at large d, no cancellation at 0
-            e = np.exp(-np.pi / 2 * d)
-            kernel = 2 * e * (1 + e * e) / (np.expm1(-np.pi * d) ** 2 + (2 * c * e) ** 2)
-            f = ((a + d) ** p + (s * s) ** p - 2 * ap) * kernel * 2 * np.abs(s)
-            total += np.abs(h) * (f @ w)
-    u[inside] = (ap + c / 2 * total)[:, 0]
+    c, levels = _rule_levels(y[inside])
+    u[inside] += c / 2 * _integral(p, a, c, levels)
     return u if u.ndim else float(u)
 
 
@@ -133,7 +165,9 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     reports `closed_form_gap`, the largest |U - (x^2 + 1 - y^2)| over the
     sample points.  The three second differences are gated at `tol`; the
     identities and pointwise bounds take no difference and are gated at
-    `pointwise_tol`.  Returns worst margins per property.
+    `pointwise_tol`.  Returns worst margins per property, and in
+    `rule_levels` how many of the 11 n_samples + 1 points U was taken at
+    took each geometric level count of its quadrature rule.
     """
     rng = np.random.default_rng(seed)
     kinvp = ctx.kp_value ** (-ctx.p)
@@ -152,7 +186,8 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     xq, yq = np.abs(xs) + 0.2, np.abs(ys) * 0.5 + 0.1
     ex, ey = np.array([[0, 0, 0, -e, e], [-e, 0, e, 0, 0]])[:, :, None]
     qx, qy = np.array([[e, e, -e, -e], [e, -e, e, -e]])[:, :, None]
-    st = u_orth(ctx, np.vstack([xs + ex, xq + qx]), np.vstack([ys + ey, yq + qy]))
+    yst = np.vstack([ys + ey, yq + qy])
+    st = u_orth(ctx, np.vstack([xs + ex, xq + qx]), yst)
     report["concave_in_y_max"] = float(np.max((st[0] - 2 * st[1] + st[2]) / e**2))
     report["convex_in_x_min"] = float(np.min((st[3] - 2 * st[1] + st[4]) / e**2))
     report["mixed_min"] = float(np.min((st[5] - st[6] - st[7] + st[8]) / (4 * e**2)))
@@ -170,6 +205,10 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     report["upper_bound_min"] = float(np.min(np.abs(x2) ** ctx.p + kinvp - uval))
     report["majorization_min"] = float(np.min(uval - v_orth(ctx, x2, y2)))
     report["center_identity"] = abs(u00 * ctx.kp_value**ctx.p - 1.0)
+    # every point of the three calls lies inside the strip
+    _, levels = _rule_levels(np.concatenate([yst.ravel(), [0.0], y, y2]))
+    counts = zip(*np.unique(levels, return_counts=True))
+    report["rule_levels"] = {int(n): int(k) for n, k in counts}
     if ctx.p == 2:
         xa, ya = np.concatenate([xs, x, x2]), np.concatenate([ys, y, y2])
         ua = np.concatenate([st[1], u, uval])

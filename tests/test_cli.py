@@ -234,13 +234,15 @@ def test_figures_trajectories_default_parameters(tmp_path):
     assert float(first[0]["Y"]) == pytest.approx(2 / 24, rel=1e-12)
 
 
-@pytest.mark.parametrize("p", [12, 16])
+@pytest.mark.parametrize("p", [12, 16, 30])
 def test_figures_trajectories_large_p(tmp_path, p):
     # the default delta hint is the ladder's, min(1.5, p / (2(p - 2))): the
-    # fixed hint 1.5 gave a negative step weight here (exit 2)
+    # fixed hint 1.5 gave a negative step weight at 12 and 16 (exit 2); the
+    # default x0 is 1/(8p) in (0, 1/p): the fixed 1/24 was refused from p = 24
     assert main(["figures", "trajectories", "--p", str(p), "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / f"trajectories_p{p}.csv.manifest.json").read_text())
     assert manifest["parameters"]["delta"] == p / (2 * (p - 2))
+    assert manifest["parameters"]["x"] == 1 / (8 * p)
 
 
 def test_figures_missing_out_dir(tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sharpmart import orth
 from sharpmart.constants import kp
 from sharpmart.orth import OrthContext, orth_property_suite, u_orth, v_orth
 
@@ -159,30 +160,30 @@ class TestPropertySuite:
         report = orth_property_suite(OrthContext(1.5), n_samples=40, seed=7)
         assert report["passed"], report
 
-    # Literal margins of the suite on the fixed rule: 16-point Gauss-Legendre
+    # Literal margins of the suite on the banded rule: 16-point Gauss-Legendre
     # panels of the folded bracket [(a+d)^p + |a-d|^p - 2a^p] against the
-    # two-edge Poisson kernel, in d = a + s|s| and graded toward d = 0 and
-    # the kink s = 0.  The last two columns depend on K_p and hold the
-    # closed-form value.
+    # two-edge Poisson kernel, in d = a + s|s| and graded toward d = 0 (in
+    # 4 levels at every point here) and the kink s = 0.  The last two
+    # columns depend on K_p and hold the closed-form value.
     @pytest.mark.parametrize(
         "p, seed, want",
         [
             (1.0, 7, (-0.006492119730694412, 0.006492123727497301, 0.09329090550069807,
-                      0.00016358824195650268, 0.3902373450605222, 1.5653331637053203)),
+                      0.00016358824195650268, 0.3902373450605221, 1.5653331637053203)),
             (1.0, 8, (-0.19577945642446082, 0.19577953125349268, 0.03646078278185527,
-                      0.0779292131367414, 0.3659528901828677, 1.4722892201386655)),
-            (1.2, 7, (-0.2152133027344405, 0.21521334181429097, 0.0911718664453609,
-                      0.00018895645782657233, 0.3048974508588158, 1.5040468504401403)),
+                      0.07792921313674128, 0.3659528901828676, 1.4722892201386655)),
+            (1.2, 7, (-0.2152133027344405, 0.21521334181429097, 0.09117186638984975,
+                      0.0001889564578269054, 0.3048974508588158, 1.5040468504401403)),
             (1.2, 8, (-0.37317962964245055, 0.3731797000305903, 0.04505257850118127,
-                      0.09045235128631246, 0.2833559076801633, 1.4050063460181828)),
+                      0.09045235128631257, 0.2833559076801633, 1.4050063460181828)),
             (1.5, 7, (-0.6923121551594136, 0.6923122175539476, 0.0746638633697394,
-                      0.00023171277716438343, 0.18706955032096162, 1.4558084795960033)),
+                      0.00023171277716449445, 0.18706955032096162, 1.4558084795960033)),
             (1.5, 8, (-0.7755166713252493, 0.7755167223955084, 0.04939825304361989,
-                      0.11162691413713555, 0.17326197627579965, 1.3525447441961547)),
-            (2.0, 7, (-1.9999999998354667, 1.9999999998354667, -1.1102230246251565e-10,
-                      0.0003271974628368257, 0.0007956381157026016, 1.53358595707711)),
-            (2.0, 8, (-1.9999999998354667, 1.9999999993913775, -1.1102230246251565e-10,
-                      0.15895571916600504, 0.009095718320613955, 1.426917497854871)),
+                      0.11162691413713566, 0.17326197627579987, 1.3525447441961544)),
+            (2.0, 7, (-1.9999999998354667, 1.9999999996134221, -1.1102230246251565e-10,
+                      0.00032719746283660367, 0.0007956381157026016, 1.53358595707711)),
+            (2.0, 8, (-2.0000000000575113, 1.9999999998354667, -1.6653345369377348e-10,
+                      0.15895571916600482, 0.009095718320613955, 1.426917497854871)),
         ],
     )
     def test_report_is_pinned(self, p, seed, want):
@@ -193,6 +194,61 @@ class TestPropertySuite:
         assert report["passed"]
         if p == 2:  # U_yy = -2, U_xx = 2, U_xy = 0 exactly
             assert np.allclose(want[:3], (-2.0, 2.0, 0.0), rtol=0, atol=1e-7)
+
+    def test_rule_levels_counts_every_point_on_the_rule_it_took(self, monkeypatch):
+        # 11 n + 1 points: the nine stencil rows, the origin and two rows of n;
+        # the stencils reach 1 - |y| = 1e-3, where c = cos(pi y/2) < 1e-2
+        report = orth_property_suite(OrthContext(1.5))
+        assert report["rule_levels"] == {4: 651, 6: 10}
+        monkeypatch.setattr(orth, "_BANDS", ((0.0, 20),))
+        report = orth_property_suite(OrthContext(1.5))
+        assert report["rule_levels"] == {20: 661}
+
+
+def level_scan():
+    """3,000 points uniform in the strip and 6,000 near its edge: x = 0 or
+    +-10^U(-12, log10 3), and 1 - |y| = 10^U(-15, 0)."""
+    rng = np.random.default_rng(23)
+    xb, yb = rng.uniform(-3, 3, 3000), rng.uniform(-1, 1, 3000)
+    xe = rng.choice([-1.0, 0.0, 1.0], 6000) * 10 ** rng.uniform(-12, math.log10(3), 6000)
+    ye = rng.choice([-1.0, 1.0], 6000) * (1 - 10 ** rng.uniform(-15, 0, 6000))
+    return np.concatenate([xb, xe]), np.concatenate([yb, ye])
+
+
+def error_to_twenty_levels(monkeypatch, p, x, y):
+    """Largest |U - U_20| / max(1, |U_20|), U_20 taken on 20 geometric levels
+    at every point."""
+    got = u_orth(OrthContext(p), x, y)
+    with monkeypatch.context() as m:
+        m.setattr(orth, "_BANDS", ((0.0, 20),))
+        ref = u_orth(OrthContext(p), x, y)
+    return np.max(np.abs(got - ref) / np.maximum(1, np.abs(ref)))
+
+
+class TestLevelBands:
+    """Each point's geometric level count toward d = 0 comes from
+    c = cos(pi y/2) by the band table `orth._BANDS`; the reference is the
+    one rule of 20 levels at every point."""
+
+    @pytest.mark.parametrize("p", P_RANGE)
+    def test_banded_rule_agrees_with_twenty_levels(self, monkeypatch, p):
+        x, y = level_scan()
+        # a point that takes 20 levels is on the reference rule already
+        fewer = orth._rule_levels(y)[1] < 20
+        assert error_to_twenty_levels(monkeypatch, p, x[fewer], y[fewer]) <= 1e-15
+
+    @pytest.mark.parametrize("band", [0, 1, 2])
+    def test_two_levels_fewer_in_a_band_is_seen(self, monkeypatch, band):
+        # each of these bands two levels short errs by 6e-14 to 5e-12 at
+        # p = 1.5; 18 levels instead of 20 below c = 1e-5 err by 2e-16 of
+        # max(1, |U|), which no bound on that scale can see
+        x, y = level_scan()
+        floor, n = orth._BANDS[band]
+        mine = orth._rule_levels(y)[1] == n
+        short = list(orth._BANDS)
+        short[band] = (floor, n - 2)
+        monkeypatch.setattr(orth, "_BANDS", tuple(short))
+        assert error_to_twenty_levels(monkeypatch, 1.5, x[mine], y[mine]) > 1e-15
 
 
 class TestErrors:
