@@ -1,8 +1,9 @@
 """Command-line front end: constant tables, verification suites, and
 plot-ready figure data, with reproducible seeds and machine-readable output.
 
-Exit codes: 0 pass, 1 assertion/row failure or numerical failure, 2 usage
-error (bad option, out-of-domain value, unusable output directory).
+Exit codes: 0 pass, 1 assertion/row failure or numerical failure (an
+overflow included), 2 usage error (bad option, out-of-domain value,
+unusable output directory).
 """
 
 from __future__ import annotations
@@ -244,6 +245,11 @@ def main(argv=None) -> int:
         return 2
     except (EvaluationError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # a finite p can take a constant such as c_p^p past a double
+        p = ", ".join(map(str, args.p)) if args.p else "the default p"
+        print(f"error: a value overflows a double at p = {p}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -124,8 +124,8 @@ class ExtremalParams:
 def resolve_params(p: float, x0: float, delta_hint: float) -> ExtremalParams:
     """Pick the step count nearest the hint, then solve the step size so
     x0 (1 + 2 delta/p)^N = 1/p holds exactly."""
-    if not p > 2:
-        raise ValueError("requires p > 2")
+    if not (p > 2 and math.isfinite(p)):
+        raise ValueError(f"requires finite p > 2, got {p}")
     if not 0 < x0 < 1 / p:
         raise ValueError(f"requires 0 < x0 < 1/p, got {x0}")
     if not delta_hint > 0:
@@ -177,7 +177,7 @@ def build_section_example(params: ExtremalParams):
     def split(cut, x_new_lo, y_new_lo, x_new_hi, y_new_hi):
         nonlocal bounds, xv, yv
         if not 0 < cut < bounds[1]:
-            raise ValueError(f"atom split point {cut} out of range")
+            raise ValueError(f"atom split point {cut} out of range at p = {p}")
         bounds = [0.0, cut] + bounds[1:]
         xv = [x_new_lo, x_new_hi] + xv[1:]
         yv = [y_new_lo, y_new_hi] + yv[1:]
@@ -213,6 +213,8 @@ def _ratio_report(p, x0, prob, moment) -> RatioReport:
     """The report for an exit probability and final moment; the primed
     ratio normalizes X_0 = x0 by 1 - (p-2) x0."""
     prob, moment = float(prob), float(moment)
+    if not moment > 0:
+        raise ValueError(f"the final moment underflows to {moment} at p = {p}")
     return RatioReport(
         prob=prob,
         moment=moment,

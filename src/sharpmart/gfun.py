@@ -46,12 +46,23 @@ _T_MAX = 10.0  # right end of every table; p > 2 puts its left end 2/p below 1
 
 
 def g_rhs(p: float, t, g):
-    return (p / 2) ** (p + 1) * t ** (p - 2) * (t + 1 - g) ** 2
+    return _slope_from_gap(p, t, t + 1 - g)
 
 
 def _slope_from_gap(p: float, t, u):
     """G' = (p/2)^{p+1} t^{p-2} u^2 from the gap u = t + 1 - G."""
     return (p / 2) ** (p + 1) * t ** (p - 2) * u**2
+
+
+def _check_exponent(p: float) -> None:
+    """ValueError unless p is a finite real above 2; ConstructionError where
+    the coefficient (p/2)^{p+1} of G' is not a finite double (from p ~ 160.8)."""
+    if not (p > 2 and math.isfinite(p)):
+        raise ValueError(f"requires finite p > 2, got {p}")
+    try:
+        (p / 2) ** (p + 1)
+    except OverflowError:
+        raise ConstructionError(f"(p/2)^(p+1) overflows a double at p = {p}") from None
 
 
 class _Hermite:
@@ -161,18 +172,26 @@ def build_g_rk(p: float, step: float = 1e-3) -> GSolution:
     only Python work per step is the right-hand side.  The tolerance is
     purely relative because u falls to 2e-6 at p = 8 and 1e-8 at p = 10.
     A failed integration raises `ConstructionError`.
+
+    The table holds for 2 < p <= 13.  Past p = 13 the slope check of
+    `GSolution` (G' < 1 near t = 9.7) fails at some p and not at others,
+    first at 13.1875 on a grid of 1/32, and from p = 13.5 at every point of
+    a grid of 0.125 up to 16.
+    `verify ode`, which also reads G' between nodes, passes up to p = 9.825
+    on a grid of 0.025; from 9.85 to 10.825 G' dips by 2e-9 to 3e-8 below
+    1 between nodes, and the suite fails at every grid point but p = 10.
+    A non-finite p is a `ValueError`; a p whose (p/2)^{p+1} overflows a
+    double is a `ConstructionError`.
     """
     from scipy.integrate import odeint
 
-    if not p > 2:
-        raise ValueError(f"requires p > 2, got {p}")
+    _check_exponent(p)
     if step > 1e-3:
         raise ValueError("step must be <= 1e-3")
     t0 = 2 / p
     ts = np.linspace(t0, _T_MAX, int(math.ceil((_T_MAX - t0) / step)) + 1)
-    c = (p / 2) ** (p + 1)
     u, info = odeint(
-        lambda u, t: 1 - c * t ** (p - 2) * u[0] ** 2,
+        lambda u, t: 1 - _slope_from_gap(p, t, u[0]),
         [t0],
         ts,
         rtol=1e-12,
@@ -225,9 +244,11 @@ def build_g_bessel(p: float) -> GSolution:
     Nodes are cubically graded towards the left endpoint, where the
     solution's curvature concentrates; interpolation error there dominates
     the uniform-grid budget by orders of magnitude.
+
+    p is checked as by `build_g_rk`.  From p = 10.84 a Bessel value on the
+    table is not finite and the build raises `ConstructionError`.
     """
-    if not p > 2:
-        raise ValueError(f"requires p > 2, got {p}")
+    _check_exponent(p)
     s = np.linspace(0.0, 1.0, _BESSEL_NODES)
     ts = 2 / p + (_T_MAX - 2 / p) * s**3
     ts[0] = 2 / p

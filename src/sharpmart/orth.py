@@ -4,8 +4,9 @@ Inside the strip |y| < 1 the function is the harmonic extension of |t|^p
 from both edges y = +-1; outside it equals |x|^p.  It is one integral of
 |x + d|^p against the strip's own Poisson kernel, folded to d >= 0 and
 taken by a composite Gauss-Legendre rule graded toward the kernel's spike
-in as many levels as the point's distance to the edge needs; the points
-that share a rule are summed together.  At p = 2 it is x^2 + 1 - y^2.
+in as many levels as the spike's width on the rule needs, which each
+point's distance to the edge and |x| give in closed form; the points that
+share a rule are summed together.  At p = 2 it is x^2 + 1 - y^2.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ __all__ = [
 ]
 
 
-# (floor of c = cos(pi y/2), geometric levels): a point's rule takes the
-# levels of the first band whose floor its c reaches
-_BANDS = ((1e-2, 4), (1e-3, 6), (1e-5, 8), (0.0, 20))
-
-
 @functools.cache
 def _rule(levels):
     """Nodes and weights, both (16 (levels + 4),), of 16-point Gauss-Legendre
@@ -44,11 +40,14 @@ def _rule(levels):
     return (mid + half * t).ravel(), (half * w).ravel()
 
 
-def _rule_levels(y):
-    """c = cos(pi y/2), exact as |y| -> 1, and each point's level count from
-    `_BANDS`, for y inside the strip."""
+def _rule_levels(a, y):
+    """c = cos(pi y/2), exact as |y| -> 1, and each point's level count
+    clip(ceil(log_3(max(a, sqrt(30 c)) / (4 c))), 4, 20), for a = |x| and
+    y inside the strip: the innermost level, 3^-L / 4 wide, is no wider
+    than the kernel's spike on the rule's unit interval (see `u_orth`)."""
     c = np.sin(np.pi / 2 * (1 - np.abs(y)))
-    return c, np.select([c >= floor for floor, _ in _BANDS], [n for _, n in _BANDS])
+    need = np.ceil(np.log(np.maximum(a, np.sqrt(30 * c)) / (4 * c)) / np.log(3))
+    return c, np.clip(need, 4, 20).astype(int)
 
 
 def _integral(p, a, c, levels):
@@ -99,6 +98,13 @@ def _points(x, y):
     return x, y
 
 
+def _abs_pow(x, p):
+    """|x|^p by numpy's array loop at every shape: its power of a 0-d array
+    rounds differently, so a scalar call would differ from the same point
+    in an array by an ulp."""
+    return (np.abs(x.reshape(-1)) ** p).reshape(x.shape)
+
+
 def u_orth(ctx: OrthContext, x, y):
     """Harmonic extension of |t|^p from the edges y = +-1 of the strip.
 
@@ -124,16 +130,22 @@ def u_orth(ctx: OrthContext, x, y):
     d = 0, [-sqrt(a)/2, 0] and [0, sqrt(30)] from the kink.  The grading is
     by 3, not 8: P's poles at d = +-i (2/pi) asin(c) can lie 45 degrees off
     it, and a panel much longer than its distance to them loses digits (by
-    8, up to 9e-10 at x ~ 0, 1 - |y| ~ 0.02).  The spike is only as narrow
-    as c, so each point takes its number of geometric levels from c: 4 at
-    c >= 1e-2, 6 at c >= 1e-3, 8 at c >= 1e-5 and 20 below.  Against 20
-    levels everywhere that errs by at most 5e-16 of max(1, |U|); two levels
-    fewer in one of the first three bands errs by 2e-14 to 1e-11 for
-    1.25 <= p <= 2.
+    8, up to 9e-10 at x ~ 0, 1 - |y| ~ 0.02).
+
+    The spike is about c wide in d, and the levels need only reach its
+    width on the rule's unit interval tau.  On the first piece d ~ a tau
+    near tau = 0, so it is c/a wide; on the third at a = 0, d = 30 tau^2,
+    so sqrt(c/30) wide.  The innermost of L levels is 3^-L / 4 wide, so a
+    point takes L = clip(ceil(log_3(max(a, sqrt(30 c)) / (4 c))), 4, 20)
+    levels.  Against 20 levels at every point this errs by at most 4.9e-16
+    of max(1, |U|) on 15,000 points with a <= 1e4 and c >= 1e-15, at
+    every p; at p = 2 it is within 2e-16 of x^2 + 1 - y^2, relative, for a
+    up to 1e4 and c down to 1e-12.  One level fewer at every point errs by 4.5e-14
+    (p = 2) to 2.7e-10 (p = 1).
     """
     x, y = _points(x, y)
     p = ctx.p
-    u = np.asarray(np.abs(x) ** p)
+    u = _abs_pow(x, p)
     inside = np.abs(y) < 1
     a = np.abs(x[inside])
     limit = (sys.float_info.max ** (1 / p) - 30) / 2  # (2 limit + 30)^p is finite
@@ -141,7 +153,7 @@ def u_orth(ctx: OrthContext, x, y):
         raise ValueError(
             f"requires (2|x| + 30)^p finite inside the strip: |x| <= {limit:.4g} at p = {p}"
         )
-    c, levels = _rule_levels(y[inside])
+    c, levels = _rule_levels(a, y[inside])
     u[inside] += c / 2 * _integral(p, a, c, levels)
     return u if u.ndim else float(u)
 
@@ -150,7 +162,7 @@ def v_orth(ctx: OrthContext, x, y):
     """Majorized payoff: indicator of |y| >= 1 minus K_p^p |x|^p; x and y
     broadcast, a float for scalar input, with the input check of `u_orth`."""
     x, y = _points(x, y)
-    val = (np.abs(y) >= 1).astype(float) - ctx.kp_value**ctx.p * np.abs(x) ** ctx.p
+    val = (np.abs(y) >= 1).astype(float) - ctx.kp_value**ctx.p * _abs_pow(x, ctx.p)
     return val if val.ndim else float(val)
 
 
@@ -186,8 +198,8 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     xq, yq = np.abs(xs) + 0.2, np.abs(ys) * 0.5 + 0.1
     ex, ey = np.array([[0, 0, 0, -e, e], [-e, 0, e, 0, 0]])[:, :, None]
     qx, qy = np.array([[e, e, -e, -e], [e, -e, e, -e]])[:, :, None]
-    yst = np.vstack([ys + ey, yq + qy])
-    st = u_orth(ctx, np.vstack([xs + ex, xq + qx]), yst)
+    xst, yst = np.vstack([xs + ex, xq + qx]), np.vstack([ys + ey, yq + qy])
+    st = u_orth(ctx, xst, yst)
     report["concave_in_y_max"] = float(np.max((st[0] - 2 * st[1] + st[2]) / e**2))
     report["convex_in_x_min"] = float(np.min((st[3] - 2 * st[1] + st[4]) / e**2))
     report["mixed_min"] = float(np.min((st[5] - st[6] - st[7] + st[8]) / (4 * e**2)))
@@ -206,7 +218,8 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     report["majorization_min"] = float(np.min(uval - v_orth(ctx, x2, y2)))
     report["center_identity"] = abs(u00 * ctx.kp_value**ctx.p - 1.0)
     # every point of the three calls lies inside the strip
-    _, levels = _rule_levels(np.concatenate([yst.ravel(), [0.0], y, y2]))
+    xall = np.concatenate([xst.ravel(), [0.0], x, x2])
+    _, levels = _rule_levels(np.abs(xall), np.concatenate([yst.ravel(), [0.0], y, y2]))
     counts = zip(*np.unique(levels, return_counts=True))
     report["rule_levels"] = {int(n): int(k) for n, k in counts}
     if ctx.p == 2:

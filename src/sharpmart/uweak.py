@@ -66,8 +66,8 @@ class UWContext:
     g: GSolution
 
     def __post_init__(self):
-        if not self.p > 2:
-            raise ValueError("requires p > 2")
+        if not (self.p > 2 and np.isfinite(self.p)):
+            raise ValueError(f"requires finite p > 2, got {self.p}")
         if self.g.p != self.p:
             raise ValueError("g must be built for the same exponent")
 

@@ -167,6 +167,35 @@ def test_numerical_failure_exits_one(monkeypatch, capsys, error):
     assert capsys.readouterr().err == "error: numerical failure\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "u-weak", "--p", "400"], 1),
+        (["verify", "ode", "--p", "400"], 1),
+        (["verify", "extremal", "--p", "150"], 2),
+        (["verify", "extremal", "--p", "400"], 2),
+        (["verify", "mc-weak-type", "--p", "400", "--n", "10"], 1),
+        (["figures", "regions", "--p", "400"], 1),
+        (["verify", "u-weak", "--p", "inf"], 2),
+        (["verify", "ode", "--p", "inf"], 2),
+        (["verify", "extremal", "--p", "inf"], 2),
+        (["verify", "mc-weak-type", "--p", "inf", "--n", "10"], 2),
+        (["figures", "regions", "--p", "inf"], 2),
+    ],
+)
+def test_huge_or_infinite_exponent_is_one_error_line(capsys, argv, code):
+    # a finite p whose constant overflows a double ((p/2)^(p+1), c_p^p) is a
+    # numerical failure, exit 1; the ladder's atoms underflow past p ~ 120,
+    # exit 2; either line names p.  An infinite p is a usage error, exit 2
+    # (it read "bound G < t+1 violated" or "requires 0 < x0 < 1/p", p = 150
+    # and p = 400 ended in a ZeroDivisionError or OverflowError traceback)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    p = float(argv[argv.index("--p") + 1])
+    assert (f"p = {p}" if math.isfinite(p) else "inf") in err
+
+
 def test_verify_forwards_p_only_when_given(monkeypatch, capsys):
     seen = []
 

@@ -55,6 +55,13 @@ def test_resolve_params_domain(p, x0, hint):
         resolve_params(p, x0, hint)
 
 
+def test_resolve_params_refuses_a_non_finite_exponent():
+    # at p = inf the x0 check read "requires 0 < x0 < 1/p", as if x0 were wrong
+    for p in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="requires finite p > 2"):
+            resolve_params(p, 0.01, 1.0)
+
+
 def test_params_validate_ladder_identity():
     with pytest.raises(ValueError, match="ladder identity"):
         ExtremalParams(p=3.0, x0=1 / 24, delta=1.4, n_steps=3)

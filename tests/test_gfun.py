@@ -199,6 +199,18 @@ class TestErrors:
             with pytest.raises((ValueError, ConstructionError)):
                 build_g_rk(p)
 
+    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
+    def test_p_must_be_finite(self, build):
+        for p in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="requires finite p > 2"):
+                build(p)
+
+    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
+    def test_coefficient_overflow_is_a_construction_error(self, build):
+        # (p/2)^(p+1) is 2.5e306 at p = 160 and past a double at p = 170
+        with pytest.raises(ConstructionError, match="overflows a double at p = 170"):
+            build(170.0)
+
     def test_default_span(self):
         for build in (build_g_rk, build_g_bessel):
             assert build(3.0).t_max == 10.0

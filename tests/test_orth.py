@@ -3,6 +3,7 @@ of |t|^p.  The reference is the half-plane Poisson integral of the pulled-back
 boundary data, fed strip points through the conformal map z -> i e^{pi z/2};
 it shares no code with the evaluator."""
 
+import functools
 import math
 
 import numpy as np
@@ -111,8 +112,6 @@ class TestStripBehaviour:
             assert np.all(vals >= np.abs(x) ** p - 1e-12)
 
     def test_arrays_broadcast_like_scalar_calls(self):
-        # a call sums each point's panels by one matrix product, which may
-        # round differently with the number of points
         ctx = OrthContext(1.5)
         rng = np.random.default_rng(4)
         x, y = rng.uniform(-3, 3, (3, 5)), rng.uniform(-1.2, 1.2, (3, 5))
@@ -120,7 +119,7 @@ class TestStripBehaviour:
         for xs, ys in [(x, y), (x[0], 0.3), (x[:, :1], y)]:
             got, want = u_orth(ctx, xs, ys), one_u(xs, ys)
             assert got.shape == np.broadcast(xs, ys).shape
-            assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+            assert np.array_equal(got, want)
         assert isinstance(u_orth(ctx, 0.3, 0.2), float)
         assert isinstance(v_orth(ctx, 0.3, 0.2), float)
         one_v = np.vectorize(lambda a, b: v_orth(ctx, a, b))
@@ -160,7 +159,7 @@ class TestPropertySuite:
         report = orth_property_suite(OrthContext(1.5), n_samples=40, seed=7)
         assert report["passed"], report
 
-    # Literal margins of the suite on the banded rule: 16-point Gauss-Legendre
+    # Literal margins of the suite on the graded rule: 16-point Gauss-Legendre
     # panels of the folded bracket [(a+d)^p + |a-d|^p - 2a^p] against the
     # two-edge Poisson kernel, in d = a + s|s| and graded toward d = 0 (in
     # 4 levels at every point here) and the kink s = 0.  The last two
@@ -199,10 +198,17 @@ class TestPropertySuite:
         # 11 n + 1 points: the nine stencil rows, the origin and two rows of n;
         # the stencils reach 1 - |y| = 1e-3, where c = cos(pi y/2) < 1e-2
         report = orth_property_suite(OrthContext(1.5))
-        assert report["rule_levels"] == {4: 651, 6: 10}
-        monkeypatch.setattr(orth, "_BANDS", ((0.0, 20),))
+        assert report["rule_levels"] == {4: 651, 5: 4, 6: 6}
+        monkeypatch.setattr(orth, "_rule_levels", levels_of(lambda n: np.full_like(n, 20)))
         report = orth_property_suite(OrthContext(1.5))
         assert report["rule_levels"] == {20: 661}
+
+    def test_suite_domain_takes_no_more_levels_than_the_band_table(self):
+        # the suite draws |x| <= 2 and 1 - |y| >= 1e-3, so c >= 1.57e-3; there
+        # the former band table gave 4 levels at c >= 1e-2 and 6 below
+        a, c = np.meshgrid(np.linspace(0, 2, 201), np.geomspace(1.5708e-3, 1, 201))
+        c, n = orth._rule_levels(a, 1 - 2 / np.pi * np.arcsin(c))
+        assert np.all(n <= np.where(c >= 1e-2, 4, 6))
 
 
 def level_scan():
@@ -215,40 +221,82 @@ def level_scan():
     return np.concatenate([xb, xe]), np.concatenate([yb, ye])
 
 
-def error_to_twenty_levels(monkeypatch, p, x, y):
-    """Largest |U - U_20| / max(1, |U_20|), U_20 taken on 20 geometric levels
-    at every point."""
-    got = u_orth(OrthContext(p), x, y)
-    with monkeypatch.context() as m:
-        m.setattr(orth, "_BANDS", ((0.0, 20),))
-        ref = u_orth(OrthContext(p), x, y)
+def far_scan():
+    """3,000 points with |x| = 10^U(log10 3, 4) and 3,000 at x = 0, each with
+    c = cos(pi y/2) = 10^U(-15, 0)."""
+    rng = np.random.default_rng(24)
+    x = rng.choice([-1.0, 1.0], 3000) * 10 ** rng.uniform(math.log10(3), 4, 3000)
+    c = 10 ** rng.uniform(-15, 0, 6000)
+    y = rng.choice([-1.0, 1.0], 6000) * (1 - 2 / np.pi * np.arcsin(c))
+    return np.concatenate([x, np.zeros(3000)]), y
+
+
+def levels_of(change):
+    """`orth._rule_levels` with each point's level count n replaced by
+    change(n)."""
+    rule_levels = orth._rule_levels
+
+    def patched(a, y):
+        c, n = rule_levels(a, y)
+        return c, change(n)
+
+    return patched
+
+
+@functools.cache
+def scan_below_twenty_levels():
+    """The in-strip points of both scans whose rule has fewer than 20
+    levels: a point that takes 20 is on the reference rule already."""
+    x, y = (np.concatenate(v) for v in zip(level_scan(), far_scan()))
+    inside = np.abs(y) < 1
+    x, y = x[inside], y[inside]
+    fewer = orth._rule_levels(np.abs(x), y)[1] < 20
+    return x[fewer], y[fewer]
+
+
+@functools.cache
+def twenty_levels(p):
+    """U on `scan_below_twenty_levels`, taken on 20 geometric levels at every
+    point."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(orth, "_rule_levels", levels_of(lambda n: np.full_like(n, 20)))
+        return u_orth(OrthContext(p), *scan_below_twenty_levels())
+
+
+def error_to_twenty_levels(p):
+    """Largest |U - U_20| / max(1, |U_20|) on `scan_below_twenty_levels`."""
+    got, ref = u_orth(OrthContext(p), *scan_below_twenty_levels()), twenty_levels(p)
     return np.max(np.abs(got - ref) / np.maximum(1, np.abs(ref)))
 
 
 class TestLevelBands:
-    """Each point's geometric level count toward d = 0 comes from
-    c = cos(pi y/2) by the band table `orth._BANDS`; the reference is the
-    one rule of 20 levels at every point."""
+    """Each point's geometric level count toward d = 0 comes from c =
+    cos(pi y/2) and |x| by one expression, `orth._rule_levels`; the
+    reference is the one rule of 20 levels at every point."""
 
     @pytest.mark.parametrize("p", P_RANGE)
-    def test_banded_rule_agrees_with_twenty_levels(self, monkeypatch, p):
-        x, y = level_scan()
-        # a point that takes 20 levels is on the reference rule already
-        fewer = orth._rule_levels(y)[1] < 20
-        assert error_to_twenty_levels(monkeypatch, p, x[fewer], y[fewer]) <= 1e-15
+    def test_banded_rule_agrees_with_twenty_levels(self, p):
+        assert error_to_twenty_levels(p) <= 1e-15
 
-    @pytest.mark.parametrize("band", [0, 1, 2])
-    def test_two_levels_fewer_in_a_band_is_seen(self, monkeypatch, band):
-        # each of these bands two levels short errs by 6e-14 to 5e-12 at
-        # p = 1.5; 18 levels instead of 20 below c = 1e-5 err by 2e-16 of
-        # max(1, |U|), which no bound on that scale can see
-        x, y = level_scan()
-        floor, n = orth._BANDS[band]
-        mine = orth._rule_levels(y)[1] == n
-        short = list(orth._BANDS)
-        short[band] = (floor, n - 2)
-        monkeypatch.setattr(orth, "_BANDS", tuple(short))
-        assert error_to_twenty_levels(monkeypatch, 1.5, x[mine], y[mine]) > 1e-15
+    @pytest.mark.parametrize("p", P_RANGE)
+    def test_one_level_fewer_is_seen(self, monkeypatch, p):
+        # every point one level short, the floor of 4 included, errs by
+        # 4.5e-14 (p = 2) to 2.7e-10 (p = 1); the points at the floor carry it.
+        # The cached reference is taken first, on the unpatched rule
+        twenty_levels(p)
+        monkeypatch.setattr(orth, "_rule_levels", levels_of(lambda n: n - 1))
+        assert error_to_twenty_levels(p) > 1e-15
+
+    def test_p2_closed_form_far_from_the_origin(self):
+        # past |x| = 3 the kernel's spike on piece 1 is c/|x| wide, narrower
+        # than c alone would say
+        ctx = OrthContext(2.0)
+        c = np.geomspace(0.9, 1e-12, 200)
+        y = 1 - 2 / np.pi * np.arcsin(c)
+        for a in (30.0, 100.0, 1e3, 1e4):
+            for x in (a, -a):
+                u = u_orth(ctx, x, y)
+                assert np.max(np.abs(u - (x * x + 1 - y * y)) / np.maximum(1, u)) <= 1e-15
 
 
 class TestErrors:

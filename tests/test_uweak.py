@@ -65,6 +65,12 @@ def test_nan_rejected(ctx3, fn, pt):
         fn(ctx3, *pt)
 
 
+def test_context_refuses_a_non_finite_exponent(ctx3):
+    for p in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="requires finite p > 2"):
+            uweak.UWContext(p, ctx3.g)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_y_lies_in_d0(ctx3):
     # |y| = inf is in D0 (|y| >= 1), where U = 1 - c x^p holds no G
