@@ -21,10 +21,12 @@ all its moments from one set of exit points, and
 
 Determinism contract: strip chunk i (of fixed size) uses
 ``SeedSequence([master_seed, i])`` and random pair j uses
-``SeedSequence([master_seed, 10_000 + j])``.  Both run on a pool of
-`cfg.workers` threads (numpy releases the GIL in array work) and are
-combined in index order, so reports are bit-identical for a given master
-seed at any worker count.
+``SeedSequence([master_seed, 10_000 + j])``.  After its law's four draws a
+pair reads one 64-bit word of the generator per path for g_0's sign and one
+per path and step: the top bit gives the sign v, the low 53 bits the step
+of f (`_pair_chunk`).  Both run on a pool of `cfg.workers` threads (numpy
+releases the GIL in array work) and are combined in index order, so
+reports are bit-identical for a given master seed at any worker count.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ _MAX_STEPS = 1_000
 # P(Z > 4): a weak-type row with P = 1 of n paths (no binomial error) is
 # judged at P's exact lower bound _ALPHA^(1/n), the 4 sigma gate's confidence
 _ALPHA = 0.5 * math.erfc(2 * math.sqrt(2))
+# A float64's sign bit, and a 64-bit word's top bit
+_SIGN = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -216,10 +220,12 @@ def _pair_chunk(args):
     n i.i.d. factors 1 + sigma xi, so E f_n^p = m_p^n with m_p = E (1 + sigma
     xi)^p, >= 1 for p >= 1 and <= 1 for p < 1 (Jensen); the sup is max(1, m_p)^N.
 
-    Each step draws its two uniforms (v's sign, then the step of f) as one
-    (2, n) block, the same stream as two draws of n.  The sign and the
-    two-point step are exact branch-free forms of `np.where(u < c, s, t)`,
-    and f, g and g* are updated in place."""
+    After the law's four draws (N, q, a, sigma), each path reads one 64-bit
+    word of the generator for g_0's sign and one per step: the word's top
+    bit is v (set: v = -1), XORed into the sign bit of df, which is exact,
+    and its low 53 bits w are f's step uniform, a down-step -b when
+    w >= ceil(q 2^53): the law of u >= q on the 2^-53 grid of u = w 2^-53.
+    f, g and g* are updated in place."""
     seed_pair, n_paths, ps = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     n_steps = int(rng.integers(5, 26))
@@ -231,16 +237,26 @@ def _pair_chunk(args):
     if not sigma * max(a, b) < 1:  # each step multiplies f by 1 + sigma*xi > 0
         raise RuntimeError("generator bug: negative martingale value")
     xi = np.array([a, -b])  # indexed by u >= q
+    # the low 53 bits against ceil(q 2^53), both shifted to the top of the word
+    down_from = np.uint64(math.ceil(q * 2.0**53) << 11)
+    words = rng.bit_generator.random_raw
     f = np.ones(n_paths)
-    g_final = 1.0 - 2.0 * (rng.random(n_paths) >= 0.5)  # g0 = +-f0
+    g_final = np.ones(n_paths)
+    g_final.view(np.uint64)[:] ^= words(n_paths) & _SIGN  # g0 = +-f0
     g_star = np.ones(n_paths)
     df = np.empty(n_paths)
+    df_bits = df.view(np.uint64)
+    low = np.empty(n_paths, np.uint64)
+    down = np.empty(n_paths, bool)
     for _ in range(n_steps):
-        u = rng.random((2, n_paths))
+        w = words(n_paths)
+        np.left_shift(w, 11, out=low)
+        np.greater_equal(low, down_from, out=down)
         np.multiply(f, sigma, out=df)
-        df *= xi.take(u[1] >= q)
+        df *= xi.take(down)
         f += df
-        df *= 1.0 - 2.0 * (u[0] >= 0.5)  # predictable sign v = +-1: exact
+        w &= _SIGN
+        df_bits ^= w  # predictable sign v = +-1: exact
         g_final += df
         np.maximum(g_star, np.abs(g_final), out=g_star)
     m_p = (q * (1 + sigma * a) ** p + (1 - q) * (1 - sigma * b) ** p for p in ps)
@@ -252,17 +268,20 @@ def _lambda_scan(g, grid, f_pp, p, bound):
     lambda^p P(g >= lambda) / f_pp, its binomial standard error, and its
     margin (ratio - bound) / std_error in sigma.  The margin is NaN where
     the empirical probability is 0 or 1, since the binomial error is 0.
+    A margin past the doubles (an error that underflows to 0, or a
+    quotient that overflows) reads +-inf with the sign of ratio - bound,
+    and warns of nothing.
 
-    P is counted by a sorted search; `g` need not be sorted, and sorting a
-    sample that already is costs one copy."""
+    `g` must be sorted ascending: P is counted by a sorted search."""
     n = g.size
-    prob = (n - np.searchsorted(np.sort(g), grid, side="left")) / n
+    prob = (n - np.searchsorted(g, grid, side="left")) / n
     lam_p = grid**p
     ratio = lam_p * prob / f_pp
     se = lam_p * np.sqrt(prob * (1 - prob) / n) / f_pp
     margin = np.full(grid.size, np.nan)
     inner = (prob > 0) & (prob < 1)
-    margin[inner] = (ratio[inner] - bound) / se[inner]
+    with np.errstate(over="ignore", divide="ignore"):
+        margin[inner] = (ratio[inner] - bound) / se[inner]
     return ratio, se, margin
 
 

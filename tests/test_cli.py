@@ -196,6 +196,17 @@ def test_huge_or_infinite_exponent_is_one_error_line(capsys, argv, code):
     assert (f"p = {p}" if math.isfinite(p) else "inf") in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_weak_type_at_p60_prints_no_warning(capsys):
+    # c_p^p is ~7e86 at p = 60 and a pair's error bar can be ~1e-220, so a
+    # row's margin (ratio - bound) / se overflows a double; it printed two
+    # RuntimeWarnings (overflow, and divide by zero where se underflowed)
+    assert main(["verify", "mc-weak-type", "--p", "60", "--n", "10"]) == 0
+    out = capsys.readouterr()
+    (check,) = json.loads(out.out)["checks"]
+    assert check["passed"] and check["margin_sigma"] < 0 and out.err == ""
+
+
 def test_verify_forwards_p_only_when_given(monkeypatch, capsys):
     seen = []
 

@@ -276,6 +276,72 @@ def test_pair_chunk_f_pp_is_the_step_law_closed_form():
             assert f_pp == pytest.approx(_enumerated_f_pp(seed_pair, p), rel=1e-12, abs=0)
 
 
+def _plain_pair(seed_pair, n_paths, q_shift=0.0):
+    """The pair's law read path by path with np.where: g_0's sign and each
+    step's v from a word's top bit (set: -1), and f's step from the word's
+    low 53 bits as the uniform u = w 2^-53, a if u < q and -b if not.
+    q_shift moves the step threshold; returns g* and |g| at the final time."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
+    n_steps = int(rng.integers(5, 26))
+    q = rng.uniform(0.2, 0.8)
+    a = rng.uniform(0.2, 1.0)
+    b = q * a / (1 - q)
+    sigma = rng.uniform(0.1, 0.9) / max(a, b)
+    words = rng.bit_generator.random_raw
+    f = np.ones(n_paths)
+    g = np.where(words(n_paths) >> 63 == 1, -1.0, 1.0)
+    g_star = np.abs(g)
+    for _ in range(n_steps):
+        w = words(n_paths)
+        v = np.where(w >> 63 == 1, -1.0, 1.0)
+        u = (w & (2**53 - 1)) * 2.0**-53
+        df = f * sigma * np.where(u < q + q_shift, a, -b)
+        f = f + df
+        g = g + v * df
+        g_star = np.maximum(g_star, np.abs(g))
+    return g_star, np.abs(g)
+
+
+@pytest.mark.parametrize("j", range(8))
+def test_pair_chunk_is_the_plain_reading_of_its_law(j):
+    seed_pair = (5, 10_000 + j)
+    n_paths = 1 + 997 * j
+    g_star, g_fin, _ = _pair_chunk((seed_pair, n_paths, (3.0,)))
+    want_star, want_fin = _plain_pair(seed_pair, n_paths)
+    assert np.array_equal(g_star, want_star) and np.array_equal(g_fin, want_fin)
+
+
+_LAW_PAIRS = [(25, 10_000 + j) for j in range(8)]
+
+
+def _g_second_moment_z(g_fin, f_22):
+    """z of the sample mean of |g_N|^2 against ||f||_2^2 = E|g_N|^2."""
+    x = g_fin**2
+    return (x.mean() - f_22) / (x.std(ddof=1) / math.sqrt(x.size))
+
+
+def test_pair_chunk_g_second_moment_is_f_norm():
+    # |dg| = |df| and v is a fair sign independent of the past, so the cross
+    # terms vanish and E|g_N|^2 = 1 + sum E df_k^2 = E f_N^2 = m_2^N, the
+    # p = 2 value _pair_chunk returns (m_2 >= 1)
+    zs = []
+    for seed_pair in _LAW_PAIRS:
+        _, g_fin, (f_22,) = _pair_chunk((seed_pair, 100_000, (2.0,)))
+        zs.append(_g_second_moment_z(g_fin, f_22))
+    assert max(map(abs, zs)) <= 4.0, zs
+
+
+def test_g_second_moment_sees_a_moved_step_threshold():
+    # the same law with f's threshold moved from q to q + 0.02: f drifts and
+    # the gate of test_pair_chunk_g_second_moment_is_f_norm fails
+    zs = []
+    for seed_pair in _LAW_PAIRS:
+        _, _, (f_22,) = _pair_chunk((seed_pair, 10, (2.0,)))
+        g_fin = _plain_pair(seed_pair, 100_000, q_shift=0.02)[1]
+        zs.append(_g_second_moment_z(g_fin, f_22))
+    assert max(map(abs, zs)) > 4.0, zs
+
+
 @pytest.mark.parametrize("p, bound", [(0.5, math.sqrt(2)), (3.0, 27 / 16)])
 def test_random_pairs_respect_weak_bound(p, bound):
     rep = random_subordinate_pair_check(
@@ -290,23 +356,22 @@ def test_random_pairs_respect_weak_bound(p, bound):
     check_schema(rep)
 
 
-# Reports of the kernel that drew each step's uniforms in two calls and
-# chose v and the step of f with np.where; the branch-free kernel must
-# reproduce every key bit for bit.  The p = 3 entries divide by the exact
-# ||f||_p^p of each pair's step law; at p < 1 that is 1.
+# Reports of the one-word-per-step kernel at one worker.  The p = 3 entries
+# divide by the exact ||f||_p^p of each pair's step law; at p < 1 that is 1.
+# The kernel's bit-for-bit guard is test_pair_chunk_is_the_plain_reading_of_its_law.
 _PAIRS_PINNED = {
     (7, 0.5): dict(estimate=0.9815637418878093, std_error=0.0, ratio_excess=-0.3059296219442881,
-                   worst_lambda=0.9634673793887978, worst_fixed_time_ratio=0.7118057022175444,
-                   margin_sigma=-50.23957652592795),
-    (7, 3.0): dict(estimate=0.5975809460576958, std_error=0.005724423100531577,
-                   ratio_excess=-0.645877957891736, worst_lambda=1.0928201507033266,
-                   worst_fixed_time_ratio=0.32574901194874395, margin_sigma=-19.15561501096858),
+                   worst_lambda=0.9634673793887978, worst_fixed_time_ratio=0.7071656032048559,
+                   margin_sigma=-50.177925442604966),
+    (7, 3.0): dict(estimate=0.6064349587679502, std_error=0.005824028718118872,
+                   ratio_excess=-0.6406311355449186, worst_lambda=1.0986918263556014,
+                   worst_fixed_time_ratio=0.33683913007542204, margin_sigma=-31.21669146253835),
     (8, 0.5): dict(estimate=0.9945684039719729, std_error=0.0, ratio_excess=-0.2967339371975364,
-                   worst_lambda=0.9891663101793574, worst_fixed_time_ratio=0.74214687163111,
-                   margin_sigma=-51.44534647506445),
-    (8, 3.0): dict(estimate=0.4169039737948137, std_error=0.004418372636488047,
-                   ratio_excess=-0.7529457933067771, worst_lambda=1.118432525376097,
-                   worst_fixed_time_ratio=0.2509758718632557, margin_sigma=-41.00170065010332),
+                   worst_lambda=0.9891663101793574, worst_fixed_time_ratio=0.7389275306443731,
+                   margin_sigma=-50.20739547660305),
+    (8, 3.0): dict(estimate=0.4092575748931832, std_error=0.008955758121045002,
+                   ratio_excess=-0.7574769926558915, worst_lambda=1.4855966694416145,
+                   worst_fixed_time_ratio=0.2386431333188405, margin_sigma=-26.541190582675615),
 }
 
 
@@ -345,7 +410,7 @@ def test_pairs_verdict_uses_largest_margin():
     grid = np.array([1.0, 1.5, 3.0])
     a = np.repeat([2.0, 1.0], [52, 48])
     b = np.repeat([2.0, 1.0], [51_500, 48_500])
-    rows = [_lambda_scan(g, grid, 1.0, p, bound) for g in (a, b)]
+    rows = [_lambda_scan(np.sort(g), grid, 1.0, p, bound) for g in (a, b)]
     ratio, se, margin = (np.concatenate(c) for c in zip(*rows))
     top = int(np.argmax(ratio))
     assert top == 1 and margin[top] <= 4.0  # the old rule: this row decides, passes
@@ -356,6 +421,19 @@ def test_pairs_verdict_uses_largest_margin():
     # P = 1 at lambda = 1 and P = 0 at lambda = 3: no margin, no 1e-12 floor
     assert np.isnan(margin[[0, 2, 3, 5]]).all()
     assert se[[0, 2, 3, 5]].tolist() == [0.0] * 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_lambda_scan_margin_keeps_its_sign_past_the_doubles():
+    # P = 1/2 in both rows.  At lambda = 1e-10, lambda^3 / f_pp underflows:
+    # the error bar is 0 and (ratio - bound) / 0 is -inf.  At lambda = 1/2
+    # the error bar is ~4e-152 and the bound 1e200: the quotient overflows
+    # to -inf.  Neither warns.
+    g = np.array([0.0, 1.0])
+    ratio, se, margin = _lambda_scan(g, np.array([1e-10]), 1e308, 3.0, 1.5)
+    assert (ratio[0], se[0], margin[0]) == (0.0, 0.0, -math.inf)
+    ratio, se, margin = _lambda_scan(g, np.array([0.5]), 1e150, 3.0, 1e200)
+    assert se[0] > 0 and margin[0] == -math.inf
 
 
 def test_pairs_verdict_fails_an_errorless_row_above_the_bound():
