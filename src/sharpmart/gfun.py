@@ -23,6 +23,7 @@ importing this module loads numpy only.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,21 +184,26 @@ def build_g_rk(p: float, step: float = 1e-3) -> GSolution:
     A non-finite p is a `ValueError`; a p whose (p/2)^{p+1} overflows a
     double is a `ConstructionError`.
     """
-    from scipy.integrate import odeint
+    from scipy.integrate import ODEintWarning, odeint
 
     _check_exponent(p)
     if step > 1e-3:
         raise ValueError("step must be <= 1e-3")
     t0 = 2 / p
     ts = np.linspace(t0, _T_MAX, int(math.ceil((_T_MAX - t0) / step)) + 1)
-    u, info = odeint(
-        lambda u, t: 1 - _slope_from_gap(p, t, u[0]),
-        [t0],
-        ts,
-        rtol=1e-12,
-        atol=1e-30,
-        full_output=True,
-    )
+    # at large p the right-hand side overflows and LSODA gives up ("excess
+    # work done"); `info` and `GSolution`'s checks turn that into one
+    # `ConstructionError`, so the warnings on the way are not printed
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        u, info = odeint(
+            lambda u, t: 1 - _slope_from_gap(p, t, u[0]),
+            [t0],
+            ts,
+            rtol=1e-12,
+            atol=1e-30,
+            full_output=True,
+        )
     if info["message"] != _ODEINT_SUCCESS:
         raise ConstructionError(f"LSODA failed: {info['message']}")
     return GSolution(p, ts, u[:, 0], "lsoda")

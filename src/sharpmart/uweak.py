@@ -1,19 +1,20 @@
 """Piecewise special function U and majorant V on the right half-plane, p > 2.
 
 The half-plane splits into eight regions D0..D7 (first match wins, in index
-order, with |y| throughout); U is defined by a separate closed form on each
-region, two of which involve the auxiliary function G (D6 reads it only
+order, with |y| throughout); U is written once per region, in `_value`, by a
+closed form, two of which involve the auxiliary function G (D6 reads it only
 through its gap u = t + 1 - G, never as a difference) and its inverse h.
-The gradient and all three second derivatives are closed forms per region
-as well.  One helper, `_classified`, prepares and classifies a point set
-once and keeps the h(x+|y|) that classification computed; every evaluator
-reads its result, and the dispatcher `_dispatch` runs the value, gradient or
-Hessian formula of each region on that region's points.  Values, U_x, U_xx
-and U_yy are even in y, U_y and U_xy odd.  Every public evaluator broadcasts
-x against y and returns arrays of the broadcast shape, or Python scalars
-(int labels, float values, bool verdicts) when both are scalars.
-`verify u-weak` reads all of its checks on one sample from one
-classification, through `_sample_checks`.
+The gradient and the three second derivatives are not written out: `_value`
+runs on second-order jets in (x, |y|), which carry them by the chain rule,
+with the derivatives of u and h taken from G' = c t^{p-2} u^2.  One helper,
+`_classified`, prepares and classifies a point set once and keeps the
+h(x+|y|) that classification computed; every evaluator reads its result, and
+the dispatcher `_dispatch` runs each region's formula, on arrays or on jets,
+on that region's points.  Values, U_x, U_xx and U_yy are even in y, U_y and
+U_xy odd.  Every public evaluator broadcasts x against y and returns arrays
+of the broadcast shape, or Python scalars (int labels, float values, bool
+verdicts) when both are scalars.  `verify u-weak` reads all of its checks on
+one sample from one classification and one jet pass, through `_sample_checks`.
 
 A point is interior when its label survives the four moves of x or y by
 tol.  A move shifts the slack of each region inequality by at most tol times
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import weak_constant_pth_power
-from .gfun import GSolution, build_g_rk, h_of
+from .gfun import GSolution, _slope_from_gap, build_g_rk, h_of
 
 __all__ = [
     "EvaluationError",
@@ -146,21 +147,84 @@ def _by_region(ctx, x, y, formula, odd):
 
 
 def _dispatch(ctx, x, y, Y, labels, hs, formula, odd):
-    """`_by_region` on points already prepared and classified."""
-    out = [np.empty(x.shape) for _ in odd]
+    """`_by_region` on points already prepared and classified.  Each region's
+    points are read and written through one flat index array."""
+    out = [np.empty(x.size) for _ in odd]
+    xf, Yf, hf, lf = (a.ravel() for a in (x, Y, hs, labels))
     for r in range(N_REGIONS):
-        m = labels == r
-        if np.any(m):
-            parts = formula(ctx, r, x[m], Y[m], hs[m])
+        i = np.flatnonzero(lf == r)
+        if i.size:
+            parts = formula(ctx, r, xf[i], Yf[i], hf[i])
             for o, part in zip(out, parts if isinstance(parts, tuple) else (parts,)):
-                o[m] = part
+                o[i] = part
     sign = np.where(y < 0, -1.0, 1.0)
+    out = [o.reshape(x.shape) for o in out]
     out = [o * sign if flip else o for o, flip in zip(out, odd)]
     return tuple(out) if x.ndim else tuple(float(o) for o in out)
 
 
+class _Jet:
+    """A quantity with its derivatives in (x, Y = |y|): the tuple
+    d = (v, d_x, d_Y, d_xx, d_xY, d_YY).  +, -, * and / (with jets or
+    scalars, either side), real powers and `lift` carry d by the chain rule,
+    so `_value` run on jets returns U's gradient and Hessian with U: forward
+    differentiation (Griewank and Walther 2008, Evaluating Derivatives, ch. 13)."""
+
+    __array_ufunc__ = None  # ndarray op jet falls to the jet's reflected op
+
+    def __init__(self, *d):
+        self.d = d
+
+    def lift(self, f, f1, f2):
+        """phi(self), given phi, phi' and phi'' at its value."""
+        _, a, b, aa, ab, bb = self.d
+        return _Jet(f, f1 * a, f1 * b, f1 * aa + f2 * a * a, f1 * ab + f2 * a * b,
+                    f1 * bb + f2 * b * b)
+
+    def __add__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(*(s + t for s, t in zip(self.d, o.d)))
+        return _Jet(self.d[0] + o, *self.d[1:])
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return self + o * -1
+
+    def __rsub__(self, o):
+        return self * -1 + o
+
+    def __mul__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(*(s * o for s in self.d))
+        v, a, b, aa, ab, bb = self.d
+        w, c, e, cc, ce, ee = o.d
+        return _Jet(v * w, a * w + v * c, b * w + v * e, aa * w + 2 * a * c + v * cc,
+                    ab * w + a * e + b * c + v * ce, bb * w + 2 * b * e + v * ee)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(*(s / o for s in self.d))
+        return self * (1 / o)
+
+    def __rtruediv__(self, o):
+        v = self.d[0]
+        return o * self.lift(1 / v, -1 / v**2, 2 / v**3)
+
+    def __pow__(self, a):
+        v = self.d[0]
+        return self.lift(v**a, a * v ** (a - 1), a * (a - 1) * v ** (a - 2))
+
+
+# which of the six jet components change sign where y < 0: U_Y and U_xY
+_ODD = (False, False, True, False, True, False)
+
+
 def _value(ctx, r, x, Y, h):
-    """U on region r at (x, Y = |y|); h = h(x+Y) is read only by D5."""
+    """U on region r at (x, Y = |y|), on arrays or on `_Jet`s; h = h(x+Y)
+    is read only by D5."""
     p, c = ctx.p, ctx.coef
     if r == 0:
         return 1 - c * x**p
@@ -183,7 +247,7 @@ def _value(ctx, r, x, Y, h):
         t = x - Y + 1
         return (
             1
-            - 2 * (1 - Y) / ctx.g.gap(t)
+            - 2 * (1 - Y) / _gap(ctx.g, t)
             - c * t ** (p - 1) * (x - (p - 1) * (1 - Y))
         )
     if r == 7:
@@ -191,95 +255,31 @@ def _value(ctx, r, x, Y, h):
     raise ValueError(f"unknown region {r}")
 
 
-def _gradient(ctx, r, x, Y, h):
-    """(U_x, U_y) on region r at (x, Y = |y|)."""
-    p, c = ctx.p, ctx.coef
-    if r in (0, 7):
-        return -p * c * x ** (p - 1), 0.0
-    if r == 1:
-        a = p**p / (2 * (p - 1) * (p - 2) ** (p - 2))
-        ux = a * (Y - x) ** (p - 2) * (Y - p * x)
-        return ux, a * (p - 1) * x * (Y - x) ** (p - 2)
-    if r == 2:
-        ux = p / (2 * (p - 1)) * (x + Y) ** (p - 2) * (
-            (p - 2) * Y - (p**2 - 2 * p + 2) * x
-        )
-        return ux, p / 2 * (x + Y) ** (p - 2) * (2 * Y - (p - 2) * x)
-    if r == 3:
-        ux = -(p**2) / (2 * (p - 1)) + 2 * (1 - Y) / (1 + x - Y) ** 2
-        return ux, 2 * x / (1 + x - Y) ** 2
-    if r == 4:
-        ux = -c * (x + 1 - Y) ** (p - 2) * (p * x - (p - 2) * (1 - Y))
-        uy = p**2 / (2 * (p - 1)) + c * (x + 1 - Y) ** (p - 2) * (
-            (p - 2) * x - p * (1 - Y)
-        )
-        return ux, uy
+def _gap_derivs(g, t):
+    """u, u' and u'' at t for the gap u = t + 1 - G: u from the table, then
+    u' = 1 - G' and u'' = -G'((p - 2)/t + 2u'/u), with G' = c t^{p-2} u^2."""
+    u = g.gap(t)
+    gp = _slope_from_gap(g.p, t, u)
+    return u, 1 - gp, -gp * ((g.p - 2) / t + 2 * (1 - gp) / u)
+
+
+def _gap(g, t):
+    """The gap u(t), lifted by its derivatives where t is a jet."""
+    return t.lift(*_gap_derivs(g, t.d[0])) if isinstance(t, _Jet) else g.gap(t)
+
+
+def _jets(ctx, r, x, Y, h):
+    """(U, U_x, U_Y, U_xx, U_xY, U_YY) on region r: `_value` on jets seeded
+    at x and Y; on D5, h = h(x + Y) is lifted by h' = 1/G'(h) and
+    h'' = -G''(h) h'^3 = u''(h) h'^3.  U'' is read only on region interiors,
+    so the origin's infinite (Y - x)^{p-3} at p < 3 passes silently."""
+    X, Y = _Jet(x, 1.0, 0.0, 0.0, 0.0, 0.0), _Jet(Y, 0.0, 1.0, 0.0, 0.0, 0.0)
     if r == 5:
-        core = 2 * (h - x) / (h - (x + Y) + 1) ** 2
-        return core - p * c * h ** (p - 1), core
-    # D6: 2 + x - Y - G(t) is the gap u(t), and 1 + x - G(t) = u + Y - 1
-    t = x - Y + 1
-    u = ctx.g.gap(t)
-    return 2 * (1 - Y) / u**2 - p * c * t ** (p - 1), 2 * (u + Y - 1) / u**2
-
-
-def _hessian(ctx, r, x, Y, h):
-    """(U_xx, U_xy, U_yy) on the interior of region r at (x, Y = |y|)."""
-    p, c = ctx.p, ctx.coef
-    if r in (0, 7):
-        return -p * (p - 1) * c * x ** (p - 2), 0.0, 0.0
-    if r == 1:
-        b = p**p / (2 * (p - 2) ** (p - 2))
-        return (
-            b * (Y - x) ** (p - 3) * (p * x - 2 * Y),
-            b * (Y - x) ** (p - 3) * (Y - (p - 1) * x),
-            b * (Y - x) ** (p - 3) * (p - 2) * x,
-        )
-    if r == 2:
-        return (
-            -p * (x + Y) ** (p - 3) * ((p**2 - 2 * p + 2) / 2 * x + Y),
-            p * (p - 2) / 2 * (x + Y) ** (p - 3) * (Y - (p - 1) * x),
-            -p * (x + Y) ** (p - 3) * ((p**2 - 4 * p + 2) / 2 * x - (p - 1) * Y),
-        )
-    if r == 3:
-        return (
-            -4 * (1 - Y) / (1 + x - Y) ** 3,
-            2 * (1 - x - Y) / (1 + x - Y) ** 3,
-            4 * x / (1 + x - Y) ** 3,
-        )
-    if r == 4:
-        b = p**p / 2**p
-        return (
-            -b * (x + 1 - Y) ** (p - 3) * (p * x + (p - 4) * (Y - 1)),
-            b * (p - 2) * (x + 1 - Y) ** (p - 3) * (x + Y - 1),
-            b * (x + 1 - Y) ** (p - 3) * (-(p - 4) * x + p * (1 - Y)),
-        )
-    if r == 5:
-        hp = 1 / ctx.g.gprime(h)
-        den = h - (x + Y) + 1
-        # d/ds of 2(h-x)/(h-s+1)^2 at fixed x: the h' term enters with
-        # a plus sign (the printed table has a sign slip here; the
-        # finite-difference oracle and the U_xx chain rule both agree)
-        shared = 2 * (h - x) * (hp - 1) / den
-        return (
-            2 / den**2 * (-2 + hp - shared),
-            2 / den**2 * (hp - 1 - shared),
-            2 / den**2 * (hp - shared),
-        )
-    # D6, with G(t) - x - Y = 2 - 2Y - u(t)
-    t = x - Y + 1
-    u = ctx.g.gap(t)
-    Gp = ctx.g.gprime(t)
-    common = -4 * (1 - Y) * (1 - Gp) / u**3
-    return (
-        common - p ** (p + 1) / 2**p * t ** (p - 2),
-        2 * (1 - Gp) * (2 - 2 * Y - u) / u**3,
-        common + 2 * (2 - Gp) / u**2,
-    )
-
-
-def _value_gradient(ctx, r, x, Y, h):
-    return (_value(ctx, r, x, Y, h), *_gradient(ctx, r, x, Y, h))
+        _, du, d2u = _gap_derivs(ctx.g, h)
+        hp = 1 / (1 - du)
+        h = (X + Y).lift(h, hp, d2u * hp**3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _value(ctx, r, X, Y, h).d
 
 
 def u_branch(ctx: UWContext, region: int, x, y):
@@ -305,9 +305,9 @@ def u_gradient_ext(ctx: UWContext, x, y):
 
     One-sided conventions on the exceptional boundaries fall out of the
     first-match classification: on |y| = 1 the D0 branch applies (psi = 0),
-    and on the shared edge of D3 and D4 the D4 formulas apply.
+    and on the shared edge of D3 and D4 the D4 formula applies.
     """
-    return _by_region(ctx, x, y, _gradient, (False, True))
+    return _by_region(ctx, x, y, _jets, _ODD)[1:3]
 
 
 def _stable(ctx, x, y, Y, base, hs, tol):
@@ -362,14 +362,14 @@ def is_interior(ctx: UWContext, x, y, tol: float = _INTERIOR_TOL):
 
 def u_second_derivs(ctx: UWContext, x, y):
     """(U_xx, U_xy, U_yy) on region interiors; errors on boundary points.
-    The points are classified once, for the interior test and the formulas."""
+    The points are classified once, for the interior test and the jets."""
     pts = _classified(ctx, x, y)
     bad = np.flatnonzero(np.logical_not(_stable(ctx, *pts, _INTERIOR_TOL)))
     if bad.size:
         raise EvaluationError(
             f"second derivatives undefined at region boundary point index {bad[0]}"
         )
-    return _dispatch(ctx, *pts, _hessian, (False, True, False))
+    return _dispatch(ctx, *pts, _jets, _ODD)[3:]
 
 
 def _tangent(ctx, x, y, h, k, u, phi, psi, slack):
@@ -390,7 +390,7 @@ def tangent_check(ctx: UWContext, x, y, h, k, slack: float = _TANGENT_SLACK):
         raise ValueError("requires x >= 0 and x + h >= 0")
     if np.any(np.abs(k) > np.abs(h) + 1e-15):
         raise ValueError("requires |k| <= |h|")
-    u, phi, psi = _by_region(ctx, x, y, _value_gradient, (False, False, True))
+    u, phi, psi = _by_region(ctx, x, y, _jets, _ODD)[:3]
     ok = _tangent(ctx, x, y, h, k, u, phi, psi, slack)
     return ok if np.ndim(ok) else bool(ok)
 
@@ -403,19 +403,18 @@ def majorization_check(ctx: UWContext, x, y, slack: float = _MAJORIZATION_SLACK)
 def _sample_checks(ctx, x, y, h, k):
     """The checks of `verify u-weak` on one sample of points (x, y), float
     arrays, with jumps (h, k) that keep x + h >= 0 and |k| <= |h|, from one
-    classification of the sample: the tangent and majorization verdicts per
-    point, the interior mask, (U_xx, U_xy, U_yy) on the interior points, and
-    U_y at (x, |y|).  The tolerances and slacks are the public checks'
-    defaults."""
+    classification and one jet pass of the sample: the tangent and
+    majorization verdicts per point, the interior mask, (U_xx, U_xy, U_yy) on
+    the interior points, and U_y at (x, |y|).  The tolerances and slacks are
+    the public checks' defaults."""
     pts = _classified(ctx, x, y)
-    u, phi, psi = _dispatch(ctx, *pts, _value_gradient, (False, False, True))
+    u, phi, psi, *hess = _dispatch(ctx, *pts, _jets, _ODD)
     inter = _stable(ctx, *pts, _INTERIOR_TOL)
-    hess = _dispatch(ctx, *(a[inter] for a in pts), _hessian, (False, True, False))
     return (
         _tangent(ctx, x, y, h, k, u, phi, psi, _TANGENT_SLACK),
         _majorized(ctx, x, y, u, _MAJORIZATION_SLACK),
         inter,
-        hess,
+        tuple(d[inter] for d in hess),
         psi * np.where(y < 0, -1.0, 1.0),  # psi is odd in y: exact
     )
 

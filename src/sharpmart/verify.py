@@ -141,7 +141,6 @@ def suite_extremal(p=3.0, **_):
     rep_eval = extremal.evaluate_ratio(X, Y, p)
     fast = extremal.section_ratio(p, params.x0, params.delta, params.n_steps)
     f, g, small_p = extremal.build_p_lt1_example()
-    harm = extremal.harmonic_1d_example(0.5, [1.999999])
     report = {
         "suite": "extremal",
         "p": p,
@@ -153,7 +152,6 @@ def suite_extremal(p=3.0, **_):
         "primed_ratio_over_constant": rep_eval.primed_ratio / weak_constant_pth_power(p),
         "p_lt1_identity": all(v["identity_holds"] for v in small_p.values()),
         "p_lt1_martingales": f.check_martingale() and g.check_martingale(),
-        "harmonic_sup": harm["sup"],
     }
     ok = (
         report["x_martingale"]
@@ -162,7 +160,6 @@ def suite_extremal(p=3.0, **_):
         and report["primed_ratio_over_constant"] <= 1 + 1e-12
         and report["p_lt1_identity"]
         and report["p_lt1_martingales"]
-        and report["harmonic_sup"] > 2 - 1e-5
     )
     return bool(ok), report
 
@@ -200,9 +197,9 @@ def suite_mc_strip(p=2.0, seed=42, n=200_000, workers=1, **_):
 def suite_harmonic(p=2.0, seed=13, n=100_000, workers=1, **_):
     cfg = mc.SimConfig(master_seed=seed, n_samples=n, workers=workers)
     rect = mc.harmonic_rectangle_check(p, 20.0, cfg)
-    oned = extremal.harmonic_1d_example(0.5, [0.5, 1.0, 1.5, 1.9, 1.999])
+    oned = extremal.harmonic_1d_example(0.5, [0.5, 1.0, 1.5, 1.9, 1.999, 1.999999])
     report = {"suite": "harmonic", "rectangle": rect, "one_dim_sup": oned["sup"]}
-    ok = rect["passed"] and oned["sup"] > 1.99
+    ok = rect["passed"] and oned["sup"] > 2 - 1e-5
     return bool(ok), report
 
 

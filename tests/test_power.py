@@ -134,3 +134,19 @@ def test_u_weak_fails_with_no_interior_point(monkeypatch):
     assert report["n_interior"] == 0
     assert report["hessian_form_max"] is None
     assert report["tangent_ok"] and report["majorization_ok"]
+
+
+def test_harmonic_sees_the_1d_sup_short_of_two(monkeypatch):
+    # the 1-d example's supremum, 1.999999 on its grid, is gated at 2 - 1e-5;
+    # cut by 1e-5 it reads 1.99998, which the older gate of 1.99 let through
+    one_dim = extremal.harmonic_1d_example
+
+    def short(p, grid):
+        out = one_dim(p, grid)
+        return {**out, "sup": out["sup"] * (1 - 1e-5)}
+
+    monkeypatch.setattr(extremal, "harmonic_1d_example", short)
+    monkeypatch.setattr(verify.mc, "harmonic_rectangle_check", lambda *_: {"passed": True})
+    ok, report = run_suite("harmonic")
+    assert not ok
+    assert 1.99 < report["one_dim_sup"] < 2 - 1e-5

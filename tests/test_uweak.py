@@ -262,19 +262,42 @@ class TestBoundaryContinuity:
 
 
 class TestGradient:
-    def test_matches_finite_differences(self, ctx3):
-        rng = np.random.default_rng(4)
-        x, y = _random_points(ctx3, 4000, seed=4)
-        inner = is_interior(ctx3, x, y, tol=2e-5)
+    @pytest.mark.parametrize("p", [2.5, 3.0, 6.0, 10.0])
+    def test_matches_finite_differences(self, p):
+        ctx = build_context(p)
+        x, y = _random_points(ctx, 4000, seed=4)
+        inner = is_interior(ctx, x, y, tol=2e-5)
         x, y = x[inner], y[inner]
         e = 1e-6
-        phi, psi = u_gradient_ext(ctx3, x, y)
-        fdx = (u_value(ctx3, x + e, y) - u_value(ctx3, np.maximum(x - e, 0), y)) / (
+        phi, psi = u_gradient_ext(ctx, x, y)
+        fdx = (u_value(ctx, x + e, y) - u_value(ctx, np.maximum(x - e, 0), y)) / (
             e + np.minimum(x, e)
         )
-        fdy = (u_value(ctx3, x, y + e) - u_value(ctx3, x, y - e)) / (2 * e)
+        fdy = (u_value(ctx, x, y + e) - u_value(ctx, x, y - e)) / (2 * e)
         assert np.allclose(phi, fdx, atol=1e-5, rtol=1e-4)
         assert np.allclose(psi, fdy, atol=1e-5, rtol=1e-4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [2.1, 2.5])
+    def test_axis_x_zero_origin_included(self, p):
+        # at x = 0, U_y = 0 and U_x is a|y|^{p-1} on D1 (|y| < 1 - 2/p),
+        # 2/(1 - |y|) - p^2/(2(p - 1)) on D3 (|y| < 1) and 0 on D0; at the
+        # origin D1's (Y - x)^{p-3}, infinite for p < 3, enters only U''
+        ctx = build_context(p)
+        y = np.array([-1.0, -0.5, -0.01, 0.0, 0.01, 0.5, 1.0])
+        a = p**p / (2 * (p - 1) * (p - 2) ** (p - 2))
+
+        def u_x(Y):
+            if Y >= 1:
+                return 0.0
+            return a * Y ** (p - 1) if Y < 1 - 2 / p else 2 / (1 - Y) - p**2 / (2 * (p - 1))
+
+        want = [u_x(abs(v)) for v in y]
+        phi, psi = u_gradient_ext(ctx, 0.0, y)
+        assert phi == pytest.approx(want, rel=1e-13, abs=1e-15)
+        assert np.all(psi == 0)
+        assert u_gradient_ext(ctx, 0.0, 0.0) == (0.0, 0.0)
+        assert np.all(tangent_check(ctx, np.zeros(3), y[2:5], np.ones(3), np.ones(3)))
 
     def test_d0_row(self, ctx3):
         p = 3.0
@@ -302,14 +325,15 @@ class TestSecondDerivatives:
             assert uxx == pytest.approx(-4 * (1 - y) / (1 + x - y) ** 3, rel=1e-12)
             assert uyy == pytest.approx(4 * x / (1 + x - y) ** 3, rel=1e-12)
 
-    def test_matches_finite_differences(self, ctx3):
-        rng = np.random.default_rng(11)
-        x, y = _random_points(ctx3, 500, seed=11)
-        keep = is_interior(ctx3, x, y, tol=5e-4) & (x > 1e-3)
+    @pytest.mark.parametrize("p", [2.5, 3.0, 6.0, 10.0])
+    def test_matches_finite_differences(self, p):
+        ctx = build_context(p)
+        x, y = _random_points(ctx, 500, seed=11)
+        keep = is_interior(ctx, x, y, tol=5e-4) & (x > 1e-3)
         x, y = x[keep], y[keep]
         e = 1e-4
-        uxx, uxy, uyy = u_second_derivs(ctx3, x, y)
-        f = lambda a, b: u_value(ctx3, a, b)
+        uxx, uxy, uyy = u_second_derivs(ctx, x, y)
+        f = lambda a, b: u_value(ctx, a, b)
         fd_xx = (f(x + e, y) - 2 * f(x, y) + f(x - e, y)) / e**2
         fd_yy = (f(x, y + e) - 2 * f(x, y) + f(x, y - e)) / e**2
         fd_xy = (f(x + e, y + e) - f(x + e, y - e) - f(x - e, y + e) + f(x - e, y - e)) / (4 * e**2)
