@@ -28,7 +28,7 @@ from .extremal import (  # noqa: F401
 )
 from .gfun import GSolution, build_g_bessel, build_g_rk, h_of, h_prime  # noqa: F401
 from .mc import Estimate, SimConfig, strip_exit_moment  # noqa: F401
-from .orth import OrthContext, u_orth, v_orth  # noqa: F401
+from .orth import OrthContext, u_orth  # noqa: F401
 from .uweak import UWContext, build_context, classify, u_value, v_value  # noqa: F401
 from .verify import SUITES, run_suite  # noqa: F401
 from .wfun import w_bounds_check, w_gradient_ext, w_tangent_check, w_value  # noqa: F401

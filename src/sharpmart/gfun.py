@@ -181,14 +181,14 @@ def build_g_rk(p: float, step: float = 1e-3) -> GSolution:
     `verify ode`, which also reads G' between nodes, passes up to p = 9.825
     on a grid of 0.025; from 9.85 to 10.825 G' dips by 2e-9 to 3e-8 below
     1 between nodes, and the suite fails at every grid point but p = 10.
-    A non-finite p is a `ValueError`; a p whose (p/2)^{p+1} overflows a
-    double is a `ConstructionError`.
+    A non-finite p, or a step outside (0, 1e-3], is a `ValueError`; a p
+    whose (p/2)^{p+1} overflows a double is a `ConstructionError`.
     """
     from scipy.integrate import ODEintWarning, odeint
 
     _check_exponent(p)
-    if step > 1e-3:
-        raise ValueError("step must be <= 1e-3")
+    if not 0 < step <= 1e-3:
+        raise ValueError(f"step must be in (0, 1e-3], got {step}")
     t0 = 2 / p
     ts = np.linspace(t0, _T_MAX, int(math.ceil((_T_MAX - t0) / step)) + 1)
     # at large p the right-hand side overflows and LSODA gives up ("excess

@@ -199,6 +199,11 @@ class TestErrors:
             with pytest.raises((ValueError, ConstructionError)):
                 build_g_rk(p)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, 2e-3])
+    def test_step_outside_the_range_is_refused(self, step):
+        with pytest.raises(ValueError, match=rf"step must be in \(0, 1e-3\], got {step}"):
+            build_g_rk(3.0, step=step)
+
     @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
     def test_p_must_be_finite(self, build):
         for p in (math.inf, math.nan):

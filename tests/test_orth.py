@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from sharpmart import orth
 from sharpmart.constants import kp
-from sharpmart.orth import OrthContext, orth_property_suite, u_orth, v_orth
+from sharpmart.orth import OrthContext, orth_property_suite, u_orth
 
 P_RANGE = [1.0, 1.25, 1.5, 1.75, 2.0]
 
@@ -96,12 +96,6 @@ class TestStripBehaviour:
     def test_outside_strip_is_payoff(self):
         ctx = OrthContext(1.5)
         assert u_orth(ctx, 0.7, 1.2) == abs(0.7) ** 1.5
-        assert v_orth(ctx, 0.7, 1.2) == pytest.approx(
-            1.0 - kp(1.5).value ** 1.5 * 0.7**1.5
-        )
-        assert v_orth(ctx, 0.7, 0.2) == pytest.approx(
-            -kp(1.5).value ** 1.5 * 0.7**1.5
-        )
         for p in (1.0, 1.5):
             # at the edge U meets the payoff, and U >= |x|^p by Jensen (the
             # kernel has mean 0)
@@ -121,9 +115,6 @@ class TestStripBehaviour:
             assert got.shape == np.broadcast(xs, ys).shape
             assert np.array_equal(got, want)
         assert isinstance(u_orth(ctx, 0.3, 0.2), float)
-        assert isinstance(v_orth(ctx, 0.3, 0.2), float)
-        one_v = np.vectorize(lambda a, b: v_orth(ctx, a, b))
-        assert np.array_equal(v_orth(ctx, x, y), one_v(x, y))
 
     def test_even_in_both_arguments(self):
         ctx = OrthContext(1.5)
@@ -162,46 +153,62 @@ class TestPropertySuite:
     # Literal margins of the suite on the graded rule: 16-point Gauss-Legendre
     # panels of the folded bracket [(a+d)^p + |a-d|^p - 2a^p] against the
     # two-edge Poisson kernel, in d = a + s|s| and graded toward d = 0 (in
-    # 4 levels at every point here) and the kink s = 0.  The last two
-    # columns depend on K_p and hold the closed-form value.
+    # 4 levels at every point here) and the kink s = 0.  The first three
+    # columns are read off the 16-point rings; the last depends on K_p and
+    # holds the closed-form value.
     @pytest.mark.parametrize(
         "p, seed, want",
         [
-            (1.0, 7, (-0.006492119730694412, 0.006492123727497301, 0.09329090550069807,
-                      0.00016358824195650268, 0.3902373450605221, 1.5653331637053203)),
-            (1.0, 8, (-0.19577945642446082, 0.19577953125349268, 0.03646078278185527,
-                      0.07792921313674128, 0.3659528901828676, 1.4722892201386655)),
-            (1.2, 7, (-0.2152133027344405, 0.21521334181429097, 0.09117186638984975,
-                      0.0001889564578269054, 0.3048974508588158, 1.5040468504401403)),
-            (1.2, 8, (-0.37317962964245055, 0.3731797000305903, 0.04505257850118127,
-                      0.09045235128631257, 0.2833559076801633, 1.4050063460181828)),
-            (1.5, 7, (-0.6923121551594136, 0.6923122175539476, 0.0746638633697394,
-                      0.00023171277716449445, 0.18706955032096162, 1.4558084795960033)),
-            (1.5, 8, (-0.7755166713252493, 0.7755167223955084, 0.04939825304361989,
-                      0.11162691413713566, 0.17326197627579987, 1.3525447441961544)),
-            (2.0, 7, (-1.9999999998354667, 1.9999999996134221, -1.1102230246251565e-10,
-                      0.00032719746283660367, 0.0007956381157026016, 1.53358595707711)),
-            (2.0, 8, (-2.0000000000575113, 1.9999999998354667, -1.6653345369377348e-10,
-                      0.15895571916600482, 0.009095718320613955, 1.426917497854871)),
+            (1.0, 7, (1.8594968885713431e-16, 6.64683885963389e-09, 3.225793540911867e-07,
+                      0.00016358824195650268, 0.3902373450605221)),
+            (1.0, 8, (1.440178779660105e-16, 7.311490313951933e-05, 0.00012072456461040313,
+                      0.07792921313674128, 0.3659528901828676)),
+            (1.2, 7, (2.220446049250313e-16, 2.1234065854379297e-07, 3.8326826491289904e-07,
+                      0.0001889564578269054, 0.3048974508588158)),
+            (1.2, 8, (3.3306690738754696e-16, 0.0001634169304122442, 0.00011599372431163657,
+                      0.09045235128631257, 0.2833559076801633)),
+            (1.5, 7, (2.1018921435135245e-16, 6.455757597824578e-07, 3.8477528766130275e-07,
+                      0.00023171277716449445, 0.18706955032096162)),
+            (1.5, 8, (2.7492591290044745e-16, 0.0003358646555958961, 8.932204868099921e-05,
+                      0.11162691413713566, 0.17326197627579987)),
+            (2.0, 7, (3.073554328527456e-16, 1.6922866514869758e-06, -8.721846716775392e-17,
+                      0.00032719746283660367, 0.0007956381157026016)),
+            (2.0, 8, (1.8033650435054455e-16, 0.0006398342801257226, -7.113222246008211e-17,
+                      0.15895571916600482, 0.009095718320613955)),
         ],
     )
     def test_report_is_pinned(self, p, seed, want):
         report = orth_property_suite(OrthContext(p), n_samples=5, seed=seed)
-        keys = ("concave_in_y_max", "convex_in_x_min", "mixed_min",
-                "lower_bound_min", "upper_bound_min", "majorization_min")
+        keys = ("mean_value_max", "convex_in_x_min", "mixed_min",
+                "lower_bound_min", "upper_bound_min")
         assert tuple(report[k] for k in keys) == want
         assert report["passed"]
-        if p == 2:  # U_yy = -2, U_xx = 2, U_xy = 0 exactly
-            assert np.allclose(want[:3], (-2.0, 2.0, 0.0), rtol=0, atol=1e-7)
+        if p == 2:
+            # on x^2 + 1 - y^2 the ring's a0 = U, a2 = r^2 and b2 = 0 exactly,
+            # so convex_in_x_min is the smallest r^2 / max(1, U)
+            assert report["mean_value_max"] <= 1e-15
+            assert abs(report["mixed_min"]) <= 1e-15
+            rng = np.random.default_rng(seed)
+            xs, ys = rng.uniform(-1.5, 1.5, 5), rng.uniform(-0.998, 0.998, 5)
+            u, r = xs * xs + 1 - ys * ys, (1 - np.abs(ys)) / 8
+            assert report["convex_in_x_min"] == pytest.approx(
+                np.min(r * r / np.maximum(1, u)), rel=0, abs=1e-15
+            )
 
     def test_rule_levels_counts_every_point_on_the_rule_it_took(self, monkeypatch):
-        # 11 n + 1 points: the nine stencil rows, the origin and two rows of n;
-        # the stencils reach 1 - |y| = 1e-3, where c = cos(pi y/2) < 1e-2
+        # 19 n + 1 points: the n centres with their 16-point rings, the origin
+        # and two rows of n; the rings reach 1 - |y| = (7/8) 2e-3 = 1.75e-3,
+        # where c = cos(pi y/2) < 1e-2
         report = orth_property_suite(OrthContext(1.5))
-        assert report["rule_levels"] == {4: 651, 5: 4, 6: 6}
+        assert report["rule_levels"] == {4: 1131, 5: 4, 6: 6}
         monkeypatch.setattr(orth, "_rule_levels", levels_of(lambda n: np.full_like(n, 20)))
         report = orth_property_suite(OrthContext(1.5))
-        assert report["rule_levels"] == {20: 661}
+        assert report["rule_levels"] == {20: 1141}
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_sample(self, n):
+        with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n}"):
+            orth_property_suite(OrthContext(1.5), n_samples=n)
 
     def test_suite_domain_takes_no_more_levels_than_the_band_table(self):
         # the suite draws |x| <= 2 and 1 - |y| >= 1e-3, so c >= 1.57e-3; there
@@ -314,14 +321,6 @@ class TestErrors:
         # an infinite y lies outside the strip
         assert u_orth(ctx, 0.5, math.inf) == 0.5**1.5
         assert u_orth(ctx, 0.5, -math.inf) == 0.5**1.5
-
-    def test_payoff_point_outside_the_domain(self):
-        # v_orth shares u_orth's input check
-        ctx = OrthContext(1.5)
-        for x, y in [(math.nan, 0.0), (math.inf, 0.5), (0.3, math.nan), ([0.2, -math.inf], 0.5)]:
-            with pytest.raises(ValueError, match="finite x"):
-                v_orth(ctx, x, y)
-        assert v_orth(ctx, 0.5, math.inf) == 1 - kp(1.5).value ** 1.5 * 0.5**1.5
 
     def test_integrand_overflow_is_refused(self):
         # inside the strip the integrand reaches (2|x| + 30)^p; at p = 2 that

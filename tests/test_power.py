@@ -19,21 +19,19 @@ def test_u_orth_sees_kp_off_by_one_percent(monkeypatch, factor):
     )
     ok, report = run_suite("u-orth", n=5)
     assert not ok
-    assert report["center_identity"] > report["tol"]
+    assert report["center_identity"] > report["pointwise_tol"]
 
 
 @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
 @pytest.mark.parametrize("p", [1.25, 1.5])
 def test_u_orth_sees_kp_off_by_one_in_a_million(monkeypatch, p, factor):
-    # the identities and pointwise bounds are gated at U's own precision,
-    # not at the second differences' tol = 1.2e-5
     kp_value = orth.OrthContext.kp_value.fget
     monkeypatch.setattr(
         orth.OrthContext, "kp_value", property(lambda ctx: factor * kp_value(ctx))
     )
     ok, report = run_suite("u-orth", p=p, n=5)
     assert not ok
-    assert report["pointwise_tol"] < report["center_identity"] < report["tol"]
+    assert report["pointwise_tol"] < report["center_identity"]
 
 
 def test_w_refuses_an_exponent_it_cannot_check():
@@ -115,14 +113,28 @@ def test_extremal_sees_the_constant_halved(monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 60])
 def test_u_orth_sees_the_p2_closed_form(monkeypatch, n):
-    # x^2 / 1e4 leaves U(0, 0), and so K_p, alone, and keeps every shape
-    # margin positive: only the closed form x^2 + 1 - y^2 sees it
+    # x^2 / 1e4 leaves U(0, 0), and so K_p, alone: the closed form
+    # x^2 + 1 - y^2 sees it, and so does the ring mean, x^2 not being harmonic
     u_orth = orth.u_orth
     monkeypatch.setattr(orth, "u_orth", lambda ctx, x, y: u_orth(ctx, x, y) + 1e-4 * x * x)
     ok, report = run_suite("u-orth", p=2.0, n=n)
     assert not ok
-    assert report["closed_form_gap"] > report["tol"]
-    assert report["center_identity"] <= report["tol"]
+    assert report["closed_form_gap"] > report["pointwise_tol"]
+    assert report["mean_value_max"] > report["pointwise_tol"]
+    assert report["center_identity"] <= report["pointwise_tol"]
+
+
+@pytest.mark.parametrize("n", [5, 60])
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 2.0])
+def test_u_orth_sees_x_squared(monkeypatch, p, n):
+    # x^2 / 1e6 raises U_xx, leaves U_xy and U(0, 0) as they were, and
+    # away from p = 2 only the ring's mean sees it: on a ring of radius r
+    # the mean exceeds U by r^2 / 2e6
+    u_orth = orth.u_orth
+    monkeypatch.setattr(orth, "u_orth", lambda ctx, x, y: u_orth(ctx, x, y) + 1e-6 * x * x)
+    ok, report = run_suite("u-orth", p=p, n=n)
+    assert not ok
+    assert report["mean_value_max"] > report["pointwise_tol"]
 
 
 def test_u_weak_fails_with_no_interior_point(monkeypatch):
