@@ -274,29 +274,20 @@ def harmonic_1d_example(p: float, lambda_grid) -> dict:
     """One-dimensional harmonic pair u = 1+x, v = 1-x on (-1, 3), seen
     from the origin.
 
-    For each threshold the level measure of |v| is maximized exactly over
-    subintervals (a, b) containing 0, via the linear exit probabilities.
-    Returns per-threshold rows and the supremum of lambda * mu^{1/p}.
+    For each threshold lambda in (0, 2) the walk from 0 stopped at the exit
+    of (-1, 3) ends at -1 or 3, where |v| = 2 >= lambda, so its level
+    measure is 3/4 + 1/4 = 1, the most a probability can be: every row
+    reads mu = 1 and value lambda * mu^{1/p} = lambda, and `sup`, the
+    supremum of the values, is the grid's largest lambda.
     """
     if not 0 < p < 1:
         raise ValueError("requires 0 < p < 1")
     rows = []
-    sup = 0.0
-    tiny = 1e-12
     for lam in lambda_grid:
         lam = float(lam)
         if not 0 < lam < 2:
             raise ValueError(f"threshold {lam} outside (0, 2)")
-        a_candidates = [-1 + tiny, -tiny]
-        if -1 < 1 - lam < 0:
-            a_candidates.append(1 - lam)
-        b_candidates = [3 - tiny, tiny + 1e-9]
-        if 0 < 1 + lam < 3:
-            b_candidates.append(1 + lam)
-        mu = max(
-            _ruin_measure(lam, a, b) for a in a_candidates for b in b_candidates
-        )
-        val = lam * mu ** (1 / p) if mu > 0 else 0.0
-        sup = max(sup, val)
-        rows.append({"lam": lam, "mu": mu, "value": val})
+        mu = _ruin_measure(lam, -1.0, 3.0)
+        rows.append({"lam": lam, "mu": mu, "value": lam * mu ** (1 / p)})
+    sup = max((row["value"] for row in rows), default=0.0)
     return {"p": p, "rows": rows, "sup": sup, "strong_norm_u": 1.0}

@@ -1,14 +1,15 @@
 """Piecewise special function U and majorant V on the right half-plane, p > 2.
 
 The half-plane splits into eight regions D0..D7 (first match wins, in index
-order, with |y| throughout); U is written once per region, in `_value`, by a
-closed form, two of which involve the auxiliary function G (D6 reads it only
-through its gap u = t + 1 - G, never as a difference) and its inverse h.
+order, with |y| throughout), each boundary written once, as a slack in
+`_regions`.  U is written once per region, in `_value`, by a closed form,
+two of which involve the auxiliary function G (D6 reads it only through its
+gap u = t + 1 - G, never as a difference) and its inverse h.
 The gradient and the three second derivatives are not written out: `_value`
 runs on second-order jets in (x, |y|), which carry them by the chain rule,
 with the derivatives of u and h taken from G' = c t^{p-2} u^2.  One helper,
 `_classified`, prepares and classifies a point set once and keeps the
-h(x+|y|) that classification computed; every evaluator reads its result, and
+h(x+|y|) and slacks it computed; every evaluator reads its result, and
 the dispatcher `_dispatch` runs each region's formula, on arrays or on jets,
 on that region's points.  Values, U_x, U_xx and U_yy are even in y, U_y and
 U_xy odd.  Every public evaluator broadcasts x against y and returns arrays
@@ -17,10 +18,10 @@ verdicts) when both are scalars.  `verify u-weak` reads all of its checks on
 one sample from one classification and one jet pass, through `_sample_checks`.
 
 A point is interior when its label survives the four moves of x or y by
-tol.  A move shifts the slack of each region inequality by at most tol times
-a bound (h' in (0, 1] bounds those that read h), so `is_interior` moves and
-classifies again only the points whose slack over bound lies in a band of
-2 tol + 1e-12; every other point keeps its label.
+tol.  `is_interior` reads the slacks that classified the point, each with
+the most a move by 1 can shift it, and moves and classifies again only the
+points where some slack over its bound lies in a band of 2 tol + 1e-12;
+every other point keeps its label.
 """
 
 from __future__ import annotations
@@ -107,28 +108,41 @@ def _h_where(ctx, s, need):
 
 
 def _regions(ctx, x, Y):
-    """Region labels at (x, Y = |y|), and the h(x+Y) the D5/D6 predicates
-    need: NaN where D0..D4 settled the point or x+Y < 1, so every D5 point
-    has its h."""
-    p = ctx.p
-    s = x + Y
+    """(labels, h, slacks) at (x, Y = |y|).  Each slack is one boundary, with
+    the most a move of x or Y by 1 shifts it (h' lies in (0, 1]); s_max - s
+    marks h's table end.  The regions, in index order, read only the signs.
+    h = h(x+Y), and so its slacks, is NaN where D0..D4 settled or x+Y < 1."""
+    p, s = ctx.p, x + Y
+    top, steep, diag, low, unit = (
+        Y - 1, Y - (p - 1) * x, x + 1 - 2 / p - Y, Y - (p - 2) / 2 * x, s - 1
+    )
     d04 = (
-        (Y >= 1),
-        ((p - 1) * x <= Y) & (Y < x + 1 - 2 / p),
-        ((p - 2) / 2 * x <= Y) & (Y < np.minimum(1 - x, (p - 1) * x)),
-        (x + 1 - 2 / p <= Y) & (Y < 1 - x),
-        (np.maximum(1 - x, x + 1 - 2 / p) <= Y) & (Y < 1),
+        top >= 0,
+        (steep >= 0) & (diag > 0),
+        (low >= 0) & (steep < 0) & (unit < 0),
+        (diag <= 0) & (unit < 0),
+        (diag <= 0) & (unit >= 0),
     )
     hs = _h_where(ctx, s, ~np.logical_or.reduce(d04))
-    with np.errstate(invalid="ignore"):
-        d5 = (s >= 1) & (hs >= x) & (x > (-1 + hs + s) / 2)
-        d6 = (s >= 1) & ((1 - hs + s) / 2 <= Y) & (Y < np.minimum(x + 1 - 2 / p, 1.0))
-    return np.select(list(d04) + [d5, d6], [0, 1, 2, 3, 4, 5, 6], default=7), hs
+    h_x, mid = hs - x, x - (hs + s - 1) / 2
+    d5 = (unit >= 0) & (h_x >= 0) & (mid > 0)
+    d6 = (unit >= 0) & (mid <= 0) & (diag > 0)
+    labels = np.select([*d04, d5, d6], range(7), default=7)
+    return labels, hs, (
+        (top, 1),
+        (steep, p - 1),
+        (diag, 1),
+        (low, max(1, (p - 2) / 2)),
+        (unit, 1),
+        (ctx.g.s_max - s, 1),
+        (h_x, 2),
+        (mid, 2),
+    )
 
 
 def _classified(ctx, x, y):
-    """(x, y, |y|, labels, h): the points prepared by `_prep` and classified
-    once by `_regions`, for every evaluator that reads them to share."""
+    """(x, y, |y|, labels, h, slacks): the points prepared by `_prep` and
+    classified once by `_regions`, for every evaluator to share."""
     x, y, Y = _prep(x, y)
     return (x, y, Y, *_regions(ctx, x, Y))
 
@@ -143,7 +157,8 @@ def _by_region(ctx, x, y, formula, odd):
     """`formula(ctx, r, x, |y|, h)` on each region r's points, each point
     classified once.  `odd` flags, per component of the result, those that
     change sign where y < 0.  One array per component, floats for scalars."""
-    return _dispatch(ctx, *_classified(ctx, x, y), formula, odd)
+    x, y, Y, labels, hs, _ = _classified(ctx, x, y)
+    return _dispatch(ctx, x, y, Y, labels, hs, formula, odd)
 
 
 def _dispatch(ctx, x, y, Y, labels, hs, formula, odd):
@@ -310,27 +325,12 @@ def u_gradient_ext(ctx: UWContext, x, y):
     return _by_region(ctx, x, y, _jets, _ODD)[1:3]
 
 
-def _stable(ctx, x, y, Y, base, hs, tol):
+def _stable(ctx, x, y, base, slacks, tol):
     """True where the labels `base` of (x, y) survive the four moves by tol.
-    Only the points where some inequality `_regions` tests has a slack over
-    bound within the band are moved; a NaN h, read by no predicate, flags none.
-    s - 1 is also the slack of Y < 1 - x, and s_max - s keeps the table-end
-    error of a move."""
-    p, s = ctx.p, x + Y
+    Only the points where some slack of `_regions`, over its bound, lies
+    within the band are moved; a NaN slack flags none."""
     band = 2 * tol + 1e-12
-    near = np.zeros(x.shape, dtype=bool)
-    for slack, bound in (
-        (Y - 1, 1),
-        (Y - (p - 1) * x, p - 1),
-        (x + 1 - 2 / p - Y, 1),
-        (Y - (p - 2) / 2 * x, max(1, (p - 2) / 2)),
-        (s - 1, 1),
-        (ctx.g.s_max - s, 1),
-        (hs - x, 2),
-        (x - (hs + s - 1) / 2, 2),
-        (Y - (1 - hs + s) / 2, 2),
-    ):
-        near |= np.abs(slack) <= band * bound
+    near = np.logical_or.reduce([np.abs(v) <= band * bound for v, bound in slacks])
     xn, yn, bn = x[near], y[near], base[near]
     ok = np.ones(x.shape, dtype=bool)
     ok[near] = np.logical_and.reduce(
@@ -346,30 +346,29 @@ def is_interior(ctx: UWContext, x, y, tol: float = _INTERIOR_TOL):
     """True where the classification is stable under the four moves of x or
     y by tol.
 
-    A move shifts each region inequality's slack by at most tol times its
-    bound: 1, p - 1, max(1, (p - 2)/2), or 2 where it reads h = h(x+|y|),
-    as h' lies in (0, 1].  A point whose every slack over its bound exceeds
-    the band 2 tol + 1e-12 (the floor lies above h's 1e-13 Newton tolerance
-    and the predicates' rounding) keeps its label; only the points inside
-    the band are moved and classified again, so the verdict is the one
-    moving every point gives, table-end `EvaluationError` included.
+    A point whose every slack of `_regions`, over its bound, exceeds the band
+    2 tol + 1e-12 (above h's 1e-13 Newton tolerance and the slacks' rounding)
+    keeps its label; only the points inside the band are moved and classified
+    again, so the verdict, table-end `EvaluationError` included, is the one
+    moving every point gives.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    ok = _stable(ctx, *_classified(ctx, x, y), tol)
+    x, y, _, labels, _, slacks = _classified(ctx, x, y)
+    ok = _stable(ctx, x, y, labels, slacks, tol)
     return ok if ok.ndim else bool(ok)
 
 
 def u_second_derivs(ctx: UWContext, x, y):
     """(U_xx, U_xy, U_yy) on region interiors; errors on boundary points.
     The points are classified once, for the interior test and the jets."""
-    pts = _classified(ctx, x, y)
-    bad = np.flatnonzero(np.logical_not(_stable(ctx, *pts, _INTERIOR_TOL)))
+    x, y, Y, labels, hs, slacks = _classified(ctx, x, y)
+    bad = np.flatnonzero(np.logical_not(_stable(ctx, x, y, labels, slacks, _INTERIOR_TOL)))
     if bad.size:
         raise EvaluationError(
             f"second derivatives undefined at region boundary point index {bad[0]}"
         )
-    return _dispatch(ctx, *pts, _jets, _ODD)[3:]
+    return _dispatch(ctx, x, y, Y, labels, hs, _jets, _ODD)[3:]
 
 
 def _tangent(ctx, x, y, h, k, u, phi, psi, slack):
@@ -407,9 +406,10 @@ def _sample_checks(ctx, x, y, h, k):
     majorization verdicts per point, the interior mask, (U_xx, U_xy, U_yy) on
     the interior points, and U_y at (x, |y|).  The tolerances and slacks are
     the public checks' defaults."""
-    pts = _classified(ctx, x, y)
-    u, phi, psi, *hess = _dispatch(ctx, *pts, _jets, _ODD)
-    inter = _stable(ctx, *pts, _INTERIOR_TOL)
+    x, y, Y, labels, hs, slacks = _classified(ctx, x, y)
+    inter = _stable(ctx, x, y, labels, slacks, _INTERIOR_TOL)
+    del slacks  # not held through the jet pass, the suite's peak of memory
+    u, phi, psi, *hess = _dispatch(ctx, x, y, Y, labels, hs, _jets, _ODD)
     return (
         _tangent(ctx, x, y, h, k, u, phi, psi, _TANGENT_SLACK),
         _majorized(ctx, x, y, u, _MAJORIZATION_SLACK),
@@ -440,7 +440,6 @@ def _boundary_curves(ctx, n: int):
     out.append((1, 3, x, x + 1 - 2 / p))
     out.append((3, 4, x, 1 - x))
     x = seg(1 / p, 2 / p)
-    out.append((1, 4, x, x + 1 - 2 / p))
     out.append((2, 5, x, 1 - x))
     out.append((4, 6, x, x + 1 - 2 / p))
     x = seg(eps, 2 / p)

@@ -220,4 +220,6 @@ def run_suite(name: str, **kwargs):
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if kwargs.get("n", 1) < 1:
         raise ValueError(f"n must be at least 1, got {kwargs['n']}")
+    if kwargs.get("workers", 1) < 1:
+        raise ValueError(f"workers must be at least 1, got {kwargs['workers']}")
     return SUITES[name](**kwargs)

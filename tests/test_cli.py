@@ -114,10 +114,12 @@ def test_verify_mc_strip_one_path_is_an_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["w", "--n", "0"], ["mc-strip", "--n", "0"], ["ode", "--n", "5"]]
+    "argv",
+    [["w", "--n", "0"], ["mc-strip", "--n", "0"], ["ode", "--n", "5"], ["ode", "--workers", "0"]],
 )
 def test_verify_n_is_used_or_refused(capsys, argv):
-    # --n 0 samples nothing, and ode reads no n: neither may run and pass
+    # --n 0 samples nothing, ode reads no n, and no suite runs on 0 workers:
+    # none may run and pass
     assert main(["verify", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

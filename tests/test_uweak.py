@@ -250,6 +250,32 @@ class TestInteriorBand:
         assert is_interior(ctx3, x - 1e-6, y)
 
 
+class TestBoundarySides:
+    @pytest.mark.parametrize("p", [2.1, 2.5, 3.0, 6.0, 10.0, 13.0])
+    def test_ulps_off_a_boundary_keep_its_two_labels(self, p):
+        # each boundary is one slack, so a point ulps off it lies on one side:
+        # two float forms of the D5/D6 curve could both fail at one point,
+        # which then fell into D7
+        ctx = build_context(p)
+        ulps = np.arange(-2, 3)[:, None]
+        for ra, rb, bx, by in REGION_BOUNDARIES(ctx, 1000):
+            x = np.concatenate([(bx + ulps * np.spacing(bx)).ravel(), np.tile(bx, 5)])
+            y = np.concatenate([np.tile(by, 5), (by + ulps * np.spacing(by)).ravel()])
+            assert set(np.unique(classify(ctx, x, y))) <= {ra, rb}, (ra, rb)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 6.0, 10.0])
+    def test_each_segment_parts_its_two_regions(self, p):
+        # 1e-7 above and below each point of a segment lie one in each of its
+        # two regions; the end samples, next to a corner, are left out, and
+        # so is p = 13, where D6's strip under y = 1 is thinner than 1e-7
+        ctx = build_context(p)
+        for ra, rb, bx, by in REGION_BOUNDARIES(ctx, 200):
+            bx, by = bx[1:-1], by[1:-1]
+            above, below = classify(ctx, bx, by + 1e-7), classify(ctx, bx, by - 1e-7)
+            assert np.all(np.minimum(above, below) == ra), (ra, rb)
+            assert np.all(np.maximum(above, below) == rb), (ra, rb)
+
+
 class TestBoundaryContinuity:
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     def test_branch_gaps(self, p):
