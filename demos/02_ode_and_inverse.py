@@ -1,10 +1,10 @@
 """The increasing solution G of the Riccati-type ODE and its inverse h.
 
 G solves  G'(t) = (p/2)^{p+1} t^{p-2} (t + 1 - G(t))^2  with G(2/p) = 1,
-G'(2/p) = p/2.  Two independent constructions are compared: an LSODA
-integration of the gap u = t + 1 - G (one scipy odeint call over the whole
-grid) and a closed form obtained by linearizing the Riccati equation into a
-modified-Bessel equation, whose solution enters only as a ratio of the
+G'(2/p) = p/2.  Two independent constructions are compared: the gap
+u = t + 1 - G in numpy (a Magnus scan of the linearized equation, then G's
+own outer series) and a closed form obtained by linearizing the Riccati
+equation into a modified-Bessel equation, whose solution enters only as a ratio of the
 exponentially scaled I_nu and K_nu (scipy.special.ive / kve) and so is
 evaluated in double precision.  Both tables keep u, and G' and h' = 1/G'(h)
 are read from it as (p/2)^{p+1} t^{p-2} u^2.  The inverse h is found by

@@ -4,26 +4,23 @@ G solves the Riccati-type initial value problem
 
     G'(t) = (p/2)^{p+1} t^{p-2} (t + 1 - G(t))^2,   G(2/p) = 1,
 
-for a fixed p > 2.  Two independent constructions are provided: an LSODA
-integration of the gap u = t + 1 - G (the primary path, one ODEPACK call
-through `scipy.integrate.odeint`) and a closed form through modified Bessel
-functions, which linearize the equation.  The closed form is a ratio of the
-exponentially scaled I_nu and K_nu, so it runs in double precision without
-the overflow of the unscaled basis.  Both tabulate the gap u alone, and G is
-carried by it: G = t + 1 - u and G' = (p/2)^{p+1} t^{p-2} u^2.  A value
-rebuilt as t + 1 - G would lose u to cancellation once u is far below t, so
-nothing is.  The inverse h = G^{-1} is obtained by Newton steps on the cubic
-of G, read from the gap's interpolant, on the interval that holds each
-argument.
+for a fixed p > 2.  Two independent constructions are provided: a Magnus
+scan of the linearized equation joined to G's own outer series (the primary
+path, in numpy) and a closed form through modified Bessel functions, a ratio
+of the exponentially scaled I_nu and K_nu, which runs in double precision.
+Both tabulate the gap u alone, and G is carried by it: G = t + 1 - u and
+G' = (p/2)^{p+1} t^{p-2} u^2.  A value rebuilt as t + 1 - G would lose u to
+cancellation once u is far below t, so nothing is.  The inverse h = G^{-1}
+is obtained by Newton steps on the cubic of G, read from the gap's
+interpolant, on the interval that holds each argument.
 
-Each scipy subpackage is imported by the function that calls it, so
-importing this module loads numpy only.
+Only the Bessel route imports scipy (`scipy.special`), when it is called,
+so importing this module, or building the primary table, loads numpy only.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,18 +110,17 @@ class GSolution:
             raise ConstructionError("grid must be strictly increasing")
         if abs(t[0] - 2 / p) > 1e-12 or abs(u[0] - 2 / p) > 1e-12:
             raise ConstructionError("table must start at t = 2/p with u = 2/p")
-        bad = np.nonzero(~(u > 0))[0]  # NaN included
-        if bad.size:
-            raise ConstructionError(f"bound G < t+1 violated at t={t[bad[0]]}")
         g = t + 1 - u
         g[0] = 1.0  # the initial condition; t + 1 - u may round it by an ulp
-        bad = np.nonzero(np.diff(g) <= 0)[0]
-        if bad.size:
-            raise ConstructionError(f"solution not increasing at t={t[bad[0]]}")
-        gp = _slope_from_gap(p, t, u)
-        bad = np.nonzero(gp < 1.0 - 1e-12)[0]
-        if bad.size:
-            raise ConstructionError(f"slope < 1 at t={t[bad[0]]}")
+        # where c t^{p-2} overflows, G' is inf, or NaN once u^2 underflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            gp = _slope_from_gap(p, t, u)
+        for bad, what in ((~(u > 0), "bound G < t+1 violated"),  # NaN included
+                          (np.diff(g) <= 0, "solution not increasing"),
+                          (~((gp >= 1.0 - 1e-12) & (gp < np.inf)), "slope < 1 or not finite")):
+            i = np.flatnonzero(bad)
+            if i.size:
+                raise ConstructionError(f"{what} at t={t[i[0]]}")
         object.__setattr__(self, "g_values", g)
         object.__setattr__(self, "gprime_values", gp)
         object.__setattr__(self, "_spline", _Hermite(t, u, 1 - gp))
@@ -160,53 +156,59 @@ class GSolution:
         return _slope_from_gap(self.p, t, self._spline(t))
 
 
-_ODEINT_SUCCESS = "Integration successful."
+_SCAN_NODES = 3000  # uniform nodes of the Magnus scan on [2/p, min(t*, 10)]
+_SERIES_RATIO = 1 + 5e-4  # ratio of successive outer-series nodes past t*
 
 
-def build_g_rk(p: float, step: float = 1e-3) -> GSolution:
-    """Integrate the gap u = t + 1 - G with LSODA; tabulate it on a uniform
-    grid of [2/p, 10] with spacing at most `step`.
+def build_g_rk(p: float) -> GSolution:
+    """Tabulate the gap u = t + 1 - G on [2/p, 10]: a Magnus scan up to t*,
+    G's outer series past it.
 
-    u solves u' = 1 - c t^{p-2} u^2, u(2/p) = 2/p, c = (p/2)^{p+1}.  One
-    `odeint` call (ODEPACK LSODA, which switches between Adams and BDF as
-    the problem stiffens for large t) returns u on the whole grid, so the
-    only Python work per step is the right-hand side.  The tolerance is
-    purely relative because u falls to 2e-6 at p = 8 and 1e-8 at p = 10.
-    A failed integration raises `ConstructionError`.
-
-    The table holds for 2 < p <= 13.  Past p = 13 the slope check of
-    `GSolution` (G' < 1 near t = 9.7) fails at some p and not at others,
-    first at 13.1875 on a grid of 1/32, and from p = 13.5 at every point of
-    a grid of 0.125 up to 16.
-    `verify ode`, which also reads G' between nodes, passes up to p = 9.825
-    on a grid of 0.025; from 9.85 to 10.825 G' dips by 2e-9 to 3e-8 below
-    1 between nodes, and the suite fails at every grid point but p = 10.
-    A non-finite p, or a step outside (0, 1e-3], is a `ValueError`; a p
-    whose (p/2)^{p+1} overflows a double is a `ConstructionError`.
+    With c = (p/2)^{p+1}, r = (c t^{p-2})^{-1/2}, d = r/t and the fast time
+    tau = int dt/r = 2/(p d), w = u/r is z'/z for z'' = z + m d z', where
+    m = (p - 2)/2.  Past t*, w = sum b_n d^n with b_0 = 1 and b_n =
+    [(m + (m + 1)(n - 1)) b_{n-1} - sum_{i=1}^{n-1} b_i b_{n-i}]/2, cut at
+    its smallest term, which is below 1e-16 from t* on.  Up to t*, each
+    step of (z, z') is one fourth-order Magnus step (Blanes, Casas, Oteo and
+    Ros 2009, Phys. Rep. 470) whose normalized exponential has positive
+    entries, so one doubling prefix scan composes them with no cancellation.
+    p is checked by `_check_exponent`; a refused table is a `ConstructionError`.
     """
-    from scipy.integrate import ODEintWarning, odeint
-
     _check_exponent(p)
-    if not 0 < step <= 1e-3:
-        raise ValueError(f"step must be in (0, 1e-3], got {step}")
-    t0 = 2 / p
-    ts = np.linspace(t0, _T_MAX, int(math.ceil((_T_MAX - t0) / step)) + 1)
-    # at large p the right-hand side overflows and LSODA gives up ("excess
-    # work done"); `info` and `GSolution`'s checks turn that into one
-    # `ConstructionError`, so the warnings on the way are not printed
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)
-        u, info = odeint(
-            lambda u, t: 1 - _slope_from_gap(p, t, u[0]),
-            [t0],
-            ts,
-            rtol=1e-12,
-            atol=1e-30,
-            full_output=True,
-        )
-    if info["message"] != _ODEINT_SUCCESS:
-        raise ConstructionError(f"LSODA failed: {info['message']}")
-    return GSolution(p, ts, u[:, 0], "lsoda")
+    m = (p - 2) / 2
+    b = np.ones(60)
+    for n in range(1, b.size):
+        b[n] = ((m + (m + 1) * (n - 1)) * b[n - 1] - b[1:n] @ b[n - 1 : 0 : -1]) / 2
+    # term n falls to 1e-16 at d_n; t* is where the first of them is reached
+    d_n = (1e-16 / np.abs(b[1:])) ** (1 / np.arange(1, b.size))
+    n = int(np.argmax(d_n)) + 1
+    sqrt_c = (p / 2) ** ((p + 1) / 2)
+    t_star = (sqrt_c * d_n[n - 1]) ** (-2 / p)
+    ts = np.linspace(2 / p, min(t_star, _T_MAX), _SCAN_NODES)
+    if t_star < _T_MAX:
+        n_tail = math.ceil(math.log(_T_MAX / t_star) / math.log(_SERIES_RATIO))
+        ts = np.concatenate((ts, np.geomspace(t_star, _T_MAX, n_tail + 1)[1:]))
+    tau = sqrt_c * ts ** (p / 2) / (p / 2)
+    d = 2 / (p * tau)  # underflows past t* at large p, but never overflows
+    # (z, z')' = [[0, 1], [1, m d]] (z, z'), read at the two Gauss points, is
+    # stepped by exp(a I + [[-a, h + k], [h - k, a]]) / (e^a cosh s); z grows
+    # by less than e^30 over the scan, so no prefix product overflows
+    ta = tau[:_SCAN_NODES]
+    h = np.diff(ta)
+    e1, e2 = ((p - 2) / (p * (ta[:-1] + h / 2 + x * h / 12**0.5)) for x in (-1, 1))
+    k = 3**0.5 / 12 * h * h * (e1 - e2)
+    a = h * (e1 + e2) / 4
+    s = np.sqrt(a * a + h * h - k * k)
+    th = np.tanh(s) / s
+    M = np.stack((1 - a * th, (h + k) * th, (h - k) * th, 1 + a * th))
+    for j in (1 << i for i in range(h.size.bit_length())):
+        (m00, m01, m10, m11), (n00, n01, n10, n11) = M[:, j:], M[:, :-j]
+        M[:, j:] = (m00 * n00 + m01 * n10, m00 * n01 + m01 * n11,
+                    m10 * n00 + m11 * n10, m10 * n01 + m11 * n11)
+    w0 = p * ta[0] / 2  # u/r at t = 2/p, where u = 2/p
+    tail = np.polyval(b[n::-1], d[_SCAN_NODES:])
+    w = np.concatenate(([w0], (M[2] + M[3] * w0) / (M[0] + M[1] * w0), tail))
+    return GSolution(p, ts, ts * d * w, "magnus")
 
 
 _BESSEL_NODES = 300

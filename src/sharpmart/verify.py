@@ -13,17 +13,16 @@ __all__ = ["SUITES", "run_suite"]
 
 
 def _sample_strip(rng, n, x_hi=2.5):
+    """n strip points (x, y), each with a jump (h, k): x + h >= 0, |k| <= |h|."""
     x = rng.uniform(0.0, x_hi, n)
     y = rng.uniform(-1 + 1e-6, 1 - 1e-6, n)
-    return x, y
+    h = np.maximum(rng.uniform(-1.0, 1.0, n), -x)
+    return x, y, h, h * rng.uniform(-1.0, 1.0, n)
 
 
 def suite_w(p=0.5, seed=0, n=20_000, **_):
     rng = np.random.default_rng(seed)
-    x, y = _sample_strip(rng, n)
-    h = rng.uniform(-1.0, 1.0, n)
-    h = np.maximum(h, -x)  # keep x + h >= 0
-    k = h * rng.uniform(-1.0, 1.0, n)
+    x, y, h, k = _sample_strip(rng, n)
     tangent_ok = np.all(wfun.w_tangent_check(x, y, h, k))
     bounds_ok = np.all(wfun.w_bounds_check(x, y, p=p))
     # at (1/2, 1/2) the indicator, W and (2x)^p all equal 1: no constant
@@ -57,10 +56,7 @@ def suite_u_weak(p=3.0, seed=0, n=20_000, **_):
     report["boundary_gap_max"] = max(gaps)
     report["boundary_gap_scaled_max"] = max(scaled)
 
-    x, y = _sample_strip(rng, n, x_hi=1.8)
-    h = rng.uniform(-1.0, 1.0, n)
-    h = np.maximum(h, -x)
-    k = h * rng.uniform(-1.0, 1.0, n)
+    x, y, h, k = _sample_strip(rng, n, x_hi=1.8)
     # the sample is classified once, for every check below but the diagonal
     tangent, majorized, inter, (uxx, uxy, uyy), u_y = uweak._sample_checks(ctx, x, y, h, k)
     report["tangent_ok"] = bool(np.all(tangent))
@@ -111,7 +107,9 @@ def suite_ode(p=3.0, **_):
     um2, um1, up1, up2 = (gfun._bessel_gap(p, tb + k * h) for k in (-2, -1, 1, 2))
     du = (8 * (up1 - um1) - (up2 - um2)) / (12 * h)
     resid = float(np.max(np.abs(du - 1 + (p / 2) ** (p + 1) * tb ** (p - 2) * ub**2)))
-    gp_min = float(np.min(rk.gprime(t)))
+    # G' at every table node and interval midpoint, where the spline strays most
+    mids = (rk.grid[1:] + rk.grid[:-1]) / 2
+    gp_min = float(np.min(rk.gprime(np.concatenate((rk.grid, mids)))))
     s = np.linspace(1 + 1e-9, rk.s_max - 1e-9, 500)
     hs = gfun.h_of(rk, s)
     inv = float(np.max(np.abs(rk.g(hs) - s)))

@@ -76,7 +76,7 @@ def test_u_weak_sees_the_constant_off_by_one_percent(monkeypatch, p, factor):
 
 def test_ode_sees_a_wrong_gap(monkeypatch):
     # a relative error of 1e-7 (t - 2/p) in the Bessel gap keeps the cross
-    # check with LSODA under its 1e-6 bound; only the gap equation sees it
+    # check with build_g_rk under its 1e-6 bound; only the gap equation sees it
     bessel_gap = gfun._bessel_gap
     monkeypatch.setattr(
         gfun, "_bessel_gap", lambda p, t: bessel_gap(p, t) * (1 + 1e-7 * (t - 2 / p))

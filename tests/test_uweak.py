@@ -98,6 +98,9 @@ class TestValues:
 
 # One interior point per region at p = 3: (x, y, U, (U_x, U_y), (U_xx, U_xy, U_yy)),
 # values recorded from the per-region formulas before the shared dispatcher.
+# The G regions D5 and D6 were re-pinned on the Magnus-and-series table of G:
+# against U on an 80,001-node table of the Bessel gap, it errs by at most
+# 2.3e-12 relative there, and the LSODA table's pins erred by up to 6.2e-11.
 PINNED_P3 = {
     0: (0.1, 1.2, 0.9983125, (-0.05062500000000001, 0.0), (-1.0125, 0.0, 0.0)),
     1: (0.05, 0.2, 0.007593750000000002, (0.050624999999999996, 0.10125000000000002),
@@ -108,10 +111,10 @@ PINNED_P3 = {
         (-37.03703703703702, 14.814814814814804, 7.407407407407404)),
     4: (0.2, 0.9, 0.7598125, (-0.253125, 2.199375),
         (-2.3625000000000003, 0.3375000000000003, 1.6874999999999998)),
-    5: (1.0, 0.5, -1.6865424472481696, (-5.098301928605924, 0.10376537737116304),
-        (-9.45588354873858, -1.8766275439628337, 5.702628460812914)),
-    6: (0.8, 0.9, -0.1788985623200232, (-3.457032654901002, 2.944143278101235),
-        (-8.15221509668944, 1.7162916456994628, 4.719631805290517)),
+    5: (1.0, 0.5, -1.6865424472482995, (-5.098301928603073, 0.10376537736453972),
+        (-9.45588354875564, -1.876627543952647, 5.702628460850344)),
+    6: (0.8, 0.9, -0.17889856232095436, (-3.4570326548976613, 2.944143278107205),
+        (-8.152215096698935, 1.7162916456755486, 4.719631805347838)),
     7: (1.0, 0.1, -1.6875, (-5.0625, 0.0), (-10.125, 0.0, 0.0)),
 }
 

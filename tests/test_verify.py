@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sharpmart import uweak
+from sharpmart import gfun, uweak
 from sharpmart.verify import SUITES, _sample_strip, run_suite
 
 # smaller sample sizes than the suite defaults: this file checks wiring and
@@ -77,14 +77,45 @@ def test_ode_slopes_at_p10():
     assert report["h_prime_max"] <= 1 + 1e-9
 
 
+def test_ode_reads_the_slope_between_nodes(monkeypatch):
+    # the p = 10 table with two nodes put between two points of a 2,000-point
+    # grid of [2/p, 10], the first with its gap raised by 1e-11 relative: G'
+    # is >= 1 at every node and on the grid, but not between the two nodes
+    # (LSODA's relative error of 5e-12 in u let G' dip to 1 - 7.1e-9)
+    build = gfun.build_g_rk
+    t = np.linspace(0.2, 10.0, 2000)
+    ta, tb = t[1960] + np.array([1, 2]) * (t[1] - t[0]) / 3
+
+    def dipped(p):
+        sol = build(p)
+        grid = np.concatenate((sol.grid, [ta, tb]))
+        u = np.concatenate((sol.u_values, sol.gap([ta, tb]) * [1 + 1e-11, 1]))
+        order = np.argsort(grid)
+        return gfun.GSolution(p, grid[order], u[order], "dipped")
+
+    sol = dipped(10.0)
+    assert np.min(sol.gprime_values) >= 1 and np.min(sol.gprime(t)) >= 1
+    monkeypatch.setattr(gfun, "build_g_rk", dipped)
+    ok, report = run_suite("ode", p=10.0)
+    assert not ok
+    assert report["gprime_min"] < 1 - 1e-9
+
+
+LARGE_P = [("ode", p) for p in (8.0, 9.85, 10.0, 10.2, 10.5, 10.8)] + [
+    ("u-weak", p) for p in (8.0, 10.0, 13.5, 16.0, 20.0, 30.0)
+]
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "name, p", [("ode", 8.0), ("ode", 10.0), ("u-weak", 8.0), ("u-weak", 10.0)],
-    ids=["ode", "ode-p10", "u-weak", "u-weak-p10"],
+    "name, p", LARGE_P, ids=[n if p == 8 else f"{n}-p{p:g}" for n, p in LARGE_P]
 )
 def test_large_exponent(name, p):
     # at p = 8 and 10 the gap t + 1 - G falls to 2e-6 and 1e-8, and the ODE
     # for G is stiff; at p = 10 |U| reaches 1e9 on the D5/D6 edge, where the
-    # boundary gap is rounding only relative to |U|
+    # boundary gap is rounding only relative to |U|.  On the LSODA table,
+    # ode failed from p = 9.85 (G' dipped below 1 - 1e-9 between nodes) and
+    # u-weak from p = 13.25 ("slope < 1"); neither may warn
     ok, report = run_suite(name, p=p, n=20_000)
     assert ok, report
 
@@ -115,10 +146,7 @@ def _u_weak_by_public_checks(p, seed, n):
     report["boundary_gap_max"] = max(gaps)
     report["boundary_gap_scaled_max"] = max(scaled)
 
-    x, y = _sample_strip(rng, n, x_hi=1.8)
-    h = rng.uniform(-1.0, 1.0, n)
-    h = np.maximum(h, -x)
-    k = h * rng.uniform(-1.0, 1.0, n)
+    x, y, h, k = _sample_strip(rng, n, x_hi=1.8)
     report["tangent_ok"] = bool(np.all(uweak.tangent_check(ctx, x, y, h, k)))
 
     inter = uweak.is_interior(ctx, x, y)
@@ -159,6 +187,6 @@ def test_u_weak_classifies_its_sample_once(monkeypatch):
     )
     ok, _ = run_suite("u-weak", p=3.0, seed=0, n=2_000)
     assert ok
-    x, y = _sample_strip(np.random.default_rng(0), 2_000, x_hi=1.8)
+    x, y, _, _ = _sample_strip(np.random.default_rng(0), 2_000, x_hi=1.8)
     assert sum(np.array_equal(sx, x) and np.array_equal(sY, np.abs(y)) for sx, sY in seen) == 1
     assert len(seen) == 7
