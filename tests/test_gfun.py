@@ -109,10 +109,18 @@ class TestShape:
 
     def test_domain_enforced(self, pair):
         p, rk, _ = pair
-        with pytest.raises(ValueError):
-            rk.g(2 / p - 0.1)
-        with pytest.raises(ValueError):
-            rk.g(rk.t_max + 1.0)
+        for bad in (2 / p - 0.1, rk.t_max + 1.0, math.inf, math.nan, [1.0, math.nan]):
+            for read in (rk.g, rk.gap, rk.gprime):
+                with pytest.raises(ValueError, match="outside tabulated range"):
+                    read(bad)
+
+    def test_inverse_domain_enforced(self, pair):
+        # a NaN sorted last and took the end fix: h_of(nan) read t_max
+        p, rk, _ = pair
+        for bad in (0.5, rk.s_max + 1.0, math.inf, math.nan, [1.5, math.nan]):
+            for read in (h_of, h_prime):
+                with pytest.raises(ValueError, match="outside|s > 1"):
+                    read(rk, bad)
 
 
 class TestInverse:
@@ -181,6 +189,17 @@ class TestInverseLookup:
         s = np.random.default_rng(17).uniform(1.0, rk.s_max, 100_000)
         assert float(np.max(np.abs(h_of(rk, s) - _h_newton_on_spline(rk, s)))) <= 1e-13
 
+    @pytest.mark.parametrize("p", [2.5, 3.0, 10.0])
+    @pytest.mark.parametrize("every", [100, 300])
+    def test_agrees_with_newton_on_a_thinned_table(self, p, every):
+        # on 13 to 95 nodes the inverse table errs by up to 2.4e-4, and one
+        # Newton step leaves up to 1.1e-8: the second step is needed
+        full = build_g_rk(p)
+        keep = np.r_[np.arange(0, full.grid.size - 1, every), full.grid.size - 1]
+        sol = GSolution(p, full.grid[keep], full.u_values[keep], "thinned")
+        s = np.random.default_rng(17).uniform(1.0, sol.s_max, 100_000)
+        assert float(np.max(np.abs(h_of(sol, s) - _h_newton_on_spline(sol, s)))) <= 1e-13
+
 
 class TestSplineAgainstScipy:
     @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
@@ -194,6 +213,17 @@ class TestSplineAgainstScipy:
         want = ref(t)
         assert np.all(np.abs(sol.gap(t) - want) <= 4 * np.spacing(np.abs(want)))
         assert np.all(np.abs(sol._spline.c - ref.c) <= 4 * np.spacing(np.abs(ref.c)))
+
+    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
+    @pytest.mark.parametrize("p", [3.0, 10.0])
+    def test_inverse_matches_cubic_hermite_spline(self, build, p):
+        # the inverse table runs through (G_i, t_i) with slopes 1/G'_i
+        sol = build(p)
+        ref = CubicHermiteSpline(sol.g_values, sol.grid, 1 / sol.gprime_values)
+        s = np.concatenate([sol.g_values, np.random.default_rng(5).uniform(1.0, sol.s_max, 10_000)])
+        want = ref(s)
+        assert np.all(np.abs(sol._inverse(s) - want) <= 4 * np.spacing(np.abs(want)))
+        assert np.all(np.abs(sol._inverse.c - ref.c) <= 4 * np.spacing(np.abs(ref.c)))
 
 
 class TestErrors:
