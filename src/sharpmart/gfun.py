@@ -17,10 +17,15 @@ G on the interval that holds each argument make it that cubic's inverse.
 
 Only the Bessel route imports scipy (`scipy.special`), when it is called,
 so importing this module, or building the primary table, loads numpy only.
+
+Each route's table is built once per process for each p and node setting
+(at most 8 of each are kept), and every array it holds is read-only, so a
+table shared by several callers cannot be changed by one of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -136,7 +141,7 @@ class GSolution:
                           (~((gp >= 1.0 - 1e-12) & (gp < np.inf)), "slope < 1 or not finite")):
             i = np.flatnonzero(bad)
             if i.size:
-                raise ConstructionError(f"{what} at t={t[i[0]]}")
+                raise ConstructionError(f"{what} at t={t[i[0]]} (p = {p})")
         object.__setattr__(self, "g_values", g)
         object.__setattr__(self, "gprime_values", gp)
         object.__setattr__(self, "_spline", _Hermite(t, u, 1 - gp))
@@ -177,6 +182,14 @@ _SCAN_NODES = 3000  # uniform nodes of the Magnus scan on [2/p, min(t*, 10)]
 _SERIES_RATIO = 1 + 5e-4  # ratio of successive outer-series nodes past t*
 
 
+def _frozen(sol: GSolution) -> GSolution:
+    """`sol` with every array it holds made read-only, to be shared."""
+    for a in (sol.grid, sol.u_values, sol.g_values, sol.gprime_values,
+              sol._spline.c, sol._inverse.c):
+        a.setflags(write=False)
+    return sol
+
+
 def build_g_rk(p: float) -> GSolution:
     """Tabulate the gap u = t + 1 - G on [2/p, 10]: a Magnus scan up to t*,
     G's outer series past it.
@@ -190,7 +203,13 @@ def build_g_rk(p: float) -> GSolution:
     Ros 2009, Phys. Rep. 470) whose normalized exponential has positive
     entries, so one doubling prefix scan composes them with no cancellation.
     p is checked by `_check_exponent`; a refused table is a `ConstructionError`.
+    The table is built once per p and node setting, and shared read-only.
     """
+    return _scan_table(p, _SCAN_NODES, _SERIES_RATIO, _T_MAX)
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_table(p, nodes, ratio, t_max):
     _check_exponent(p)
     m = (p - 2) / 2
     b = np.ones(60)
@@ -201,16 +220,16 @@ def build_g_rk(p: float) -> GSolution:
     n = int(np.argmax(d_n)) + 1
     sqrt_c = (p / 2) ** ((p + 1) / 2)
     t_star = (sqrt_c * d_n[n - 1]) ** (-2 / p)
-    ts = np.linspace(2 / p, min(t_star, _T_MAX), _SCAN_NODES)
-    if t_star < _T_MAX:
-        n_tail = math.ceil(math.log(_T_MAX / t_star) / math.log(_SERIES_RATIO))
-        ts = np.concatenate((ts, np.geomspace(t_star, _T_MAX, n_tail + 1)[1:]))
+    ts = np.linspace(2 / p, min(t_star, t_max), nodes)
+    if t_star < t_max:
+        n_tail = math.ceil(math.log(t_max / t_star) / math.log(ratio))
+        ts = np.concatenate((ts, np.geomspace(t_star, t_max, n_tail + 1)[1:]))
     tau = sqrt_c * ts ** (p / 2) / (p / 2)
     d = 2 / (p * tau)  # underflows past t* at large p, but never overflows
     # (z, z')' = [[0, 1], [1, m d]] (z, z'), read at the two Gauss points, is
     # stepped by exp(a I + [[-a, h + k], [h - k, a]]) / (e^a cosh s); z grows
     # by less than e^30 over the scan, so no prefix product overflows
-    ta = tau[:_SCAN_NODES]
+    ta = tau[:nodes]
     h = np.diff(ta)
     e1, e2 = ((p - 2) / (p * (ta[:-1] + h / 2 + x * h / 12**0.5)) for x in (-1, 1))
     k = 3**0.5 / 12 * h * h * (e1 - e2)
@@ -223,9 +242,9 @@ def build_g_rk(p: float) -> GSolution:
         M[:, j:] = (m00 * n00 + m01 * n10, m00 * n01 + m01 * n11,
                     m10 * n00 + m11 * n10, m10 * n01 + m11 * n11)
     w0 = p * ta[0] / 2  # u/r at t = 2/p, where u = 2/p
-    tail = np.polyval(b[n::-1], d[_SCAN_NODES:])
+    tail = np.polyval(b[n::-1], d[nodes:])
     w = np.concatenate(([w0], (M[2] + M[3] * w0) / (M[0] + M[1] * w0), tail))
-    return GSolution(p, ts, ts * d * w, "magnus")
+    return _frozen(GSolution(p, ts, ts * d * w, "magnus"))
 
 
 _BESSEL_NODES = 300
@@ -271,17 +290,23 @@ def build_g_bessel(p: float) -> GSolution:
     the uniform-grid budget by orders of magnitude.
 
     p is checked as by `build_g_rk`.  From p = 10.84 a Bessel value on the
-    table is not finite and the build raises `ConstructionError`.
+    table is not finite and the build raises `ConstructionError`.  The
+    table is shared as `build_g_rk`'s is.
     """
+    return _bessel_table(p, _BESSEL_NODES, _T_MAX, _bessel_gap)
+
+
+@functools.lru_cache(maxsize=8)
+def _bessel_table(p, nodes, t_max, gap):
     _check_exponent(p)
-    s = np.linspace(0.0, 1.0, _BESSEL_NODES)
-    ts = 2 / p + (_T_MAX - 2 / p) * s**3
+    s = np.linspace(0.0, 1.0, nodes)
+    ts = 2 / p + (t_max - 2 / p) * s**3
     ts[0] = 2 / p
-    u = _bessel_gap(p, ts)
+    u = gap(p, ts)
     bad = np.nonzero(~np.isfinite(u))[0]
     if bad.size:
         raise ConstructionError(f"non-finite Bessel value at t={ts[bad[0]]}")
-    return GSolution(p, ts, u, "bessel")
+    return _frozen(GSolution(p, ts, u, "bessel"))
 
 
 def h_of(sol: GSolution, s):

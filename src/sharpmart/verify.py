@@ -104,7 +104,7 @@ def suite_ode(p=3.0, **_):
     # of its closed form, whose step 3e-4 t balances truncation and rounding
     tb, ub = bes.grid[1:-1], bes.u_values[1:-1]
     h = 3e-4 * tb
-    um2, um1, up1, up2 = (gfun._bessel_gap(p, tb + k * h) for k in (-2, -1, 1, 2))
+    um2, um1, up1, up2 = gfun._bessel_gap(p, tb + np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h)
     du = (8 * (up1 - um1) - (up2 - um2)) / (12 * h)
     resid = float(np.max(np.abs(du - 1 + (p / 2) ** (p + 1) * tb ** (p - 2) * ub**2)))
     # G' at every table node and interval midpoint, where the spline strays most

@@ -152,15 +152,24 @@ class TestInverse:
 
 
 def _h_newton_on_spline(sol, s):
-    """Newton on the whole spline from linear interpolation: the inversion
-    that h_of's per-interval cubic replaced, kept as its reference."""
-    t = np.interp(s, sol.g_values, sol.grid)
-    for _ in range(60):
-        t_new = np.clip(t - (sol.g(t) - s) / sol.gprime(t), 2 / sol.p, sol.t_max)
-        if np.max(np.abs(t_new - t)) < 1e-13:
+    """Newton on the spline of G, kept inside the interval of the table that
+    holds each s and bisected there wherever a step leaves the bracket: the
+    reference h_of's two steps from the inverse table are checked against.
+    It stops once no point moves by more than 1e-14."""
+    g, x = sol.g_values, sol.grid
+    i = np.clip(np.searchsorted(g, s, side="right") - 1, 0, g.size - 2)
+    lo, hi = x[i], x[i + 1]
+    t = np.interp(s, g, x)
+    for _ in range(100):
+        f = sol.g(t) - s
+        lo = np.where(f < 0, t, lo)
+        hi = np.where(f > 0, t, hi)
+        step = t - f / sol.gprime(t)
+        t_new = np.where((step >= lo) & (step <= hi), step, (lo + hi) / 2)
+        if np.max(np.abs(t_new - t)) <= 1e-14:
             return t_new
         t = t_new
-    return t
+    raise AssertionError("the reference did not converge")
 
 
 class TestInverseLookup:
@@ -184,12 +193,15 @@ class TestInverseLookup:
             assert h_of(sol, sol.s_max) == sol.t_max
             assert np.array_equal(h_of(sol, sol.g_values), sol.grid)
 
-    def test_agrees_with_newton_on_the_spline(self, pair):
-        p, rk, _ = pair
+    @pytest.mark.parametrize("p", P_VALUES + [20.0, 30.0])
+    def test_agrees_with_newton_on_the_spline(self, p):
+        # global Newton from linear interpolation, the reference before,
+        # left 117 points up to 2.2 off at p = 20 and 75 up to 8.7 at p = 30
+        rk = build_g_rk(p)
         s = np.random.default_rng(17).uniform(1.0, rk.s_max, 100_000)
         assert float(np.max(np.abs(h_of(rk, s) - _h_newton_on_spline(rk, s)))) <= 1e-13
 
-    @pytest.mark.parametrize("p", [2.5, 3.0, 10.0])
+    @pytest.mark.parametrize("p", [2.5, 3.0, 10.0, 20.0, 30.0])
     @pytest.mark.parametrize("every", [100, 300])
     def test_agrees_with_newton_on_a_thinned_table(self, p, every):
         # on 13 to 95 nodes the inverse table errs by up to 2.4e-4, and one
@@ -232,6 +244,13 @@ class TestErrors:
         # underflows from t = 1.3, so G' on the table is inf, then NaN
         with pytest.raises(ConstructionError, match="slope < 1 or not finite at t=1.02"):
             build_g_rk(160.0)
+
+    def test_construction_errors_name_p(self):
+        with pytest.raises(ConstructionError, match=r"at t=1\.02\d* \(p = 160\.0\)$"):
+            build_g_rk(160.0)
+        grid = np.array([2 / 3, 1.0, 2.0])
+        with pytest.raises(ConstructionError, match=r"violated at t=2\.0 \(p = 3\.0\)$"):
+            GSolution(3.0, grid, np.array([2 / 3, 0.7, 0.0]), "bogus")
 
     def test_p_must_exceed_two(self):
         for p in (2.0, 1.5, 0.5):
@@ -284,6 +303,47 @@ class TestErrors:
         t = np.random.default_rng(5).uniform(2 / 3, sol.t_max, 1000)
         assert np.array_equal(sol.g(t), t + 1 - sol.gap(t))
         assert np.array_equal(sol.gap(sol.grid), sol.u_values)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
+    def test_a_repeated_build_is_the_same_table(self, build):
+        assert build(3.0) is build(3.0)
+
+    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
+    def test_shared_arrays_are_read_only(self, build):
+        # each write puts back the value it read, so a table left writable
+        # fails here without corrupting the tests that share it
+        sol = build(3.0)
+        for a in (sol.grid, sol.u_values, sol.g_values, sol.gprime_values,
+                  sol._spline.c, sol._inverse.c):
+            first = (0,) * a.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                a[first] = a[first]
+
+    def test_at_most_eight_tables_are_kept(self):
+        for p in np.linspace(2.5, 7.0, 10):
+            build_g_rk(float(p))
+            build_g_bessel(float(p))
+        assert gfun._scan_table.cache_info().currsize <= 8
+        assert gfun._bessel_table.cache_info().currsize <= 8
+
+    @pytest.mark.parametrize("build, refused", [(build_g_rk, 160.0), (build_g_bessel, 12.0)])
+    def test_refused_p_raises_on_every_call(self, build, refused):
+        # a cache keeps no exception, so each call checks p and builds again
+        for _ in range(2):
+            with pytest.raises(ValueError, match="requires finite p > 2"):
+                build(math.nan)
+        for _ in range(2):
+            with pytest.raises(ConstructionError, match="slope < 1|non-finite Bessel"):
+                build(refused)
+
+    def test_a_patched_node_setting_gets_its_own_table(self, monkeypatch):
+        sol = build_g_rk(3.0)
+        monkeypatch.setattr(gfun, "_SCAN_NODES", gfun._SCAN_NODES + 1)
+        assert build_g_rk(3.0).grid.size == sol.grid.size + 1
+        monkeypatch.undo()
+        assert build_g_rk(3.0) is sol
 
 
 class TestBesselRoute:
