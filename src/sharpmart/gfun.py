@@ -18,9 +18,11 @@ G on the interval that holds each argument make it that cubic's inverse.
 Only the Bessel route imports scipy (`scipy.special`), when it is called,
 so importing this module, or building the primary table, loads numpy only.
 
-Each route's table is built once per process for each p and node setting
-(at most 8 of each are kept), and every array it holds is read-only, so a
-table shared by several callers cannot be changed by one of them.
+Each route's table is built once per process for each p (at most 8 of
+each are kept), and every array it holds is read-only, so a table shared by
+several callers cannot be changed by one of them.  Code that changes what a
+build reads (a node setting, `_bessel_gap`) clears `_scan_table` and
+`_bessel_table` first.
 """
 
 from __future__ import annotations
@@ -203,13 +205,13 @@ def build_g_rk(p: float) -> GSolution:
     Ros 2009, Phys. Rep. 470) whose normalized exponential has positive
     entries, so one doubling prefix scan composes them with no cancellation.
     p is checked by `_check_exponent`; a refused table is a `ConstructionError`.
-    The table is built once per p and node setting, and shared read-only.
+    The table is built once per p, and shared read-only.
     """
-    return _scan_table(p, _SCAN_NODES, _SERIES_RATIO, _T_MAX)
+    return _scan_table(p)
 
 
 @functools.lru_cache(maxsize=8)
-def _scan_table(p, nodes, ratio, t_max):
+def _scan_table(p):
     _check_exponent(p)
     m = (p - 2) / 2
     b = np.ones(60)
@@ -220,16 +222,16 @@ def _scan_table(p, nodes, ratio, t_max):
     n = int(np.argmax(d_n)) + 1
     sqrt_c = (p / 2) ** ((p + 1) / 2)
     t_star = (sqrt_c * d_n[n - 1]) ** (-2 / p)
-    ts = np.linspace(2 / p, min(t_star, t_max), nodes)
-    if t_star < t_max:
-        n_tail = math.ceil(math.log(t_max / t_star) / math.log(ratio))
-        ts = np.concatenate((ts, np.geomspace(t_star, t_max, n_tail + 1)[1:]))
+    ts = np.linspace(2 / p, min(t_star, _T_MAX), _SCAN_NODES)
+    if t_star < _T_MAX:
+        n_tail = math.ceil(math.log(_T_MAX / t_star) / math.log(_SERIES_RATIO))
+        ts = np.concatenate((ts, np.geomspace(t_star, _T_MAX, n_tail + 1)[1:]))
     tau = sqrt_c * ts ** (p / 2) / (p / 2)
     d = 2 / (p * tau)  # underflows past t* at large p, but never overflows
     # (z, z')' = [[0, 1], [1, m d]] (z, z'), read at the two Gauss points, is
     # stepped by exp(a I + [[-a, h + k], [h - k, a]]) / (e^a cosh s); z grows
     # by less than e^30 over the scan, so no prefix product overflows
-    ta = tau[:nodes]
+    ta = tau[:_SCAN_NODES]
     h = np.diff(ta)
     e1, e2 = ((p - 2) / (p * (ta[:-1] + h / 2 + x * h / 12**0.5)) for x in (-1, 1))
     k = 3**0.5 / 12 * h * h * (e1 - e2)
@@ -242,7 +244,7 @@ def _scan_table(p, nodes, ratio, t_max):
         M[:, j:] = (m00 * n00 + m01 * n10, m00 * n01 + m01 * n11,
                     m10 * n00 + m11 * n10, m10 * n01 + m11 * n11)
     w0 = p * ta[0] / 2  # u/r at t = 2/p, where u = 2/p
-    tail = np.polyval(b[n::-1], d[nodes:])
+    tail = np.polyval(b[n::-1], d[_SCAN_NODES:])
     w = np.concatenate(([w0], (M[2] + M[3] * w0) / (M[0] + M[1] * w0), tail))
     return _frozen(GSolution(p, ts, ts * d * w, "magnus"))
 
@@ -293,16 +295,16 @@ def build_g_bessel(p: float) -> GSolution:
     table is not finite and the build raises `ConstructionError`.  The
     table is shared as `build_g_rk`'s is.
     """
-    return _bessel_table(p, _BESSEL_NODES, _T_MAX, _bessel_gap)
+    return _bessel_table(p)
 
 
 @functools.lru_cache(maxsize=8)
-def _bessel_table(p, nodes, t_max, gap):
+def _bessel_table(p):
     _check_exponent(p)
-    s = np.linspace(0.0, 1.0, nodes)
-    ts = 2 / p + (t_max - 2 / p) * s**3
+    s = np.linspace(0.0, 1.0, _BESSEL_NODES)
+    ts = 2 / p + (_T_MAX - 2 / p) * s**3
     ts[0] = 2 / p
-    u = gap(p, ts)
+    u = _bessel_gap(p, ts)
     bad = np.nonzero(~np.isfinite(u))[0]
     if bad.size:
         raise ConstructionError(f"non-finite Bessel value at t={ts[bad[0]]}")
