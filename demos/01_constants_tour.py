@@ -7,7 +7,8 @@ from sharpmart import kp, reference_constants, strong_constant_nonneg, weak_cons
 
 print("Weak-type constant for the orthogonal range 1 <= p <= 2:")
 print("  K_p = [ (1/Gamma(p+1)) (pi/2)^{p-1} (pi^2/8) / beta(p+1) ]^{1/p},")
-print("  beta(s) = sum_k (-1)^k (2k+1)^{-s} = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4))  (Hurwitz zeta)")
+print("  beta(s) = sum_k (-1)^k (2k+1)^{-s}, summed in "
+      f"{kp(1.0).series_terms_used} terms by the Cohen-Rodriguez Villegas-Zagier acceleration")
 for p in (1.0, 1.25, 1.5, 1.75, 2.0):
     c = kp(p)
     print(f"  p = {p:4.2f}   K_p = {c.value:.10f}")

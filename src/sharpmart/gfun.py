@@ -280,7 +280,11 @@ def _bessel_gap(p: float, t):
     q = (2 - p) / (p * z0)  # required value of R - nu/z at z0
     r = (ive(nu + 1, z0) - q * ive(nu, z0)) / (kve(nu + 1, z0) + q * kve(nu, z0))
     R = _bessel_log_derivative(nu, z, r * np.exp(-2 * (z - z0)))
-    return ((p - 1) / 2 + (p / 2) * z * R) / ((p / 2) ** (p + 1) * t ** (p - 1))
+    # (p/2)^{p+1} t^{p-1} overflows a double near t = 10 from p ~ 111.9; a
+    # gap of NaN or 0 there is refused by the table's checks
+    with np.errstate(over="ignore"):
+        scale = (p / 2) ** (p + 1) * t ** (p - 1)
+    return ((p - 1) / 2 + (p / 2) * z * R) / scale
 
 
 def build_g_bessel(p: float) -> GSolution:
@@ -307,7 +311,7 @@ def _bessel_table(p):
     u = _bessel_gap(p, ts)
     bad = np.nonzero(~np.isfinite(u))[0]
     if bad.size:
-        raise ConstructionError(f"non-finite Bessel value at t={ts[bad[0]]}")
+        raise ConstructionError(f"non-finite Bessel value at t={ts[bad[0]]} (p = {p})")
     return _frozen(GSolution(p, ts, u, "bessel"))
 
 

@@ -2,7 +2,8 @@
 
 Oracle values are computed by an independent brute-force summation of the
 alternating odd-power series (pairwise-grouped, 10^7 terms) and frozen
-below; the library must agree to tight tolerances.
+below; the library must agree to tight tolerances.  A second oracle takes
+the Dirichlet beta from two Hurwitz zeta values in scipy.
 """
 
 import math
@@ -27,9 +28,17 @@ def brute_alternating_sum(s: float, n_terms: int = 10_000_000) -> float:
     return float(np.sum(terms[::-1]))
 
 
-def brute_kp(p: float) -> float:
+def brute_kp(p: float, beta=brute_alternating_sum) -> float:
     num = (1 / math.gamma(p + 1)) * (math.pi / 2) ** (p - 1) * math.pi**2 / 8
-    return (num / brute_alternating_sum(p + 1)) ** (1 / p)
+    return (num / beta(p + 1)) ** (1 / p)
+
+
+def zeta_beta(s: float) -> float:
+    """The Dirichlet beta from two Hurwitz zeta values (DLMF 25.11):
+    4^{-s} (zeta(s, 1/4) - zeta(s, 3/4))."""
+    from scipy.special import zeta
+
+    return float(4.0**-s * (zeta(s, 0.25) - zeta(s, 0.75)))
 
 
 # frozen oracle values (brute_kp with 1e7 terms)
@@ -53,6 +62,11 @@ class TestKp:
     def test_catalan_constant_at_one(self):
         assert abs(_dirichlet_beta(2.0) - 0.9159655941772190) < 1e-15
 
+    def test_matches_zeta_route(self):
+        for p in np.linspace(1.0, 2.0, 201):
+            want = brute_kp(p, beta=zeta_beta)
+            assert abs(kp(p).value / want - 1) < 1e-15, p
+
     @pytest.mark.parametrize("p", sorted(KP_ORACLE))
     def test_matches_frozen_brute_oracle(self, p):
         assert abs(kp(p).value - KP_ORACLE[p]) < 1e-13
@@ -70,7 +84,7 @@ class TestKp:
         for p in (1, 1.5, np.float64(2.0)):
             c = kp(p)
             assert type(c.p) is float and type(c.value) is float
-            assert c.series_terms_used == 0
+            assert c.series_terms_used == 22
 
     @pytest.mark.parametrize("p", [0.5, 0.99, 2.01, -1.0])
     def test_out_of_range_rejected(self, p):

@@ -354,6 +354,12 @@ class TestBesselRoute:
         with pytest.raises(ConstructionError, match="non-finite Bessel value"):
             build_g_bessel(12.0)
 
+    def test_overflowing_scale_is_a_construction_error(self):
+        # (p/2)^{p+1} t^{p-1} overflows a double at p = 160; under the
+        # RuntimeWarning filter an overflow warning would fail this first
+        with pytest.raises(ConstructionError, match=r"non-finite Bessel value.*p = 160"):
+            build_g_bessel(160.0)
+
     def test_import_does_not_load_mpmath(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         code = "import sys, sharpmart; print('mpmath' in sys.modules)"

@@ -1,6 +1,7 @@
 """The import path: `import sharpmart` loads numpy and the standard library
 only, and each scipy subpackage is loaded by the function that calls it.
-G's primary table is built in numpy, so building it loads no scipy module.
+G's primary table is built in numpy, and K_p's Dirichlet beta is summed in
+standard-library `math`, so neither loads a scipy module.
 
 Each check runs in a fresh interpreter, since this one has scipy loaded
 by other test modules."""
@@ -25,6 +26,8 @@ def _scipy_modules_after(code: str) -> list:
     "import sharpmart, sharpmart.cli",
     "from sharpmart import mc\n"
     "mc.random_subordinate_pair_check(3.0, mc.SimConfig(master_seed=1, n_samples=200), n_pairs=3)",
+    *(f"from sharpmart.verify import run_suite\nrun_suite({name!r}, n={n})"
+      for name, n in (("mc-strip", 2000), ("harmonic", 2000), ("u-orth", 5))),
 ])
 def test_no_scipy_module_is_loaded(code):
     assert _scipy_modules_after(code) == []

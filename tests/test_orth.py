@@ -172,9 +172,9 @@ class TestPropertySuite:
             (1.5, 8, (2.7492591290044745e-16, 0.0003358646555958961, 8.932204868099921e-05,
                       0.11162691413713566, 0.17326197627579987)),
             (2.0, 7, (3.073554328527456e-16, 1.6922866514869758e-06, -8.721846716775392e-17,
-                      0.00032719746283660367, 0.0007956381157026016)),
+                      0.00032719746283660367, 0.0007956381157028236)),
             (2.0, 8, (1.8033650435054455e-16, 0.0006398342801257226, -7.113222246008211e-17,
-                      0.15895571916600482, 0.009095718320613955)),
+                      0.15895571916600482, 0.009095718320614177)),
         ],
     )
     def test_report_is_pinned(self, p, seed, want):
