@@ -5,8 +5,8 @@ G'(2/p) = p/2.  Two independent constructions are compared: the gap
 u = t + 1 - G in numpy (a Magnus scan of the linearized equation, then G's
 own outer series) and a closed form obtained by linearizing the Riccati
 equation into a modified-Bessel equation, whose solution enters only as a ratio of the
-exponentially scaled I_nu and K_nu (scipy.special.ive / kve) and so is
-evaluated in double precision.  Both tables keep u, and G' and h' = 1/G'(h)
+exponentially scaled I_nu and K_nu, evaluated in numpy (a power series and
+trapezoid sums of their integrals), and so is computed in double precision.  Both tables keep u, and G' and h' = 1/G'(h)
 are read from it as (p/2)^{p+1} t^{p-2} u^2.  The inverse h is read from the
 same table taken the other way, then polished by two Newton steps on the
 cubic of G on the table interval that holds each s.

@@ -32,11 +32,15 @@ OUT_ENV = "SHARPMART_OUT"
 
 
 def _scipy_version() -> str:
-    """scipy's version from its package metadata: a manifest imports no
+    """scipy's version from its package metadata, or "absent" where scipy is
+    not installed (the library does not need it): a manifest imports no
     scipy module, and `import sharpmart.cli` not even the metadata reader."""
-    from importlib.metadata import version
+    from importlib.metadata import PackageNotFoundError, version
 
-    return version("scipy")
+    try:
+        return version("scipy")
+    except PackageNotFoundError:
+        return "absent"
 
 
 @dataclass

@@ -15,8 +15,9 @@ is read from the same arrays taken the other way, a cubic Hermite table
 through (G_i, t_i) with slopes 1/G'_i, and two Newton steps on the cubic of
 G on the interval that holds each argument make it that cubic's inverse.
 
-Only the Bessel route imports scipy (`scipy.special`), when it is called,
-so importing this module, or building the primary table, loads numpy only.
+Both routes run on numpy alone: the Bessel route evaluates its I_nu and
+K_nu by their power series and trapezoid sums of their integrals
+(`_scaled_bessel`), so no scipy module is loaded by either.
 
 Each route's table is built once per process for each p (at most 8 of
 each are kept), and every array it holds is read-only, so a table shared by
@@ -94,15 +95,19 @@ class _Hermite:
         slope = np.diff(y) / dx
         t = (m[:-1] + m[1:] - 2 * slope) / dx
         self.x = x
+        self.y_end = y[-1]
         self.c = np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))
 
     def __call__(self, t, i=None):
-        """The cubic at t, on the intervals i where given (else located)."""
+        """The cubic at t, on the intervals i where given (else located).
+        The last node reads its own value, which the last cubic may miss by
+        an ulp; every other node is the constant term of its cubic."""
         if i is None:
             i = _locate(self.x, t)
         s = t - self.x[i]
         c3, c2, c1, c0 = self.c[:, i]
-        return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+        v = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+        return np.where(t == self.x[-1], self.y_end, v)[()]
 
 
 @dataclass(frozen=True)
@@ -250,13 +255,75 @@ def _scan_table(p):
 
 
 _BESSEL_NODES = 300
+_SERIES_Z = 25.0  # I from its power series below this z, from Poisson's integral above
+_SERIES_TERMS = 42  # at z = 25 term 41 is below 1e-18 of the sum, and each next < 1/10 of it
+_POISSON_NODES = 20
+_Z_MAX = 2.0**30  # scipy's ive and kve, the tests' oracle, read NaN from here on
+
+
+def _scaled_bessel(nu: float, z, with_k=True):
+    """e^{-z} I_nu, e^{-z} I_{nu+1}, e^z K_nu and e^z K_{nu+1} at 0 < z < 2^30,
+    for nu > -1, with K only where `with_k` holds; every other value is NaN.
+
+    I is its power series (DLMF 10.25.2) below z = 25: positive terms, each
+    the last times (z/2)^2/(k(k + nu)).  From z = 25 it is the trapezoid rule
+    on Poisson's integral (DLMF 10.32.4) without its second term, below
+    e^{-2z} of the first: (1/pi) int_0^pi exp(-2z sin^2(s/2)) cos(nu s) ds.
+    K is the trapezoid rule on int_0^inf exp(-2z sinh^2(s/2)) cosh(nu s) ds
+    (DLMF 10.32.9), cut where the exponent has fallen by about 40.  Both
+    integrands are analytic and decay on the real line, so the rules converge
+    geometrically in the step (Trefethen and Weideman 2014, SIAM Rev. 56),
+    which scales with the integrands' width 1/sqrt(z).
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    orders = np.array([[nu], [nu + 1]])
+    out = np.full((4, flat.size), np.nan)
+    ok = (flat > 0) & (flat < _Z_MAX)
+    series = ok & (flat < _SERIES_Z)
+    x = flat[series]
+    k = np.arange(1.0, _SERIES_TERMS)[:, None, None]
+    terms = (x / 2) ** 2 * (1 / (k * (k + orders)))
+    for j in range(1, _SERIES_TERMS - 1):  # a running product, 5x np.cumprod's speed here
+        terms[j] *= terms[j - 1]
+    lgam = np.array([[math.lgamma(nu + 1)], [math.lgamma(nu + 2)]])
+    out[:2, series] = (1 + terms.sum(axis=0)) * np.exp(orders * np.log(x / 2) - x - lgam)
+    poisson = ok & ~series
+    x = flat[poisson]
+    h = np.minimum(0.55 / np.sqrt(x), math.pi / (_POISSON_NODES - 1))
+    out[:2, poisson] = _trapezoid(np.sin, np.cos, orders, x, h, _POISSON_NODES) / math.pi
+    with_k = ok & np.broadcast_to(with_k, z.shape).ravel()
+    x = flat[with_k]
+    if x.size:
+        h = np.minimum(0.25, 0.55 / np.sqrt(x))
+        # the nodes reach where 2x sinh^2(s/2) - (nu + 1) s, the integrand's
+        # decay, is about 40 (>= 38.5 for nu <= 1), by two fixed-point steps
+        top = 2 * np.arcsinh(np.sqrt(20 / x))
+        top = 2 * np.arcsinh(np.sqrt((40 + (nu + 1) * top) / (2 * x)))
+        out[2:, with_k] = _trapezoid(np.sinh, np.cosh, orders, x, h, int(np.max(top / h)) + 2)
+    return out.reshape((4,) + z.shape)
+
+
+def _trapezoid(sq, even, orders, x, h, n):
+    """h (f_0/2 + f_1 + ... + f_{n-1}) with f_j = exp(-2x sq(s/2)^2) even(o s)
+    at s = j h, for each order o."""
+    s = np.arange(n)[:, None] * h
+    f = np.exp(-2 * x * sq(s / 2) ** 2)
+    f[0] /= 2
+    return h * np.einsum("jn,ojn->on", f, even(orders[:, None] * s))
 
 
 def _bessel_log_derivative(nu: float, z, e):
-    """w'/w for w = I_nu(z) + c K_nu(z), with the scaled weight e = c e^{-2z}."""
-    from scipy.special import ive, kve
+    """w'/w for w = I_nu(z) + c K_nu(z), with the scaled weight e = c e^{-2z}.
 
-    return nu / z + (ive(nu + 1, z) - e * kve(nu + 1, z)) / (ive(nu, z) + e * kve(nu, z))
+    K's share e K/I is left out where e < 1e-18 and z >= 1, where K/I is
+    below 90 (nu <= 2), so it is below 1e-16.
+    """
+    z, e = np.broadcast_arrays(np.asarray(z, dtype=float), e)
+    with_k = (e >= 1e-18) | (z < 1)
+    i0, i1, k0, k1 = _scaled_bessel(nu, z, with_k)
+    ek0, ek1 = (np.where(with_k, e * k, 0.0) for k in (k0, k1))
+    return nu / z + (i1 - ek1) / (i0 + ek0)
 
 
 def _bessel_gap(p: float, t):
@@ -265,20 +332,19 @@ def _bessel_gap(p: float, t):
     G = t + 1 - (2/p)^{p+1} k'/(k t^{p-2}) turns the Riccati equation into
     a linear one solved by k = t^{(p-1)/2} (A I_nu(z) + B K_nu(z)) with
     nu = (p-1)/p and z = beta t^{p/2}.  Only k'/k enters, so with the
-    exponentially scaled ive/kve (DLMF 10.25, 10.29(i)) the factors e^{+-z}
-    cancel and double precision suffices.  The weight r = (B/A) e^{-2 z0} of
-    the scaled K part at z0 = z(2/p) is fixed by u(2/p) = 2/p, which is
-    k'/k = p^2/4 there.
+    exponentially scaled e^{-z} I and e^z K of `_scaled_bessel` the factors
+    e^{+-z} cancel and double precision suffices.  The weight
+    r = (B/A) e^{-2 z0} of the scaled K part at z0 = z(2/p) is fixed by
+    u(2/p) = 2/p, which is k'/k = p^2/4 there.
     """
-    from scipy.special import ive, kve
-
     t = np.asarray(t, dtype=float)
     nu = (p - 1) / p
     beta = (p / 2) ** ((p - 1) / 2)
     z = beta * t ** (p / 2)
     z0 = beta * (2 / p) ** (p / 2)
     q = (2 - p) / (p * z0)  # required value of R - nu/z at z0
-    r = (ive(nu + 1, z0) - q * ive(nu, z0)) / (kve(nu + 1, z0) + q * kve(nu, z0))
+    i0, i1, k0, k1 = _scaled_bessel(nu, z0)
+    r = (i1 - q * i0) / (k1 + q * k0)
     R = _bessel_log_derivative(nu, z, r * np.exp(-2 * (z - z0)))
     # (p/2)^{p+1} t^{p-1} overflows a double near t = 10 from p ~ 111.9; a
     # gap of NaN or 0 there is refused by the table's checks
@@ -295,9 +361,12 @@ def build_g_bessel(p: float) -> GSolution:
     solution's curvature concentrates; interpolation error there dominates
     the uniform-grid budget by orders of magnitude.
 
-    p is checked as by `build_g_rk`.  From p = 10.84 a Bessel value on the
-    table is not finite and the build raises `ConstructionError`.  The
-    table is shared as `build_g_rk`'s is.
+    p is checked as by `build_g_rk`.  The Bessel values are NaN from
+    z = 2^30 on, where scipy's ive and kve, against which the tests hold
+    them, read NaN too; so the route's domain is the one those oracles
+    check.  z reaches 2^30 on the table from p = 10.84, where the build
+    raises `ConstructionError` naming p.  The table is shared as
+    `build_g_rk`'s is.
     """
     return _bessel_table(p)
 

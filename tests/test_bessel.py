@@ -1,16 +1,63 @@
-"""Log-derivative of the modified Bessel combination w = I_a + c K_a that the
-closed-form route for G is built on, checked against scipy's unscaled
-functions and against the Riccati equation that w'/w satisfies."""
+"""The modified Bessel functions that the closed-form route for G is built
+on, evaluated in numpy: the scaled I and K against scipy's ive and kve, the
+gap against the scipy formula it replaced, and the log-derivative of
+w = I_a + c K_a against scipy's unscaled functions and against the Riccati
+equation that w'/w satisfies."""
+
+import math
 
 import numpy as np
 import pytest
-from scipy.special import iv, ivp, kv, kvp
+from scipy.special import iv, ive, ivp, kv, kve, kvp
 
-from sharpmart.gfun import _bessel_log_derivative
+from sharpmart.gfun import _bessel_gap, _bessel_log_derivative, _scaled_bessel
+
+# exponents from near 2 up to the top of verify ode's range
+PS = [2.05, 2.5, 3.0, 4.0, 6.0, 10.0, 10.825]
+
+
+def scipy_gap(p, t):
+    """The gap u = t + 1 - G from scipy's ive and kve, as gfun computed it
+    before its Bessel functions were evaluated in numpy."""
+    nu = (p - 1) / p
+    beta = (p / 2) ** ((p - 1) / 2)
+    z = beta * t ** (p / 2)
+    z0 = beta * (2 / p) ** (p / 2)
+    q = (2 - p) / (p * z0)
+    r = (ive(nu + 1, z0) - q * ive(nu, z0)) / (kve(nu + 1, z0) + q * kve(nu, z0))
+    e = r * np.exp(-2 * (z - z0))
+    R = nu / z + (ive(nu + 1, z) - e * kve(nu + 1, z)) / (ive(nu, z) + e * kve(nu, z))
+    return ((p - 1) / 2 + (p / 2) * z * R) / ((p / 2) ** (p + 1) * t ** (p - 1))
 
 
 def log_derivative(alpha, z, c):
     return _bessel_log_derivative(alpha, z, c * np.exp(-2 * z))
+
+
+class TestScaledFunctions:
+    @pytest.mark.parametrize("p", PS)
+    def test_matches_scipy(self, p):
+        # z from sqrt(2/p), where G's table starts, up to 2^30.  The bound
+        # is scipy's: its K_nu errs by up to 1.1e-13 near z = 2 at nu = 0.6
+        # (p = 2.5), against 2e-16 here (both against mpmath at 40 digits)
+        nu = (p - 1) / p
+        z = np.geomspace(math.sqrt(2 / p), 2.0**30, 2000, endpoint=False)
+        ours = _scaled_bessel(nu, z)
+        for got, want in zip(ours, (ive(nu, z), ive(nu + 1, z), kve(nu, z), kve(nu + 1, z))):
+            assert np.max(np.abs(got / want - 1)) <= 2e-13
+
+    @pytest.mark.parametrize("p", PS)
+    def test_gap_matches_the_scipy_route(self, p):
+        t = np.linspace(2 / p, 10, 5000)
+        assert np.max(np.abs(_bessel_gap(p, t) / scipy_gap(p, t) - 1)) <= 1e-13
+
+    def test_nan_from_two_to_the_thirty(self):
+        # where scipy's ive and kve read NaN, so do these, and G's Bessel
+        # table is refused; just below, every value is finite
+        z = np.array([2.0**30, 3e9, 1e15])
+        assert np.all(np.isnan(ive(0.6, z))) and np.all(np.isnan(kve(0.6, z)))
+        assert np.all(np.isnan(_scaled_bessel(0.6, z)))
+        assert np.all(np.isfinite(_scaled_bessel(0.6, np.nextafter(2.0**30, 0))))
 
 
 class TestAgainstScipy:

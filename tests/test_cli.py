@@ -266,6 +266,20 @@ def test_manifest_records_library_versions(tmp_path):
     assert manifest["scipy"] == scipy.__version__
 
 
+def test_manifest_records_absent_scipy(tmp_path, monkeypatch):
+    # scipy is a test dependency only: on a numpy-only install its metadata
+    # lookup raises, and the manifest says so instead of failing
+    import importlib.metadata
+
+    def missing(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", missing)
+    assert main(["verify", "ode", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "verify_ode.json.manifest.json").read_text())
+    assert manifest["scipy"] == "absent"
+
+
 def test_figures_trajectories_default_parameters(tmp_path):
     assert main(["figures", "trajectories", "--out", str(tmp_path)]) == 0
     rows = list(csv.DictReader((tmp_path / "trajectories_p3.csv").read_text().splitlines()))

@@ -349,8 +349,9 @@ class TestBesselRoute:
             assert float(np.min(sol.gprime_values)) >= 1 - 1e-12
 
     def test_non_finite_bessel_values_are_a_construction_error(self):
-        # On scipy 1.17 the scaled I_nu is NaN at the z ~ 1.9e10 that p = 12
-        # reaches; that must surface as a construction error.
+        # The scaled I_nu and K_nu are NaN from z = 2^30 on, where scipy's
+        # ive and kve (their test oracle) read NaN too; p = 12 reaches
+        # z ~ 1.9e10, and that must surface as a construction error.
         with pytest.raises(ConstructionError, match="non-finite Bessel value"):
             build_g_bessel(12.0)
 

@@ -120,6 +120,15 @@ def test_large_exponent(name, p):
     assert ok, report
 
 
+@pytest.mark.filterwarnings("error")
+def test_ode_passes_over_its_range():
+    # ode's stated range: its cross check of the two G routes, the residual
+    # of the Bessel gap and the slope gates hold on a 0.25 grid and at 10.825
+    for p in [*np.arange(2.25, 10.76, 0.25), 10.825]:
+        ok, report = run_suite("ode", p=float(p))
+        assert ok, report
+
+
 @pytest.mark.parametrize("p", [2.05, 2.5, 4.0, 6.0, 7.1, 9.6, 10.8, 10.9, 12.0, 16.0, 40.0])
 def test_extremal_at_any_p_above_two(p):
     # the ratio is 1e2 at p = 6 and 3e5 at p = 9.6, where an absolute 1e-12
