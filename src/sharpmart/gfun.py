@@ -295,7 +295,7 @@ def _scaled_bessel(nu: float, z, with_k=True):
     with_k = ok & np.broadcast_to(with_k, z.shape).ravel()
     x = flat[with_k]
     if x.size:
-        h = np.minimum(0.25, 0.55 / np.sqrt(x))
+        h = np.minimum(0.2, 0.55 / np.sqrt(x))
         # the nodes reach where 2x sinh^2(s/2) - (nu + 1) s, the integrand's
         # decay, is about 40 (>= 38.5 for nu <= 1), by two fixed-point steps
         top = 2 * np.arcsinh(np.sqrt(20 / x))

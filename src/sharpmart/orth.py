@@ -27,15 +27,29 @@ __all__ = [
 ]
 
 
+# the 16-point Gauss-Legendre rule on [-1, 1]: its 8 positive nodes and their
+# weights, ascending, as np.polynomial.legendre.leggauss(16) returns them,
+# which is symmetric to the last bit
+_GL16_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+               0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+               0.9445750230732326, 0.9894009349916499)
+_GL16_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                 0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                 0.062253523938647456, 0.027152459411754176)
+
+
 @functools.cache
 def _rule(levels):
     """Nodes and weights, both (16 (levels + 4),), of 16-point Gauss-Legendre
     panels on [0, 1]: four of width 1/4, the first split geometrically by 3
-    toward 0 in `levels` levels, down to [0, 3^-levels / 4].  Built on first
-    use, not on import."""
+    toward 0 in `levels` levels, down to [0, 3^-levels / 4].  The rule on
+    [-1, 1] is `_GL16_NODES` and `_GL16_WEIGHTS` mirrored, the doubles
+    `np.polynomial.legendre.leggauss(16)` returns, so no call loads
+    `numpy.polynomial`.  Built on first use, not on import."""
     edges = np.concatenate([[0.0], 3.0 ** np.arange(-levels, 0) / 4, np.arange(1, 5) / 4])
     mid, half = (edges[1:] + edges[:-1])[:, None] / 2, np.diff(edges)[:, None] / 2
-    t, w = np.polynomial.legendre.leggauss(16)
+    t = np.concatenate([-np.array(_GL16_NODES[::-1]), _GL16_NODES])
+    w = np.concatenate([_GL16_WEIGHTS[::-1], _GL16_WEIGHTS])
     return (mid + half * t).ravel(), (half * w).ravel()
 
 
@@ -55,7 +69,8 @@ def _integral(p, a, c, levels):
     summed together, the three pieces' nodes on one axis, in chunks whose
     temporaries stay near 2^16 elements."""
     total = np.empty_like(a)
-    for n in np.unique(levels):
+    # the level counts that occur, ascending; np.unique would load numpy.ma
+    for n in np.flatnonzero(np.bincount(levels)):
         t, w = _rule(n)
         (group,) = np.nonzero(levels == n)
         for idx in np.array_split(group, math.ceil(3 * t.size * group.size / 2**16)):
@@ -211,8 +226,8 @@ def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) ->
     # every point of the three calls lies inside the strip
     xall = np.concatenate([xr.ravel(), [0.0], x, x2])
     _, levels = _rule_levels(np.abs(xall), np.concatenate([yr.ravel(), [0.0], y, y2]))
-    counts = zip(*np.unique(levels, return_counts=True))
-    report["rule_levels"] = {int(n): int(k) for n, k in counts}
+    counts = np.bincount(levels)
+    report["rule_levels"] = {int(n): int(counts[n]) for n in np.flatnonzero(counts)}
     if ctx.p == 2:
         xa, ya = np.concatenate([xs, x, x2]), np.concatenate([ys, y, y2])
         ua = np.concatenate([uc, u, uval])

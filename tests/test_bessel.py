@@ -51,6 +51,14 @@ class TestScaledFunctions:
         t = np.linspace(2 / p, 10, 5000)
         assert np.max(np.abs(_bessel_gap(p, t) / scipy_gap(p, t) - 1)) <= 1e-13
 
+    @pytest.mark.parametrize("nu", [0.2, 0.6, 0.91, 1.5, 3.0])
+    def test_wronskian(self, nu):
+        # z (I_nu K_{nu+1} + I_{nu+1} K_nu) = 1 (DLMF 10.28.2), with no
+        # oracle; a K step of 0.25 errs by up to 1.5e-12 near z = 4.5
+        z = np.linspace(0.5, 10, 2000)
+        i0, i1, k0, k1 = _scaled_bessel(nu, z)
+        assert np.max(np.abs(z * (i0 * k1 + i1 * k0) - 1)) <= 1e-14
+
     def test_nan_from_two_to_the_thirty(self):
         # where scipy's ive and kve read NaN, so do these, and G's Bessel
         # table is refused; just below, every value is finite

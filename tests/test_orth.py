@@ -285,6 +285,15 @@ class TestLevelBands:
     def test_banded_rule_agrees_with_twenty_levels(self, p):
         assert error_to_twenty_levels(p) <= 1e-15
 
+    @pytest.mark.parametrize("levels", range(4, 21))
+    def test_literal_rule_is_leggauss_bit_for_bit(self, levels):
+        edges = np.concatenate([[0.0], 3.0 ** np.arange(-levels, 0) / 4, np.arange(1, 5) / 4])
+        mid, half = (edges[1:] + edges[:-1])[:, None] / 2, np.diff(edges)[:, None] / 2
+        t, w = np.polynomial.legendre.leggauss(16)
+        nodes, weights = orth._rule(levels)
+        assert nodes.tobytes() == (mid + half * t).ravel().tobytes()
+        assert weights.tobytes() == (half * w).ravel().tobytes()
+
     @pytest.mark.parametrize("p", P_RANGE)
     def test_one_level_fewer_is_seen(self, monkeypatch, p):
         # every point one level short, the floor of 4 included, errs by
