@@ -37,7 +37,6 @@ import numpy as np
 __all__ = [
     "ConstructionError",
     "GSolution",
-    "g_rhs",
     "build_g_rk",
     "build_g_bessel",
     "h_of",
@@ -50,10 +49,6 @@ class ConstructionError(RuntimeError):
 
 
 _T_MAX = 10.0  # right end of every table; p > 2 puts its left end 2/p below 1
-
-
-def g_rhs(p: float, t, g):
-    return _slope_from_gap(p, t, t + 1 - g)
 
 
 def _slope_from_gap(p: float, t, u):

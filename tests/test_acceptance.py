@@ -63,7 +63,8 @@ def test_criterion_03_ode_cross_validation(capsys):
         t = np.linspace(2 / p, 10.0, 20_001)
         worst_gap = max(worst_gap, float(np.max(np.abs(rk.g(t) - bessel.g(t)))))
         for sol in (rk, bessel):
-            resid = sol.gprime_values - gfun.g_rhs(p, sol.grid, sol.g_values)
+            u = sol.grid + 1 - sol.g_values  # the gap t + 1 - G
+            resid = sol.gprime_values - (p / 2) ** (p + 1) * sol.grid ** (p - 2) * u**2
             worst_resid = max(worst_resid, float(np.max(np.abs(resid))))
             slopes_ok &= bool(np.min(sol.gprime_values) >= 1.0 - 1e-12)
     elapsed = time.perf_counter() - t0

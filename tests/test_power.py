@@ -62,6 +62,30 @@ def test_u_weak_sees_one_region_shifted(monkeypatch, region):
     assert report["boundary_gap_scaled_max"] > 1e-10
 
 
+@pytest.mark.parametrize("coord", ["x", "Y"])
+@pytest.mark.parametrize("p", [2.5, 3.0, 6.0, 10.0])
+def test_u_weak_sees_a_convex_term_of_1e_8(monkeypatch, p, coord):
+    # U + 1e-8 x^2 or U + 1e-8 |y|^2 raises the sup of the Hessian form over
+    # the slopes |k/h| <= 1 by 2e-8, against 8.1e-14 at most unperturbed over
+    # p = 2.25-112; a form read at one random slope per point read -1.07e-8
+    # at p = 3 and let both pass.  The term is smooth, so no other row moves
+    value = uweak._value
+
+    def convex(ctx, r, x, Y, h):
+        t = x if coord == "x" else Y
+        return value(ctx, r, x, Y, h) + 1e-8 * t * t
+
+    monkeypatch.setattr(uweak, "_value", convex)
+    ok, report = run_suite("u-weak", p=p, n=2_000)
+    assert not ok
+    assert report["hessian_form_sup_scaled_max"] > 1e-12
+    assert report["boundary_gap_scaled_max"] < 1e-10
+    assert report["tangent_ok"] and report["majorization_ok"]
+    assert report["n_interior"] > 0
+    assert report["diagonal_nonpos_max"] <= 1e-9
+    assert report["u_y_min_upper_half"] >= -1e-9
+
+
 @pytest.mark.parametrize("factor", [1 - 1e-2, 1 + 1e-2])
 @pytest.mark.parametrize("p", [3.0, 6.0])
 def test_u_weak_sees_the_constant_off_by_one_percent(monkeypatch, p, factor):
@@ -144,7 +168,7 @@ def test_u_weak_fails_with_no_interior_point(monkeypatch):
     ok, report = run_suite("u-weak", n=2_000)
     assert not ok
     assert report["n_interior"] == 0
-    assert report["hessian_form_max"] is None
+    assert report["hessian_form_sup_scaled_max"] is None
     assert report["tangent_ok"] and report["majorization_ok"]
 
 

@@ -139,6 +139,11 @@ def test_extremal_at_any_p_above_two(p):
     assert report["primed_ratio_over_constant"] < 1
 
 
+def _form(uxx, uxy, uyy, s):
+    """U's Hessian form U_xx h^2 + 2U_xy hk + U_yy k^2 at h = 1, k = s."""
+    return uxx + 2 * uxy * s + uyy * s * s
+
+
 def _u_weak_by_public_checks(p, seed, n):
     """`verify u-weak` composed of the public checks, each of which
     classifies the sample again: the oracle of the one-classification suite."""
@@ -161,10 +166,12 @@ def _u_weak_by_public_checks(p, seed, n):
     inter = uweak.is_interior(ctx, x, y)
     xi, yi = x[inter], y[inter]
     uxx, uxy, uyy = uweak.u_second_derivs(ctx, xi, yi)
-    hh = rng.uniform(-1.0, 1.0, xi.size)
-    kk = hh * rng.uniform(-1.0, 1.0, xi.size)
-    form = uxx * hh**2 + 2 * uxy * hh * kk + uyy * kk**2
-    report["hessian_form_max"] = float(np.max(form))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.clip(-uxy / uyy, -1.0, 1.0)
+    sup = np.fmax(np.maximum(_form(uxx, uxy, uyy, -1.0), _form(uxx, uxy, uyy, 1.0)),
+                  _form(uxx, uxy, uyy, vertex))
+    scale = np.maximum(1, np.maximum(np.abs(uxx), np.maximum(np.abs(uxy), np.abs(uyy))))
+    report["hessian_form_sup_scaled_max"] = float(np.max(sup / scale))
 
     report["majorization_ok"] = bool(np.all(uweak.majorization_check(ctx, x, y)))
     xd = rng.uniform(0.0, 0.99, n // 10)
@@ -199,3 +206,63 @@ def test_u_weak_classifies_its_sample_once(monkeypatch):
     x, y, _, _ = _sample_strip(np.random.default_rng(0), 2_000, x_hi=1.8)
     assert sum(np.array_equal(sx, x) and np.array_equal(sY, np.abs(y)) for sx, sY in seen) == 1
     assert len(seen) == 7
+
+
+def _grid_sup_scaled_max(uxx, uxy, uyy):
+    """The largest Hessian form over 4,001 slopes of [-1, 1] and every point,
+    each point's relative to max(1, |U_xx|, |U_xy|, |U_yy|)."""
+    s = np.linspace(-1.0, 1.0, 4001)[:, None]
+    scale = np.maximum(1, np.maximum(np.abs(uxx), np.maximum(np.abs(uxy), np.abs(uyy))))
+    return float(np.max(np.max(_form(uxx, uxy, uyy, s), axis=0) / scale))
+
+
+# (U_xx, U_xy, U_yy); every vertex -U_xy/U_yy inside [-1, 1] is a grid slope
+SYNTHETIC_HESSIANS = {
+    "U_yy > 0": (-2.0, -0.5, 3.0),
+    "U_yy < 0, vertex inside": (-1.0, 0.5, -1.0),
+    "U_yy < 0, vertex inside, |H| 1e9": (-3e9, 1.5e9, -3e9),
+    "U_yy < 0, vertex outside": (-1.0, 3.0, -1.0),
+    "U_yy = 0, U_xy != 0": (-1.0, -0.25, 0.0),
+    "U_yy = U_xy = 0": (-1.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("hess", SYNTHETIC_HESSIANS.values(), ids=SYNTHETIC_HESSIANS)
+def test_hessian_form_sup_against_a_slope_grid(monkeypatch, hess):
+    # every interior point given one Hessian: the suite's closed-form row is
+    # at least the grid's largest form, and exceeds it by rounding only
+    checks = uweak._sample_checks
+
+    def fixed(*args):
+        tangent, majorized, inter, _, u_y = checks(*args)
+        m = np.count_nonzero(inter)
+        return tangent, majorized, inter, tuple(np.full(m, v) for v in hess), u_y
+
+    monkeypatch.setattr(uweak, "_sample_checks", fixed)
+    _, report = run_suite("u-weak", p=3.0, n=200)
+    grid = _grid_sup_scaled_max(*(np.array([v]) for v in hess))
+    assert grid <= report["hessian_form_sup_scaled_max"] <= grid + 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_hessian_form_sup_against_a_slope_grid_on_the_suite_points():
+    # at p = 3 the sample's interior points have U_yy > 0, or U_xy = U_yy = 0
+    # (where U reads x alone): the row is the grid's, to rounding
+    n = 5_000
+    ok, report = run_suite("u-weak", p=3.0, n=n)
+    assert ok, report
+    x, y, h, k = _sample_strip(np.random.default_rng(0), n, x_hi=1.8)
+    _, _, _, hess, _ = uweak._sample_checks(uweak.build_context(3.0), x, y, h, k)
+    grid = _grid_sup_scaled_max(*hess)
+    assert grid <= report["hessian_form_sup_scaled_max"] <= grid + 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_u_weak_passes_over_its_range():
+    # u-weak's stated range: a 1.0 grid over [2.25, 112] and its top; |U| on
+    # the region boundaries grows from 1e9 at p = 10 to 6e223 at p = 112, and
+    # the Hessian row is read relative to max(1, |H|)
+    for p in [*np.arange(2.25, 111.3, 1.0), 112.0]:
+        ok, report = run_suite("u-weak", p=float(p), n=2_000)
+        assert ok, report
