@@ -58,9 +58,11 @@ _SHELL_EPS = 1e-6
 # _SHELL_EPS = 1e-6 a path from the origin takes about 20 jumps; the count
 # has a geometric tail: of 2^15 paths, 3 took more than 100, none 200.
 _MAX_STEPS = 1_000
-# P(Z > 4): a weak-type row with P = 1 of n paths (no binomial error) is
-# judged at P's exact lower bound _ALPHA^(1/n), the 4 sigma gate's confidence
-_ALPHA = 0.5 * math.erfc(2 * math.sqrt(2))
+# An estimate more than _SIGMA_GATE standard errors past its bound fails
+_SIGMA_GATE = 4.0
+# P(Z > _SIGMA_GATE): a weak-type row with P = 1 of n paths (no binomial
+# error) is judged at P's exact lower bound _ALPHA^(1/n), the gate's confidence
+_ALPHA = 0.5 * math.erfc(_SIGMA_GATE / 2 * math.sqrt(2))
 # A float64's sign bit, and a 64-bit word's top bit
 _SIGN = np.uint64(1 << 63)
 
@@ -312,8 +314,8 @@ def _weak_type_verdict(low, margin, bound) -> dict:
     worst = float(margin[decided].max()) if decided.any() else -math.inf
     return {
         "margin_sigma": worst,
-        "warnings_3_4_sigma": int(np.count_nonzero((margin > 3.0) & (margin <= 4.0))),
-        "passed": bool(worst <= 4.0 and np.all(low[~decided] <= bound)),
+        "warnings_3_4_sigma": int(np.count_nonzero((margin > 3.0) & (margin <= _SIGMA_GATE))),
+        "passed": bool(worst <= _SIGMA_GATE and np.all(low[~decided] <= bound)),
     }
 
 
@@ -402,5 +404,5 @@ def harmonic_rectangle_check(p: float, R: float, cfg: SimConfig) -> dict:
         "shell_eps": _SHELL_EPS,
         "censored": censored,
     }
-    rep["passed"] = bool(rep["margin_sigma"] <= 4.0 and mu.mean >= 0.95)
+    rep["passed"] = bool(rep["margin_sigma"] <= _SIGMA_GATE and mu.mean >= 0.95)
     return rep

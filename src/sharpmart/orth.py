@@ -20,11 +20,7 @@ import numpy as np
 
 from .constants import kp
 
-__all__ = [
-    "OrthContext",
-    "u_orth",
-    "orth_property_suite",
-]
+__all__ = ["OrthContext", "u_orth"]
 
 
 # the 16-point Gauss-Legendre rule on [-1, 1]: its 8 positive nodes and their
@@ -159,86 +155,3 @@ def u_orth(ctx: OrthContext, x, y):
     c, levels = _rule_levels(a, y[inside])
     u[inside] += c / 2 * _integral(p, a, c, levels)
     return u if u.ndim else float(u)
-
-
-def orth_property_suite(ctx: OrthContext, n_samples: int = 60, seed: int = 7) -> dict:
-    """U's shape on rings, K_p through U(0, 0) and two pointwise bounds, on
-    random samples.
-
-    Around each of n_samples centres (x, y) U is taken at 16 points
-    (x + r cos t_j, y + r sin t_j), t_j = 2 pi (j + 1/2)/16, r = (1 - |y|)/8.
-    The ring's mean a0 and its cos 2t and sin 2t coefficients a2 and b2 give
-    three rows, each relative to max(1, |U|) at the centre: `mean_value_max`,
-    the largest |a0 - U|, which is 0 for harmonic U; `convex_in_x_min`, the
-    smallest a0 - U + a2 = r^2 U_xx / 2; and `mixed_min`, the smallest
-    sign(xy) b2 = sign(xy) r^2 U_xy / 2, the quadrant condition (U_xy is odd
-    in x and in y).  The trapezoid rule on a circle converges geometrically
-    for a harmonic function (Trefethen and Weideman 2014), so no difference
-    step enters: on 1,000 centres at p = 1 the ring's mean differs from U
-    by at most 6e-16 of max(1, |U|), against 1e-12 at r = (1 - |y|)/4 and
-    1.2e-13 with 12 points.  Then the two pointwise bounds U >= U(0,0) on |y| <= |x|
-    and U <= |x|^p + K_p^{-p} in the strip, and U(0,0) K_p^p = 1
-    (`center_identity` is its error; this is what ties the suite to K_p).
-    At p = 2 it also reports `closed_form_gap`, the largest
-    |U - (x^2 + 1 - y^2)| over the centres and the bound points.  Every row
-    is gated at U's own precision, `pointwise_tol`.  Returns worst margins
-    per property, and in `rule_levels` how many of the 19 n_samples + 1
-    points U was taken at took each geometric level count of its
-    quadrature rule.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    kinvp = ctx.kp_value ** (-ctx.p)
-    # U's own error is about 2e-15 of max(1, |U|)
-    pointwise_tol = 1e-12
-    report = {"p": ctx.p, "n_samples": n_samples, "pointwise_tol": pointwise_tol}
-
-    xs = rng.uniform(-1.5, 1.5, n_samples)
-    # centres 2e-3 or more from the edges, so the rings stay 1.75e-3 off
-    ys = rng.uniform(-0.998, 0.998, n_samples)
-    # one call for every ring: row 0 the centres, rows 1-16 the ring points
-    theta = 2 * np.pi * (np.arange(16) + 0.5) / 16
-    r = (1 - np.abs(ys)) / 8
-    xr = np.vstack([xs, xs + r * np.cos(theta)[:, None]])
-    yr = np.vstack([ys, ys + r * np.sin(theta)[:, None]])
-    ring = u_orth(ctx, xr, yr)
-    uc, scale = ring[0], np.maximum(1, np.abs(ring[0]))
-    a0 = np.mean(ring[1:], axis=0)
-    a2 = np.cos(2 * theta) @ ring[1:] / 8
-    b2 = np.sin(2 * theta) @ ring[1:] / 8
-    report["mean_value_max"] = float(np.max(np.abs(a0 - uc) / scale))
-    report["convex_in_x_min"] = float(np.min((a0 - uc + a2) / scale))
-    report["mixed_min"] = float(np.min(np.sign(xs * ys) * b2 / scale))
-
-    u00 = u_orth(ctx, 0.0, 0.0)
-    # n rounds of uniform(-2, 2), uniform(-|x|, |x|), uniform(-2, 2),
-    # uniform(-0.999, 0.999), drawn in that order
-    draws = rng.random((n_samples, 4)).T
-    x = 4 * draws[0] - 2
-    y = np.clip(2 * np.abs(x) * draws[1] - np.abs(x), -0.999, 0.999)
-    x2 = 4 * draws[2] - 2
-    y2 = 1.998 * draws[3] - 0.999
-    u, uval = u_orth(ctx, np.stack([x, x2]), np.stack([y, y2]))
-    report["lower_bound_min"] = float(np.min(u - u00))
-    report["upper_bound_min"] = float(np.min(np.abs(x2) ** ctx.p + kinvp - uval))
-    report["center_identity"] = abs(u00 * ctx.kp_value**ctx.p - 1.0)
-    # every point of the three calls lies inside the strip
-    xall = np.concatenate([xr.ravel(), [0.0], x, x2])
-    _, levels = _rule_levels(np.abs(xall), np.concatenate([yr.ravel(), [0.0], y, y2]))
-    counts = np.bincount(levels)
-    report["rule_levels"] = {int(n): int(counts[n]) for n in np.flatnonzero(counts)}
-    if ctx.p == 2:
-        xa, ya = np.concatenate([xs, x, x2]), np.concatenate([ys, y, y2])
-        ua = np.concatenate([uc, u, uval])
-        report["closed_form_gap"] = float(np.max(np.abs(ua - (xa * xa + 1 - ya * ya))))
-    report["passed"] = bool(
-        report["mean_value_max"] <= pointwise_tol
-        and report["convex_in_x_min"] >= -pointwise_tol
-        and report["mixed_min"] >= -pointwise_tol
-        and report["lower_bound_min"] >= -pointwise_tol
-        and report["upper_bound_min"] >= -pointwise_tol
-        and report["center_identity"] <= pointwise_tol
-        and report.get("closed_form_gap", 0.0) <= pointwise_tol
-    )
-    return report

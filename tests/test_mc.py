@@ -443,6 +443,12 @@ def test_pairs_verdict_fails_an_errorless_row_above_the_bound():
     assert _weak_type_verdict(ratio, margin, 2.0)["passed"]
 
 
+def test_alpha_is_the_sigma_gates_tail():
+    # P(Z > 4) written from the gate is the very double written from 2 sqrt(2)
+    assert mc._SIGMA_GATE == 4.0
+    assert mc._ALPHA == 0.5 * math.erfc(2 * math.sqrt(2))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pairs_pass_at_a_few_paths(n):
     # with a few paths the empirical P is often 1 far above the true P; such a

@@ -12,7 +12,8 @@ from scipy.integrate import quad
 
 from sharpmart import orth
 from sharpmart.constants import kp
-from sharpmart.orth import OrthContext, orth_property_suite, u_orth
+from sharpmart.orth import OrthContext, u_orth
+from sharpmart.verify import run_suite
 
 P_RANGE = [1.0, 1.25, 1.5, 1.75, 2.0]
 
@@ -147,8 +148,8 @@ class TestStripBehaviour:
 
 class TestPropertySuite:
     def test_passes(self):
-        report = orth_property_suite(OrthContext(1.5), n_samples=40, seed=7)
-        assert report["passed"], report
+        ok, report = run_suite("u-orth", p=1.5, n=40, seed=7)
+        assert ok, report
 
     # Literal margins of the suite on the graded rule: 16-point Gauss-Legendre
     # panels of the folded bracket [(a+d)^p + |a-d|^p - 2a^p] against the
@@ -178,11 +179,11 @@ class TestPropertySuite:
         ],
     )
     def test_report_is_pinned(self, p, seed, want):
-        report = orth_property_suite(OrthContext(p), n_samples=5, seed=seed)
+        ok, report = run_suite("u-orth", p=p, n=5, seed=seed)
         keys = ("mean_value_max", "convex_in_x_min", "mixed_min",
                 "lower_bound_min", "upper_bound_min")
         assert tuple(report[k] for k in keys) == want
-        assert report["passed"]
+        assert ok
         if p == 2:
             # on x^2 + 1 - y^2 the ring's a0 = U, a2 = r^2 and b2 = 0 exactly,
             # so convex_in_x_min is the smallest r^2 / max(1, U)
@@ -199,16 +200,16 @@ class TestPropertySuite:
         # 19 n + 1 points: the n centres with their 16-point rings, the origin
         # and two rows of n; the rings reach 1 - |y| = (7/8) 2e-3 = 1.75e-3,
         # where c = cos(pi y/2) < 1e-2
-        report = orth_property_suite(OrthContext(1.5))
+        _, report = run_suite("u-orth", p=1.5)
         assert report["rule_levels"] == {4: 1131, 5: 4, 6: 6}
         monkeypatch.setattr(orth, "_rule_levels", levels_of(lambda n: np.full_like(n, 20)))
-        report = orth_property_suite(OrthContext(1.5))
+        _, report = run_suite("u-orth", p=1.5)
         assert report["rule_levels"] == {20: 1141}
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_needs_a_sample(self, n):
-        with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n}"):
-            orth_property_suite(OrthContext(1.5), n_samples=n)
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            run_suite("u-orth", p=1.5, n=n)
 
     def test_suite_domain_takes_no_more_levels_than_the_band_table(self):
         # the suite draws |x| <= 2 and 1 - |y| >= 1e-3, so c >= 1.57e-3; there

@@ -86,6 +86,22 @@ def test_u_weak_sees_a_convex_term_of_1e_8(monkeypatch, p, coord):
     assert report["u_y_min_upper_half"] >= -1e-9
 
 
+@pytest.mark.parametrize("p", [3.0, 10.0])
+def test_u_weak_sees_the_diagonal_raised_by_5e_10(monkeypatch, p):
+    # U(x, x) <= 0 is gated at its supremum 0, which U attains at x = 0; the
+    # former absolute floor of 1e-9 let U + 5e-10 pass at p = 3 and 10.  At
+    # the default n the row reads -1.9e-11 (p = 3) and -2e-30 (p = 10); at
+    # n = 2,000 the diagonal point nearest 0 leaves -9.6e-7 at p = 3.  The
+    # shift is constant, so the tangent and majorization checks still pass
+    u_value = uweak.u_value
+    monkeypatch.setattr(uweak, "u_value", lambda ctx, x, y: u_value(ctx, x, y) + 5e-10)
+    ok, report = run_suite("u-weak", p=p)
+    assert not ok
+    failing = [key for key, gate in report["gates"].items()
+               if (report[key] is not True if gate["margin"] is None else gate["margin"] < 0)]
+    assert failing == ["diagonal_nonpos_max"]
+
+
 @pytest.mark.parametrize("factor", [1 - 1e-2, 1 + 1e-2])
 @pytest.mark.parametrize("p", [3.0, 6.0])
 def test_u_weak_sees_the_constant_off_by_one_percent(monkeypatch, p, factor):
@@ -169,6 +185,7 @@ def test_u_weak_fails_with_no_interior_point(monkeypatch):
     assert not ok
     assert report["n_interior"] == 0
     assert report["hessian_form_sup_scaled_max"] is None
+    assert report["gates"]["hessian_form_sup_scaled_max"]["margin"] is None
     assert report["tangent_ok"] and report["majorization_ok"]
 
 

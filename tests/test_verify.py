@@ -1,5 +1,10 @@
 """Every named verification suite must pass at a fixed seed."""
 
+import functools
+import json
+import operator
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,11 +29,90 @@ def test_registry_is_complete():
     assert set(SUITES) == set(SUITE_KWARGS)
 
 
+@functools.cache
+def _run(name):
+    """`run_suite(name)` at this file's size, run once for the tests below."""
+    return run_suite(name, **SUITE_KWARGS[name])
+
+
 @pytest.mark.parametrize("name", sorted(SUITE_KWARGS))
 def test_suite_passes(name):
-    ok, report = run_suite(name, **SUITE_KWARGS[name])
+    ok, report = _run(name)
     assert ok, report
     assert isinstance(report, dict)
+
+
+SENSES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _row_passes(value, gate):
+    """A row's verdict from its value and gate, read apart from `run_suite`."""
+    if gate["sense"] == "is":
+        return value is gate["bound"]
+    return value is not None and SENSES[gate["sense"]](value, gate["bound"])
+
+
+def _check_gates(ok, report):
+    """ok is the conjunction of the rows, each gate names a report key, and
+    each numeric margin is on the side of the bound its row's verdict gives."""
+    gates = report["gates"]
+    assert gates and set(gates) <= set(report)
+    passes = {key: _row_passes(report[key], gate) for key, gate in gates.items()}
+    assert ok == all(passes.values())
+    for key, gate in gates.items():
+        margin = gate["margin"]
+        if gate["sense"] == "is" or report[key] is None:
+            assert margin is None, key
+        elif margin != 0:
+            assert (margin > 0) == passes[key], key
+        else:
+            assert passes[key] == (gate["sense"] in ("<=", ">=")), key
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_KWARGS))
+def test_verdict_is_the_conjunction_of_the_rows(name):
+    _check_gates(*_run(name))
+
+
+def test_verdict_is_the_conjunction_of_failing_rows(monkeypatch):
+    # rows that fail, a None row among them, are gated the same way
+    monkeypatch.setattr(uweak, "_stable", lambda ctx, x, *_: np.zeros(x.shape, dtype=bool))
+    constant = uweak.weak_constant_pth_power
+    monkeypatch.setattr(uweak, "weak_constant_pth_power", lambda q: 1.01 * constant(q))
+    ok, report = run_suite("u-weak", n=500)
+    assert not ok and report["hessian_form_sup_scaled_max"] is None
+    assert report["gates"]["boundary_gap_scaled_max"]["margin"] < 0
+    _check_gates(ok, report)
+
+
+def test_a_none_row_fails_alone(monkeypatch):
+    # interior points but no Hessian read at them: the row's None fails the
+    # verdict while every other row passes
+    checks = uweak._sample_checks
+
+    def no_hessian(*args):
+        tangent, majorized, inter, _, u_y = checks(*args)
+        return tangent, majorized, inter, (np.empty(0),) * 3, u_y
+
+    monkeypatch.setattr(uweak, "_sample_checks", no_hessian)
+    ok, report = run_suite("u-weak", n=500)
+    assert not ok and report["n_interior"] > 0
+    assert report["hessian_form_sup_scaled_max"] is None
+    _check_gates(ok, report)
+
+
+GATES_SCHEMA = json.loads(
+    (Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_KWARGS))
+def test_gates_match_the_report_schema(name):
+    import jsonschema
+
+    schema = {"$ref": "#/$defs/gates", "$defs": GATES_SCHEMA["$defs"]}
+    # as a reader gets it: the CLI writes the report as JSON
+    jsonschema.validate(json.loads(json.dumps(_run(name)[1]["gates"])), schema)
 
 
 def test_unknown_suite_raises():
@@ -190,6 +274,7 @@ def test_u_weak_matches_the_public_checks(p, seed):
     ok, report = run_suite("u-weak", p=p, seed=seed, n=5_000)
     assert ok, report
     assert 0 < report.pop("n_interior") <= 5_000
+    report.pop("gates")
     assert report == _u_weak_by_public_checks(p, seed, 5_000)
 
 
