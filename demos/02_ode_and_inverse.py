@@ -7,9 +7,9 @@ own outer series) and a closed form obtained by linearizing the Riccati
 equation into a modified-Bessel equation, whose solution enters only as a ratio of the
 exponentially scaled I_nu and K_nu, evaluated in numpy (a power series and
 trapezoid sums of their integrals), and so is computed in double precision.  Both tables keep u, and G' and h' = 1/G'(h)
-are read from it as (p/2)^{p+1} t^{p-2} u^2.  The inverse h is read from the
-same table taken the other way, then polished by two Newton steps on the
-cubic of G on the table interval that holds each s.
+are read from it as (p/2)^{p+1} t^{p-2} u^2.  The inverse h starts at the
+chord of the table interval that holds each s, then takes three Newton steps
+on that interval's cubic of G.
 
 Run:  python3 demos/02_ode_and_inverse.py
 """

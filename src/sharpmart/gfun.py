@@ -11,9 +11,9 @@ of the exponentially scaled I_nu and K_nu, which runs in double precision.
 Both tabulate the gap u alone, and G is carried by it: G = t + 1 - u and
 G' = (p/2)^{p+1} t^{p-2} u^2.  A value rebuilt as t + 1 - G would lose u to
 cancellation once u is far below t, so nothing is.  The inverse h = G^{-1}
-is read from the same arrays taken the other way, a cubic Hermite table
-through (G_i, t_i) with slopes 1/G'_i, and two Newton steps on the cubic of
-G on the interval that holds each argument make it that cubic's inverse.
+starts at the chord of the table interval that holds each argument; three
+Newton steps on that interval's cubic of G make it the cubic's inverse.
+`GSolution.gap_jet` and `h_jet` form every derivative of u and of h.
 
 Both routes run on numpy alone: the Bessel route evaluates its I_nu and
 K_nu by their power series and trapezoid sums of their integrals
@@ -93,12 +93,10 @@ class _Hermite:
         self.y_end = y[-1]
         self.c = np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))
 
-    def __call__(self, t, i=None):
-        """The cubic at t, on the intervals i where given (else located).
-        The last node reads its own value, which the last cubic may miss by
-        an ulp; every other node is the constant term of its cubic."""
-        if i is None:
-            i = _locate(self.x, t)
+    def __call__(self, t):
+        """The cubic at t.  The last node reads its own value, which the last
+        cubic may miss by an ulp; each other node is its cubic's constant term."""
+        i = _locate(self.x, t)
         s = t - self.x[i]
         c3, c2, c1, c0 = self.c[:, i]
         v = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
@@ -112,20 +110,16 @@ class GSolution:
     1 - G'.
 
     `g_values` (with G(2/p) = 1 exactly) and `gprime_values` are derived
-    from `u_values`; `g`, `gap` and `gprime` evaluate the same spline, so
-    G = t + 1 - u holds exactly between nodes as well.  The same arrays,
-    read the other way, give h = G^{-1} its own cubic Hermite table: through
-    (`g_values`, `grid`) with slopes 1/`gprime_values`.
+    from `u_values`; `g`, `gap`, `gprime`, `gap_jet` and `h_jet` evaluate
+    the same spline, so G = t + 1 - u holds exactly between nodes as well.
     """
 
     p: float
     grid: np.ndarray
     u_values: np.ndarray = field(repr=False)
-    method: str
     g_values: np.ndarray = field(init=False, repr=False)
     gprime_values: np.ndarray = field(init=False, repr=False)
     _spline: _Hermite = field(init=False, repr=False)
-    _inverse: _Hermite = field(init=False, repr=False)
 
     def __post_init__(self):
         p, t, u = self.p, self.grid, self.u_values
@@ -147,7 +141,6 @@ class GSolution:
         object.__setattr__(self, "g_values", g)
         object.__setattr__(self, "gprime_values", gp)
         object.__setattr__(self, "_spline", _Hermite(t, u, 1 - gp))
-        object.__setattr__(self, "_inverse", _Hermite(g, t, 1 / gp))
 
     @property
     def t_max(self) -> float:
@@ -176,8 +169,24 @@ class GSolution:
     def gprime(self, t):
         """G'(t) from the interpolated gap, free of the cancellation in
         t + 1 - G."""
+        return self._jet(t)[3]
+
+    def _jet(self, t):
+        """u, u' = 1 - G', u'' = -G'((p - 2)/t + 2u'/u) and G' at t."""
         t = self._check_domain(t)
-        return _slope_from_gap(self.p, t, self._spline(t))
+        u = self._spline(t)
+        gp = _slope_from_gap(self.p, t, u)
+        du = 1 - gp
+        return u, du, -gp * ((self.p - 2) / t + 2 * du / u), gp
+
+    def gap_jet(self, t):
+        """(u, u', u'') at t."""
+        return self._jet(t)[:3]
+
+    def h_jet(self, t):
+        """(h', h'') = (1/G', -G'' h'^3 = u'' h'^3) at s = G(t), given t = h(s)."""
+        _, _, d2u, gp = self._jet(t)
+        return 1 / gp, d2u / gp**3
 
 
 _SCAN_NODES = 3000  # uniform nodes of the Magnus scan on [2/p, min(t*, 10)]
@@ -186,8 +195,7 @@ _SERIES_RATIO = 1 + 5e-4  # ratio of successive outer-series nodes past t*
 
 def _frozen(sol: GSolution) -> GSolution:
     """`sol` with every array it holds made read-only, to be shared."""
-    for a in (sol.grid, sol.u_values, sol.g_values, sol.gprime_values,
-              sol._spline.c, sol._inverse.c):
+    for a in (sol.grid, sol.u_values, sol.g_values, sol.gprime_values, sol._spline.c):
         a.setflags(write=False)
     return sol
 
@@ -246,7 +254,7 @@ def _scan_table(p):
     w0 = p * ta[0] / 2  # u/r at t = 2/p, where u = 2/p
     tail = np.polyval(b[n::-1], d[_SCAN_NODES:])
     w = np.concatenate(([w0], (M[2] + M[3] * w0) / (M[0] + M[1] * w0), tail))
-    return _frozen(GSolution(p, ts, ts * d * w, "magnus"))
+    return _frozen(GSolution(p, ts, ts * d * w))
 
 
 _BESSEL_NODES = 300
@@ -376,18 +384,18 @@ def _bessel_table(p):
     bad = np.nonzero(~np.isfinite(u))[0]
     if bad.size:
         raise ConstructionError(f"non-finite Bessel value at t={ts[bad[0]]} (p = {p})")
-    return _frozen(GSolution(p, ts, u, "bessel"))
+    return _frozen(GSolution(p, ts, u))
 
 
 def h_of(sol: GSolution, s):
     """h(s) = t with G(t) = s on [1, s_max], for a scalar or an array of any
     shape.
 
-    Each argument is located once in `g_values` and read from that interval's
-    cubic of the inverse table; two Newton steps on the interval's cubic of
+    Each argument is located once in `g_values` and starts at that
+    interval's chord; three Newton steps on the interval's cubic of
     G = t + 1 - u, read from the gap spline, make t that cubic's inverse to
-    rounding (each squares the error, 2.4e-4 on a 15-node table).  Values
-    equal those of scalar calls, and nodes map to their nodes exactly.
+    rounding (two leave up to 2e-9 on a 40-node table).  Values equal those
+    of scalar calls, and nodes map to their nodes exactly.
     """
     s_arr = np.asarray(s, dtype=float)
     if not np.all((s_arr >= 1 - 1e-12) & (s_arr <= sol.s_max + 1e-12)):  # NaN too
@@ -395,12 +403,12 @@ def h_of(sol: GSolution, s):
     ss = np.clip(s_arr, 1.0, sol.s_max)
     g, x = sol.g_values, sol.grid
     i = _locate(g, ss)
-    d = sol._inverse(ss, i) - x[i]
+    w = x[i + 1] - x[i]
+    d = (ss - g[i]) / (g[i + 1] - g[i]) * w
     # G = t + 1 - u, so its cubic on an interval is -u3, -u2, 1 - u1, g_i
     c3, c2, c1 = np.negative(sol._spline.c[:3, i])
     c1 += 1
-    w = x[i + 1] - x[i]
-    for _ in range(2):
+    for _ in range(3):
         f = ((c3 * d + c2) * d + c1) * d + g[i] - ss
         d = np.clip(d - f / ((3 * c3 * d + 2 * c2) * d + c1), 0.0, w)
     # the last cubic may miss s_max at d = w by an ulp
@@ -413,5 +421,5 @@ def h_prime(sol: GSolution, s):
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 1):
         raise ValueError("h' is defined for s > 1")
-    val = 1 / sol.gprime(h_of(sol, s_arr))
+    val = sol.h_jet(h_of(sol, s_arr))[0]
     return val if np.ndim(s) else float(val)

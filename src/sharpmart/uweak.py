@@ -7,9 +7,9 @@ two of which involve the auxiliary function G (D6 reads it only through its
 gap u = t + 1 - G, never as a difference) and its inverse h.
 The gradient and the three second derivatives are not written out: `_value`
 runs on second-order jets in (x, |y|), which carry them by the chain rule,
-with the derivatives of u and h taken from G' = c t^{p-2} u^2.  One helper,
-`_classified`, prepares and classifies a point set once and keeps the
-h(x+|y|) and slacks it computed; every evaluator reads its result, and
+with u's and h's derivatives from `GSolution.gap_jet` and `h_jet`.  One
+helper, `_classified`, prepares and classifies a point set once and keeps
+the h(x+|y|) and slacks it computed; every evaluator reads its result, and
 the dispatcher `_dispatch` runs each region's formula, on arrays or on jets,
 on that region's points.  Values, U_x, U_xx and U_yy are even in y, U_y and
 U_xy odd.  Every public evaluator broadcasts x against y and returns arrays
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import weak_constant_pth_power
-from .gfun import GSolution, _slope_from_gap, build_g_rk, h_of
+from .gfun import GSolution, build_g_rk, h_of
 
 __all__ = [
     "EvaluationError",
@@ -270,29 +270,19 @@ def _value(ctx, r, x, Y, h):
     raise ValueError(f"unknown region {r}")
 
 
-def _gap_derivs(g, t):
-    """u, u' and u'' at t for the gap u = t + 1 - G: u from the table, then
-    u' = 1 - G' and u'' = -G'((p - 2)/t + 2u'/u), with G' = c t^{p-2} u^2."""
-    u = g.gap(t)
-    gp = _slope_from_gap(g.p, t, u)
-    return u, 1 - gp, -gp * ((g.p - 2) / t + 2 * (1 - gp) / u)
-
-
 def _gap(g, t):
-    """The gap u(t), lifted by its derivatives where t is a jet."""
-    return t.lift(*_gap_derivs(g, t.d[0])) if isinstance(t, _Jet) else g.gap(t)
+    """The gap u(t), lifted by its derivatives (u', u'') where t is a jet."""
+    return t.lift(*g.gap_jet(t.d[0])) if isinstance(t, _Jet) else g.gap(t)
 
 
 def _jets(ctx, r, x, Y, h):
     """(U, U_x, U_Y, U_xx, U_xY, U_YY) on region r: `_value` on jets seeded
-    at x and Y; on D5, h = h(x + Y) is lifted by h' = 1/G'(h) and
-    h'' = -G''(h) h'^3 = u''(h) h'^3.  U'' is read only on region interiors,
-    so the origin's infinite (Y - x)^{p-3} at p < 3 passes silently."""
+    at x and Y; on D5, h = h(x + Y) is lifted by its (h', h'').  U'' is
+    read only on region interiors, so the origin's infinite (Y - x)^{p-3}
+    at p < 3 passes silently."""
     X, Y = _Jet(x, 1.0, 0.0, 0.0, 0.0, 0.0), _Jet(Y, 0.0, 1.0, 0.0, 0.0, 0.0)
     if r == 5:
-        _, du, d2u = _gap_derivs(ctx.g, h)
-        hp = 1 / (1 - du)
-        h = (X + Y).lift(h, hp, d2u * hp**3)
+        h = (X + Y).lift(h, *ctx.g.h_jet(h))
     with np.errstate(divide="ignore", invalid="ignore"):
         return _value(ctx, r, X, Y, h).d
 

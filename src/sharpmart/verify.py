@@ -65,8 +65,9 @@ def suite_u_weak(p=3.0, seed=0, n=20_000, **_):
     sup /= np.maximum(1, np.maximum(np.abs(uxx), np.maximum(np.abs(uxy), np.abs(uyy))))
 
     # U(x, x) <= 0 holds with equality at x = 0, and every region on the
-    # diagonal gives its sign exactly: the gate is that supremum, 0
-    xd = rng.uniform(0.0, 0.99, max(1, n // 10))
+    # diagonal gives its sign exactly: the gate is that supremum, 0, and the
+    # point x = 0 (D1, where U is exactly 0) is appended after the draw
+    xd = np.append(rng.uniform(0.0, 0.99, max(1, n // 10)), 0.0)
     return {"suite": "u-weak", "p": p, "n": n, "boundary_gap_max": max(gaps)}, [
         ("boundary_gap_scaled_max", max(scaled), "<", 1e-10),
         ("tangent_ok", bool(np.all(tangent)), "is", True),

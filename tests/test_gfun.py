@@ -98,6 +98,41 @@ class TestSlopeFromGap:
         assert float(np.min(sol.gprime(t))) >= 1
 
 
+class TestJets:
+    @pytest.mark.parametrize("p", [2.5, 3.0, 6.0])
+    def test_gap_jet_against_differences_of_the_bessel_gap(self, p):
+        # 4th-order central differences of the Bessel closed form, step
+        # 1e-3 t, read u' to 5.9e-11 and u'' to 1.5e-9 of max(1, |u''|)
+        sol = build_g_rk(p)
+        t = np.random.default_rng(3).uniform(2 / p + 0.01, 9.9, 500)
+        u, du, d2u = sol.gap_jet(t)
+        h = 1e-3 * t
+        um2, um1, u0, up1, up2 = gfun._bessel_gap(p, t + np.arange(-2.0, 3.0)[:, None] * h)
+        fd1 = (8 * (up1 - um1) - (up2 - um2)) / (12 * h)
+        fd2 = (16 * (up1 + um1) - (up2 + um2) - 30 * u0) / (12 * h * h)
+        assert np.array_equal(u, sol.gap(t))
+        assert float(np.max(np.abs(du - fd1))) <= 1e-9
+        assert float(np.max(np.abs(d2u - fd2) / np.maximum(1, np.abs(d2u)))) <= 1e-8
+
+    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
+    def test_at_the_nodes_the_jet_reads_the_table(self, build):
+        sol = build(3.0)
+        u, du, _ = sol.gap_jet(sol.grid)
+        assert np.array_equal(u, sol.u_values)
+        assert np.array_equal(du, 1 - sol.gprime_values)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 6.0])
+    def test_h_jet_is_h_prime_and_its_slope(self, p):
+        # h'' against a central difference of h', step 1e-4: within 3.5e-7
+        # of max(1e-3, |h''|)
+        sol = build_g_rk(p)
+        s = np.random.default_rng(3).uniform(1.05, sol.s_max - 0.05, 500)
+        hp, hpp = sol.h_jet(h_of(sol, s))
+        assert np.array_equal(hp, h_prime(sol, s))
+        fd = (h_prime(sol, s + 1e-4) - h_prime(sol, s - 1e-4)) / 2e-4
+        assert float(np.max(np.abs(hpp - fd) / np.maximum(1e-3, np.abs(hpp)))) <= 1e-5
+
+
 class TestShape:
     def test_slope_at_least_one(self, pair):
         p, rk, _ = pair
@@ -156,7 +191,7 @@ class TestInverse:
 def _h_newton_on_spline(sol, s):
     """Newton on the spline of G, kept inside the interval of the table that
     holds each s and bisected there wherever a step leaves the bracket: the
-    reference h_of's two steps from the inverse table are checked against.
+    reference h_of's three steps from the interval's chord are checked against.
     It stops once no point moves by more than 1e-14."""
     g, x = sol.g_values, sol.grid
     i = np.clip(np.searchsorted(g, s, side="right") - 1, 0, g.size - 2)
@@ -206,11 +241,11 @@ class TestInverseLookup:
     @pytest.mark.parametrize("p", [2.5, 3.0, 10.0, 20.0, 30.0])
     @pytest.mark.parametrize("every", [100, 300])
     def test_agrees_with_newton_on_a_thinned_table(self, p, every):
-        # on 13 to 95 nodes the inverse table errs by up to 2.4e-4, and one
-        # Newton step leaves up to 1.1e-8: the second step is needed
+        # on 13 to 126 nodes, two Newton steps from the interval's chord
+        # leave up to 2.0e-9 (33-43 nodes at p = 10-30): the third is needed
         full = build_g_rk(p)
         keep = np.r_[np.arange(0, full.grid.size - 1, every), full.grid.size - 1]
-        sol = GSolution(p, full.grid[keep], full.u_values[keep], "thinned")
+        sol = GSolution(p, full.grid[keep], full.u_values[keep])
         s = np.random.default_rng(17).uniform(1.0, sol.s_max, 100_000)
         assert float(np.max(np.abs(h_of(sol, s) - _h_newton_on_spline(sol, s)))) <= 1e-13
 
@@ -228,17 +263,6 @@ class TestSplineAgainstScipy:
         assert np.all(np.abs(sol.gap(t) - want) <= 4 * np.spacing(np.abs(want)))
         assert np.all(np.abs(sol._spline.c - ref.c) <= 4 * np.spacing(np.abs(ref.c)))
 
-    @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
-    @pytest.mark.parametrize("p", [3.0, 10.0])
-    def test_inverse_matches_cubic_hermite_spline(self, build, p):
-        # the inverse table runs through (G_i, t_i) with slopes 1/G'_i
-        sol = build(p)
-        ref = CubicHermiteSpline(sol.g_values, sol.grid, 1 / sol.gprime_values)
-        s = np.concatenate([sol.g_values, np.random.default_rng(5).uniform(1.0, sol.s_max, 10_000)])
-        want = ref(s)
-        assert np.all(np.abs(sol._inverse(s) - want) <= 4 * np.spacing(np.abs(want)))
-        assert np.all(np.abs(sol._inverse.c - ref.c) <= 4 * np.spacing(np.abs(ref.c)))
-
 
 class TestErrors:
     def test_failed_integration_is_a_construction_error(self):
@@ -252,7 +276,7 @@ class TestErrors:
             build_g_rk(160.0)
         grid = np.array([2 / 3, 1.0, 2.0])
         with pytest.raises(ConstructionError, match=r"violated at t=2\.0 \(p = 3\.0\)$"):
-            GSolution(3.0, grid, np.array([2 / 3, 0.7, 0.0]), "bogus")
+            GSolution(3.0, grid, np.array([2 / 3, 0.7, 0.0]))
 
     def test_p_must_exceed_two(self):
         for p in (2.0, 1.5, 0.5):
@@ -279,7 +303,7 @@ class TestErrors:
     def test_solution_validation(self):
         # at p = 3 the start is t = u = 2/3, and G' = (3/2)^4 t u^2
         grid = np.array([2 / 3, 1.0, 2.0])
-        GSolution(3.0, grid, np.array([2 / 3, 0.7, 0.6]), "ok")
+        GSolution(3.0, grid, np.array([2 / 3, 0.7, 0.6]))
         cases = [
             ("strictly increasing", np.array([2 / 3, 2.0, 2.0]), [2 / 3, 0.7, 0.6]),
             ("must start", grid, [0.7, 0.7, 0.6]),
@@ -290,14 +314,14 @@ class TestErrors:
         ]
         for match, t, u in cases:
             with pytest.raises(ConstructionError, match=match):
-                GSolution(3.0, t, np.array(u), "bogus")
+                GSolution(3.0, t, np.array(u))
         # at p = 160, c t^{p-2} overflows a double at t = 2: G' there is inf,
         # or NaN where u^2 underflows too (a NaN passed the check
         # gp < 1 - 1e-12, and the spline then read NaN between nodes)
         grid = np.array([2 / 160, 0.5, 1.0, 2.0])
         for u_last in (1e-100, 1e-300):
             with pytest.raises(ConstructionError, match="slope < 1 or not finite at t=2.0"):
-                GSolution(160.0, grid, np.array([2 / 160, 1e-20, 1e-60, u_last]), "bogus")
+                GSolution(160.0, grid, np.array([2 / 160, 1e-20, 1e-60, u_last]))
 
     @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
     def test_g_is_its_gap(self, build):
@@ -317,8 +341,7 @@ class TestMemo:
         # each write puts back the value it read, so a table left writable
         # fails here without corrupting the tests that share it
         sol = build(3.0)
-        for a in (sol.grid, sol.u_values, sol.g_values, sol.gprime_values,
-                  sol._spline.c, sol._inverse.c):
+        for a in (sol.grid, sol.u_values, sol.g_values, sol.gprime_values, sol._spline.c):
             first = (0,) * a.ndim
             with pytest.raises(ValueError, match="read-only"):
                 a[first] = a[first]

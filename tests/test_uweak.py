@@ -2,6 +2,9 @@
 weak-type bound: region classification, branch continuity, derivatives and
 the concavity/majorization properties."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,16 @@ def test_infinite_y_lies_in_d0(ctx3):
         assert classify(ctx3, 0.5, y) == 0
         assert u_value(ctx3, 0.5, y) == 1 - ctx3.coef * 0.5**3
         assert u_gradient_ext(ctx3, 0.5, y) == (-3 * ctx3.coef * 0.5**2, 0.0)
+
+
+def test_reads_no_private_name_of_gfun():
+    # every derivative of u and h is formed in gfun, by GSolution.gap_jet
+    # and h_jet; uweak imports public names only
+    names = [alias.name for node in ast.walk(ast.parse(inspect.getsource(uweak)))
+             if isinstance(node, ast.ImportFrom) and node.module == "gfun"
+             for alias in node.names]
+    assert "h_of" in names
+    assert not [name for name in names if name.startswith("_")]
 
 
 class TestValues:

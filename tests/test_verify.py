@@ -175,7 +175,7 @@ def test_ode_reads_the_slope_between_nodes(monkeypatch):
         grid = np.concatenate((sol.grid, [ta, tb]))
         u = np.concatenate((sol.u_values, sol.gap([ta, tb]) * [1 + 1e-11, 1]))
         order = np.argsort(grid)
-        return gfun.GSolution(p, grid[order], u[order], "dipped")
+        return gfun.GSolution(p, grid[order], u[order])
 
     sol = dipped(10.0)
     assert np.min(sol.gprime_values) >= 1 and np.min(sol.gprime(t)) >= 1
@@ -258,12 +258,22 @@ def _u_weak_by_public_checks(p, seed, n):
     report["hessian_form_sup_scaled_max"] = float(np.max(sup / scale))
 
     report["majorization_ok"] = bool(np.all(uweak.majorization_check(ctx, x, y)))
-    xd = rng.uniform(0.0, 0.99, n // 10)
+    xd = np.append(rng.uniform(0.0, 0.99, n // 10), 0.0)
     diag = uweak.u_value(ctx, xd, xd)
     report["diagonal_nonpos_max"] = float(np.max(diag))
     phi, psi = uweak.u_gradient_ext(ctx, x, np.abs(y))
     report["u_y_min_upper_half"] = float(np.min(psi))
     return report
+
+
+@pytest.mark.parametrize("n", [1, 200])
+@pytest.mark.parametrize("p", [2.25, 2.5, 3.0, 10.0, 30.0, 112.0])
+def test_u_weak_diagonal_row_reads_its_supremum(p, n):
+    # the diagonal sample ends at x = 0, where U(0, 0) lies in D1 and is
+    # exactly 0, so the row reads its gate at every n
+    ok, report = run_suite("u-weak", p=p, n=n)
+    assert ok, report
+    assert report["diagonal_nonpos_max"] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(3))
