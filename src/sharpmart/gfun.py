@@ -5,15 +5,16 @@ G solves the Riccati-type initial value problem
     G'(t) = (p/2)^{p+1} t^{p-2} (t + 1 - G(t))^2,   G(2/p) = 1,
 
 for a fixed p > 2.  Two independent constructions are provided: a Magnus
-scan of the linearized equation joined to G's own outer series (the primary
-path, in numpy) and a closed form through modified Bessel functions, a ratio
-of the exponentially scaled I_nu and K_nu, which runs in double precision.
-Both tabulate the gap u alone, and G is carried by it: G = t + 1 - u and
-G' = (p/2)^{p+1} t^{p-2} u^2.  A value rebuilt as t + 1 - G would lose u to
-cancellation once u is far below t, so nothing is.  The inverse h = G^{-1}
-starts at the chord of the table interval that holds each argument; three
-Newton steps on that interval's cubic of G make it the cubic's inverse.
-`GSolution.gap_jet` and `h_jet` form every derivative of u and of h.
+scan of the linearized equation up to t*, then G's own outer series read per
+point (the primary path, in numpy), and a closed form through modified Bessel
+functions, a ratio of the exponentially scaled I_nu and K_nu, which runs in
+double precision.  Both carry G by the gap u alone: G = t + 1 - u, and
+G' = (p/2)^{p+1} t^{p-2} u^2 (w^2 on the series).  A value rebuilt as
+t + 1 - G would lose u to cancellation once u is far below t, so nothing is.
+The inverse h = G^{-1} starts at the chord of the table interval that holds
+each argument; three Newton steps on that interval's cubic of G, or on the
+series past the table, make it the inverse.  `GSolution.gap_jet` and `h_jet`
+form every derivative of u and of h.
 
 Both routes run on numpy alone: the Bessel route evaluates its I_nu and
 K_nu by their power series and trapezoid sums of their integrals
@@ -48,7 +49,7 @@ class ConstructionError(RuntimeError):
     pass
 
 
-_T_MAX = 10.0  # right end of every table; p > 2 puts its left end 2/p below 1
+_T_MAX = 10.0  # right end of G's domain; p > 2 puts its left end 2/p below 1
 
 
 def _slope_from_gap(p: float, t, u):
@@ -106,12 +107,14 @@ class _Hermite:
 @dataclass(frozen=True)
 class GSolution:
     """The increasing solution G, tabulated by its gap u = t + 1 - G on
-    `grid` and interpolated by one C1 cubic Hermite spline of u with slopes
-    1 - G'.
+    `grid` and interpolated there by one C1 cubic Hermite spline of u with
+    slopes 1 - G'.  A table that reaches t*, where G's outer series holds to
+    rounding (`build_g_rk`), is continued to t = 10 by that series, read per
+    point; any other table ends at its last node.
 
     `g_values` (with G(2/p) = 1 exactly) and `gprime_values` are derived
-    from `u_values`; `g`, `gap`, `gprime`, `gap_jet` and `h_jet` evaluate
-    the same spline, so G = t + 1 - u holds exactly between nodes as well.
+    from `u_values`; `g`, `gap`, `gprime`, `gap_jet` and `h_jet` read the
+    same spline and series, so G = t + 1 - u holds exactly everywhere.
     """
 
     p: float
@@ -119,7 +122,10 @@ class GSolution:
     u_values: np.ndarray = field(repr=False)
     g_values: np.ndarray = field(init=False, repr=False)
     gprime_values: np.ndarray = field(init=False, repr=False)
+    t_max: float = field(init=False)
+    s_max: float = field(init=False)
     _spline: _Hermite = field(init=False, repr=False)
+    _b: np.ndarray = field(init=False, repr=False)  # b_1..b_n of the outer series
 
     def __post_init__(self):
         p, t, u = self.p, self.grid, self.u_values
@@ -138,17 +144,14 @@ class GSolution:
             i = np.flatnonzero(bad)
             if i.size:
                 raise ConstructionError(f"{what} at t={t[i[0]]} (p = {p})")
+        b, t_star = _outer_series(p)
+        end = float(t[-1])  # a table that reaches t* is continued by the series to 10
         object.__setattr__(self, "g_values", g)
         object.__setattr__(self, "gprime_values", gp)
         object.__setattr__(self, "_spline", _Hermite(t, u, 1 - gp))
-
-    @property
-    def t_max(self) -> float:
-        return float(self.grid[-1])
-
-    @property
-    def s_max(self) -> float:
-        return float(self.g_values[-1])
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "t_max", max(end, _T_MAX) if end >= t_star else end)
+        object.__setattr__(self, "s_max", float(self.g(self.t_max)))
 
     def _check_domain(self, t):
         t = np.asarray(t, dtype=float)
@@ -159,25 +162,48 @@ class GSolution:
         return np.clip(t, 2 / self.p, self.t_max)
 
     def gap(self, t):
-        """u(t) = t + 1 - G(t), interpolated with its relative accuracy."""
-        return self._spline(self._check_domain(t))
+        """u(t) = t + 1 - G(t), with its relative accuracy."""
+        return self._jet(t)[0]
 
     def g(self, t):
         t = self._check_domain(t)
-        return t + 1 - self._spline(t)
+        return t + 1 - self.gap(t)
 
     def gprime(self, t):
-        """G'(t) from the interpolated gap, free of the cancellation in
-        t + 1 - G."""
+        """G'(t) from the gap, free of the cancellation in t + 1 - G."""
         return self._jet(t)[3]
 
+    def _outer(self, t):
+        """d = 1/(sqrt(c) t^{p/2}) and w - 1 = sum_n b_n d^n past t*, by Horner's
+        rule point by point (np.power: a float64 scalar's ** may differ by an ulp)."""
+        d = 1 / ((self.p / 2) ** ((self.p + 1) / 2) * np.power(t, self.p / 2))
+        wm1 = 0.0
+        for b in self._b[::-1]:
+            wm1 = (wm1 + b) * d
+        return d, wm1
+
     def _jet(self, t):
-        """u, u' = 1 - G', u'' = -G'((p - 2)/t + 2u'/u) and G' at t."""
+        """u, u', u'' and G' at t: on the table u' = 1 - G' and u'' = -G'((p - 2)/t
+        + 2u'/u); past it, from the series, u = t d w, u' = -(w - 1)(w + 1),
+        u'' = p w d (dw/dd)/t and G' = w^2, none of which cancels."""
         t = self._check_domain(t)
-        u = self._spline(t)
-        gp = _slope_from_gap(self.p, t, u)
+        end = self.grid[-1]
+        tt = np.minimum(t, end)
+        u = self._spline(tt)
+        gp = _slope_from_gap(self.p, tt, u)
         du = 1 - gp
-        return u, du, -gp * ((self.p - 2) / t + 2 * du / u), gp
+        jet = u, du, -gp * ((self.p - 2) / tt + 2 * du / u), gp
+        past = t > end
+        if not np.any(past):
+            return jet
+        tp = t[past] if np.ndim(t) else t  # a scalar stays one, for scalar arithmetic
+        d, wm1 = self._outer(tp)
+        w = 1 + wm1
+        dw = np.polyval(self._b[::-1] * np.arange(self._b.size, 0, -1), d)
+        jet = [np.array(a) for a in jet]  # writable, and 0-d for a scalar
+        for a, v in zip(jet, (tp * d * w, -wm1 * (w + 1), self.p * w * d * dw / tp, w * w)):
+            a[past] = v
+        return tuple(a[()] for a in jet)
 
     def gap_jet(self, t):
         """(u, u', u'') at t."""
@@ -190,7 +216,6 @@ class GSolution:
 
 
 _SCAN_NODES = 3000  # uniform nodes of the Magnus scan on [2/p, min(t*, 10)]
-_SERIES_RATIO = 1 + 5e-4  # ratio of successive outer-series nodes past t*
 
 
 def _frozen(sol: GSolution) -> GSolution:
@@ -200,9 +225,26 @@ def _frozen(sol: GSolution) -> GSolution:
     return sol
 
 
+@functools.lru_cache(maxsize=8)
+def _outer_series(p):
+    """(b_1..b_n, t*): G's outer series w = 1 + sum b_n d^n, cut at its
+    smallest term, and the t from which that term is below 1e-16 (see
+    `build_g_rk`).  The array is read-only, to be shared."""
+    m = (p - 2) / 2
+    b = np.ones(60)
+    for n in range(1, b.size):
+        b[n] = ((m + (m + 1) * (n - 1)) * b[n - 1] - b[1:n] @ b[n - 1 : 0 : -1]) / 2
+    # term n falls to 1e-16 at d_n; t* is where the first of them is reached
+    d_n = (1e-16 / np.abs(b[1:])) ** (1 / np.arange(1, b.size))
+    n = int(np.argmax(d_n)) + 1
+    b = b[1 : n + 1]
+    b.setflags(write=False)
+    return b, ((p / 2) ** ((p + 1) / 2) * d_n[n - 1]) ** (-2 / p)
+
+
 def build_g_rk(p: float) -> GSolution:
-    """Tabulate the gap u = t + 1 - G on [2/p, 10]: a Magnus scan up to t*,
-    G's outer series past it.
+    """Tabulate the gap u = t + 1 - G by a Magnus scan on [2/p, min(t*, 10)];
+    past t*, up to t = 10, the table reads G's outer series per point.
 
     With c = (p/2)^{p+1}, r = (c t^{p-2})^{-1/2}, d = r/t and the fast time
     tau = int dt/r = 2/(p d), w = u/r is z'/z for z'' = z + m d z', where
@@ -221,27 +263,14 @@ def build_g_rk(p: float) -> GSolution:
 @functools.lru_cache(maxsize=8)
 def _scan_table(p):
     _check_exponent(p)
-    m = (p - 2) / 2
-    b = np.ones(60)
-    for n in range(1, b.size):
-        b[n] = ((m + (m + 1) * (n - 1)) * b[n - 1] - b[1:n] @ b[n - 1 : 0 : -1]) / 2
-    # term n falls to 1e-16 at d_n; t* is where the first of them is reached
-    d_n = (1e-16 / np.abs(b[1:])) ** (1 / np.arange(1, b.size))
-    n = int(np.argmax(d_n)) + 1
-    sqrt_c = (p / 2) ** ((p + 1) / 2)
-    t_star = (sqrt_c * d_n[n - 1]) ** (-2 / p)
-    ts = np.linspace(2 / p, min(t_star, _T_MAX), _SCAN_NODES)
-    if t_star < _T_MAX:
-        n_tail = math.ceil(math.log(_T_MAX / t_star) / math.log(_SERIES_RATIO))
-        ts = np.concatenate((ts, np.geomspace(t_star, _T_MAX, n_tail + 1)[1:]))
-    tau = sqrt_c * ts ** (p / 2) / (p / 2)
-    d = 2 / (p * tau)  # underflows past t* at large p, but never overflows
+    ts = np.linspace(2 / p, min(_outer_series(p)[1], _T_MAX), _SCAN_NODES)
+    tau = (p / 2) ** ((p + 1) / 2) * ts ** (p / 2) / (p / 2)
+    d = 2 / (p * tau)
     # (z, z')' = [[0, 1], [1, m d]] (z, z'), read at the two Gauss points, is
     # stepped by exp(a I + [[-a, h + k], [h - k, a]]) / (e^a cosh s); z grows
     # by less than e^30 over the scan, so no prefix product overflows
-    ta = tau[:_SCAN_NODES]
-    h = np.diff(ta)
-    e1, e2 = ((p - 2) / (p * (ta[:-1] + h / 2 + x * h / 12**0.5)) for x in (-1, 1))
+    h = np.diff(tau)
+    e1, e2 = ((p - 2) / (p * (tau[:-1] + h / 2 + x * h / 12**0.5)) for x in (-1, 1))
     k = 3**0.5 / 12 * h * h * (e1 - e2)
     a = h * (e1 + e2) / 4
     s = np.sqrt(a * a + h * h - k * k)
@@ -251,9 +280,8 @@ def _scan_table(p):
         (m00, m01, m10, m11), (n00, n01, n10, n11) = M[:, j:], M[:, :-j]
         M[:, j:] = (m00 * n00 + m01 * n10, m00 * n01 + m01 * n11,
                     m10 * n00 + m11 * n10, m10 * n01 + m11 * n11)
-    w0 = p * ta[0] / 2  # u/r at t = 2/p, where u = 2/p
-    tail = np.polyval(b[n::-1], d[_SCAN_NODES:])
-    w = np.concatenate(([w0], (M[2] + M[3] * w0) / (M[0] + M[1] * w0), tail))
+    w0 = p * tau[0] / 2  # u/r at t = 2/p, where u = 2/p
+    w = np.concatenate(([w0], (M[2] + M[3] * w0) / (M[0] + M[1] * w0)))
     return _frozen(GSolution(p, ts, ts * d * w))
 
 
@@ -391,11 +419,13 @@ def h_of(sol: GSolution, s):
     """h(s) = t with G(t) = s on [1, s_max], for a scalar or an array of any
     shape.
 
-    Each argument is located once in `g_values` and starts at that
-    interval's chord; three Newton steps on the interval's cubic of
+    On the table each argument is located once in `g_values` and starts at
+    that interval's chord; three Newton steps on the interval's cubic of
     G = t + 1 - u, read from the gap spline, make t that cubic's inverse to
-    rounding (two leave up to 2e-9 on a 40-node table).  Values equal those
-    of scalar calls, and nodes map to their nodes exactly.
+    rounding (two leave up to 2e-9 on a 40-node table).  Past the table,
+    three Newton steps on G's outer series start at t = s - 1 + u(t*), above
+    h(s) as u falls (two leave up to 3.5e-14).  Values equal those of scalar
+    calls, and nodes map to their nodes exactly.
     """
     s_arr = np.asarray(s, dtype=float)
     if not np.all((s_arr >= 1 - 1e-12) & (s_arr <= sol.s_max + 1e-12)):  # NaN too
@@ -411,8 +441,19 @@ def h_of(sol: GSolution, s):
     for _ in range(3):
         f = ((c3 * d + c2) * d + c1) * d + g[i] - ss
         d = np.clip(d - f / ((3 * c3 * d + 2 * c2) * d + c1), 0.0, w)
-    # the last cubic may miss s_max at d = w by an ulp
-    t = np.where(ss == sol.s_max, sol.t_max, x[i] + d)
+    # the last cubic may miss its end at d = w by an ulp
+    t = np.where(ss == g[-1], x[-1], x[i] + d)
+    past = ss > g[-1]
+    if np.any(past):
+        # G = t + 1 - t d w and G' = w^2 on the series
+        sp = ss[past] if np.ndim(ss) else ss
+        tp = sp - 1 + sol.u_values[-1]
+        for _ in range(3):
+            dp, wm1 = sol._outer(tp)
+            w1 = 1 + wm1
+            tp = tp - (tp + 1 - tp * dp * w1 - sp) / (w1 * w1)
+        # the series' steps may miss s_max by an ulp
+        t[past] = np.where(sp == sol.s_max, sol.t_max, tp)
     return t if np.ndim(s) else float(t)
 
 

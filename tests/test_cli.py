@@ -183,6 +183,8 @@ def test_numerical_failure_exits_one(monkeypatch, capsys, error):
         (["verify", "extremal", "--p", "inf"], 2),
         (["verify", "mc-weak-type", "--p", "inf", "--n", "10"], 2),
         (["figures", "regions", "--p", "inf"], 2),
+        (["verify", "u-weak", "--p", "137"], 1),
+        (["verify", "u-weak", "--p", "140"], 1),
     ],
 )
 def test_huge_or_infinite_exponent_is_one_error_line(capsys, argv, code):
@@ -190,7 +192,9 @@ def test_huge_or_infinite_exponent_is_one_error_line(capsys, argv, code):
     # numerical failure, exit 1; the ladder's atoms underflow past p ~ 120,
     # exit 2; either line names p.  An infinite p is a usage error, exit 2
     # (it read "bound G < t+1 violated" or "requires 0 < x0 < 1/p", p = 150
-    # and p = 400 ended in a ZeroDivisionError or OverflowError traceback)
+    # and p = 400 ended in a ZeroDivisionError or OverflowError traceback).
+    # From p = 136.13 u-weak's U = -c x^p overflows within its sample's reach
+    # x + h <= 2.8: U = -inf passed every row, with overflow warnings, exit 0
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -69,9 +69,8 @@ class TestCrossValidation:
 
     def test_refinement_stability(self, monkeypatch):
         coarse = build_g_rk(3.0)
-        # twice the scan nodes, and twice the series nodes
+        # twice the scan nodes; past t* the series has no nodes
         monkeypatch.setattr(gfun, "_SCAN_NODES", 2 * gfun._SCAN_NODES)
-        monkeypatch.setattr(gfun, "_SERIES_RATIO", 1 + (gfun._SERIES_RATIO - 1) / 2)
         gfun._scan_table.cache_clear()
         fine = build_g_rk(3.0)
         assert fine.grid.size > 2 * coarse.grid.size - 5
@@ -192,8 +191,9 @@ def _h_newton_on_spline(sol, s):
     """Newton on the spline of G, kept inside the interval of the table that
     holds each s and bisected there wherever a step leaves the bracket: the
     reference h_of's three steps from the interval's chord are checked against.
-    It stops once no point moves by more than 1e-14."""
-    g, x = sol.g_values, sol.grid
+    Past the table, G's series is bracketed by the table's end and (t_max,
+    s_max).  It stops once no point moves by more than 1e-14."""
+    g, x = np.append(sol.g_values, sol.s_max), np.append(sol.grid, sol.t_max)
     i = np.clip(np.searchsorted(g, s, side="right") - 1, 0, g.size - 2)
     lo, hi = x[i], x[i + 1]
     t = np.interp(s, g, x)
@@ -250,6 +250,49 @@ class TestInverseLookup:
         assert float(np.max(np.abs(h_of(sol, s) - _h_newton_on_spline(sol, s)))) <= 1e-13
 
 
+def _series_oracle(p, t):
+    """(u, u', u'') past t* from G's outer series, in long double.  w = u/r
+    solves dw/dtau = 1 + m d w - w^2 in the fast time tau = 2/(p d), with
+    m = (p - 2)/2, so its power series in d has b_0 = 1 and
+    2 b_n = (m + (p/2)(n - 1)) b_{n-1} - sum_{i=1}^{n-1} b_i b_{n-i}.  It is
+    summed up to its smallest term at the largest d of `t`; then u = t d w,
+    u' = 1 - w^2 and u'' = p w d (dw/dd)/t."""
+    p = np.longdouble(p)
+    m = (p - 2) / 2
+    b = np.ones(80, dtype=np.longdouble)
+    for n in range(1, b.size):
+        b[n] = ((m + p / 2 * (n - 1)) * b[n - 1] - np.sum(b[1:n] * b[n - 1 : 0 : -1])) / 2
+    t = np.asarray(t, dtype=np.longdouble)
+    d = 1 / ((p / 2) ** ((p + 1) / 2) * t ** (p / 2))
+    top = int(np.argmin(np.abs(b) * np.max(d) ** np.arange(b.size)))
+    wm1 = dw = np.zeros_like(d)
+    for n in range(top, 0, -1):
+        wm1 = (wm1 + b[n]) * d
+        dw = dw * d + n * b[n]
+    w = 1 + wm1
+    return t * d * w, -wm1 * (w + 1), p * w * d * dw / t
+
+
+class TestOuterSeries:
+    def test_past_the_table_against_a_long_double_series(self):
+        # every 16th midpoint of the nodes of ratio 1 + 5e-4 that tabulated
+        # the series past t* and were read by a spline with slopes 1 - G':
+        # that read u to 4.5e-11 relative at p = 10 and 15 at p = 20, u' to
+        # 1.4e-2 and u'' to 3.4e6 at p = 10, and h' up to 1 + 1.3e-8 at p = 12
+        for p in np.arange(3.0, 112.5, 1.0):
+            sol = build_g_rk(p)
+            end = sol.grid[-1]
+            n = math.ceil(math.log(10 / end) / math.log(1 + 5e-4))
+            nodes = np.geomspace(end, 10.0, n + 1)
+            t = ((nodes[1:] + nodes[:-1]) / 2)[::16]
+            got, want = sol.gap_jet(t), _series_oracle(p, t)
+            for v, w, bound in zip(got, want, (1e-14, 1e-12, 1e-10)):
+                assert np.max(np.abs(v / w - 1)) <= bound, p
+            hp = h_prime(sol, sol.g(t))
+            assert np.min(got[0]) > 0 and np.min(sol.gprime(t)) >= 1, p
+            assert np.min(hp) > 0 and np.max(hp) <= 1, p
+
+
 class TestSplineAgainstScipy:
     @pytest.mark.parametrize("build", [build_g_rk, build_g_bessel])
     @pytest.mark.parametrize("p", [3.0, 10.0])
@@ -258,7 +301,8 @@ class TestSplineAgainstScipy:
         # is the reference, on the nodes, both ends and 1e4 points between
         sol = build(p)
         ref = CubicHermiteSpline(sol.grid, sol.u_values, 1 - sol.gprime_values)
-        t = np.concatenate([sol.grid, np.random.default_rng(5).uniform(2 / p, 10.0, 10_000)])
+        t = np.random.default_rng(5).uniform(2 / p, sol.grid[-1], 10_000)
+        t = np.concatenate([sol.grid, t])
         want = ref(t)
         assert np.all(np.abs(sol.gap(t) - want) <= 4 * np.spacing(np.abs(want)))
         assert np.all(np.abs(sol._spline.c - ref.c) <= 4 * np.spacing(np.abs(ref.c)))
@@ -266,14 +310,18 @@ class TestSplineAgainstScipy:
 
 class TestErrors:
     def test_failed_integration_is_a_construction_error(self):
-        # at p = 160, c t^{p-2} overflows a double from t = 1.03 and u^2
-        # underflows from t = 1.3, so G' on the table is inf, then NaN
-        with pytest.raises(ConstructionError, match="slope < 1 or not finite at t=1.02"):
-            build_g_rk(160.0)
+        # the table of p = 160 ended in G' = inf from t = 1.03, where
+        # c t^{p-2} overflows a double; it now ends at t* = 0.0133 and the
+        # series past it forms no c t^{p-2}.  The refusal is the coefficient
+        # (p/2)^{p+1} itself, past a double at p = 170
+        sol = build_g_rk(160.0)
+        assert sol.t_max == 10.0 and np.all(np.isfinite(sol.gprime_values))
+        with pytest.raises(ConstructionError, match="overflows a double at p = 170"):
+            build_g_rk(170.0)
 
     def test_construction_errors_name_p(self):
-        with pytest.raises(ConstructionError, match=r"at t=1\.02\d* \(p = 160\.0\)$"):
-            build_g_rk(160.0)
+        with pytest.raises(ConstructionError, match=r"at p = 170\.0$"):
+            build_g_rk(170.0)
         grid = np.array([2 / 3, 1.0, 2.0])
         with pytest.raises(ConstructionError, match=r"violated at t=2\.0 \(p = 3\.0\)$"):
             GSolution(3.0, grid, np.array([2 / 3, 0.7, 0.0]))
@@ -353,14 +401,14 @@ class TestMemo:
         assert gfun._scan_table.cache_info().currsize <= 8
         assert gfun._bessel_table.cache_info().currsize <= 8
 
-    @pytest.mark.parametrize("build, refused", [(build_g_rk, 160.0), (build_g_bessel, 12.0)])
+    @pytest.mark.parametrize("build, refused", [(build_g_rk, 170.0), (build_g_bessel, 12.0)])
     def test_refused_p_raises_on_every_call(self, build, refused):
         # a cache keeps no exception, so each call checks p and builds again
         for _ in range(2):
             with pytest.raises(ValueError, match="requires finite p > 2"):
                 build(math.nan)
         for _ in range(2):
-            with pytest.raises(ConstructionError, match="slope < 1|non-finite Bessel"):
+            with pytest.raises(ConstructionError, match="overflows a double|non-finite Bessel"):
                 build(refused)
 
 

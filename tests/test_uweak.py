@@ -405,6 +405,28 @@ class TestSecondDerivatives:
             assert np.allclose(uxy[m], fd_xy[m], atol=1e-4, rtol=1e-3), f"D{r}"
             assert np.all(np.abs(fd_diag[m]) <= 1e-4 + 1e-3 * scale[m]), f"D{r}"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [12.0, 14.0, 16.0, 20.0])
+    def test_d6_sliver_is_concave(self, p):
+        # D6 is the sliver 1 - |y| < u(t)/2 along t = x - |y| + 1, which a box
+        # sample misses at large p; drawn as t and 1 - Y = f u(t)/2, its
+        # Hessian form over the slopes |s| <= 1 read 3.0e-8, 5.8e-6, 1.0e-3
+        # and 2.2e-3 of max(1, |H|) at p = 12, 14, 16 and 20 when u past t*
+        # was a spline with slopes 1 - G', and reads <= 1.2e-14 now
+        ctx = build_context(p)
+        rng = np.random.default_rng(0)
+        t = rng.uniform(2 / p, 10.0, 4000)
+        Y = 1 - rng.uniform(0.05, 0.95, t.size) * ctx.g.gap(t) / 2
+        x = t + Y - 1
+        d6 = classify(ctx, x, Y) == 6
+        assert np.count_nonzero(d6) >= 1000
+        _, _, _, uxx, uxy, uyy = uweak._jets(ctx, 6, x[d6], Y[d6], None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.clip(-uxy / uyy, -1.0, 1.0)  # the vertex; NaN where U_xy = U_yy = 0
+        sup = np.fmax(uxx + 2 * np.abs(uxy) + uyy, uxx + 2 * uxy * v + uyy * v * v)
+        scale = np.maximum(1, np.maximum(np.abs(uxx), np.maximum(np.abs(uxy), np.abs(uyy))))
+        assert np.max(sup / scale) <= 1e-12
+
     def test_diffusion_dominance(self, ctx3):
         x, y = _random_points(ctx3, 20000, seed=6)
         inner = is_interior(ctx3, x, y)

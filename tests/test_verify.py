@@ -162,18 +162,22 @@ def test_ode_slopes_at_p10():
 
 
 def test_ode_reads_the_slope_between_nodes(monkeypatch):
-    # the p = 10 table with two nodes put between two points of a 2,000-point
-    # grid of [2/p, 10], the first with its gap raised by 1e-11 relative: G'
-    # is >= 1 at every node and on the grid, but not between the two nodes
-    # (LSODA's relative error of 5e-12 in u let G' dip to 1 - 7.1e-9)
+    # a synthetic p = 10 table: the scan's, carried from t* to 10 on nodes of
+    # ratio 1 + 5e-4 with the series' gap, and two nodes put between two
+    # points of a 2,000-point grid of [2/p, 10], the first with its gap
+    # raised by 1e-11 relative: G' is >= 1 at every node and on the grid, but
+    # not between the two nodes (LSODA's relative error of 5e-12 in u let G'
+    # dip to 1 - 7.1e-9).  The scan's own nodes read G' >= 1.0024, where so
+    # small a dip cannot cross 1
     build = gfun.build_g_rk
     t = np.linspace(0.2, 10.0, 2000)
     ta, tb = t[1960] + np.array([1, 2]) * (t[1] - t[0]) / 3
 
     def dipped(p):
         sol = build(p)
-        grid = np.concatenate((sol.grid, [ta, tb]))
-        u = np.concatenate((sol.u_values, sol.gap([ta, tb]) * [1 + 1e-11, 1]))
+        tail = np.geomspace(sol.grid[-1], 10.0, 6355)[1:]
+        grid = np.concatenate((sol.grid, tail, [ta, tb]))
+        u = np.concatenate((sol.u_values, sol.gap(tail), sol.gap([ta, tb]) * [1 + 1e-11, 1]))
         order = np.argsort(grid)
         return gfun.GSolution(p, grid[order], u[order])
 
@@ -355,9 +359,10 @@ def test_hessian_form_sup_against_a_slope_grid_on_the_suite_points():
 
 @pytest.mark.filterwarnings("error")
 def test_u_weak_passes_over_its_range():
-    # u-weak's stated range: a 1.0 grid over [2.25, 112] and its top; |U| on
+    # u-weak's stated range: a 1.0 grid over [2.25, 136] and its top; |U| on
     # the region boundaries grows from 1e9 at p = 10 to 6e223 at p = 112, and
-    # the Hessian row is read relative to max(1, |H|)
-    for p in [*np.arange(2.25, 111.3, 1.0), 112.0]:
+    # the Hessian row is read relative to max(1, |H|).  From p = 112.25 the
+    # table past t* read G' = inf ("slope < 1 or not finite")
+    for p in [*np.arange(2.25, 135.3, 1.0), 136.0]:
         ok, report = run_suite("u-weak", p=float(p), n=2_000)
         assert ok, report
