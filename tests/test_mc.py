@@ -124,9 +124,9 @@ def test_strip_exit_samples_sides():
 @pytest.mark.parametrize(
     "p, R, seed, workers, want",
     [
-        (2.0, 6.0, 41, 1, (1.0247054922384427, 0.010247358571357688, 0.99965, 9.352623257089143e-05)),
-        (2.0, 20.0, 13, 2, (0.985303500076057, 0.009835281076311849, 1.0, 0.0)),
-        (1.0, 6.0, 41, 3, (0.750825482289441, 0.0033947684451081, 0.99965, 9.352623257089143e-05)),
+        (2.0, 6.0, 41, 1, (1.0149424708938584, 0.010150329350233345, 0.999775, 7.499249943743905e-05)),
+        (2.0, 20.0, 13, 2, (0.9970026211433242, 0.010083988741285773, 1.0, 0.0)),
+        (1.0, 6.0, 41, 3, (0.7486310391961036, 0.0033708507853397974, 0.999775, 7.499249943743905e-05)),
     ],
 )
 def test_harmonic_rectangle_is_pinned(p, R, seed, workers, want):
@@ -136,20 +136,72 @@ def test_harmonic_rectangle_is_pinned(p, R, seed, workers, want):
     assert (rep["estimate"], rep["std_error"], rep["mu_v_ge_1"], rep["mu_std_error"]) == want
 
 
-def test_jump_matches_cos_and_sin():
-    # the walk's tan(pi u) form of the jump against numpy's cos and sin of
-    # 2 pi u, on seeded u and the edge values; at u = 1/2, t ~ 1.6e16
+def test_jump_matches_the_disk_automorphism():
+    # the walk's tan(pi u) form of the step against numpy's complex
+    # z = (w + ib)/(1 - ib w), w = exp(2 pi i u), on seeded (u, b) and every
+    # pair of the edge values; the map's condition number at |b| is
+    # (1 + |b|)/(1 - |b|), about 2e6 at 1 - 1e-6, which bounds the agreement
     edges = [0.0, 0.25, 0.5, 0.75, 2.0**-53, 1 - 2.0**-53]
+    b_edges = [0.0, 0.5, -0.5, 1 - 1e-6, -(1 - 1e-6)]
     rng = np.random.default_rng(22)
-    u = np.concatenate([rng.random(100_000), edges])
-    d = np.concatenate([rng.uniform(1e-6, 1.0, 100_000), np.ones(len(edges))])
-    dx, dy = mc._jump(d, u)
-    c, s = dx / d, dy / d
-    assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
-    assert np.max(np.abs(c - np.cos(2 * np.pi * u))) <= 1e-15
-    assert np.max(np.abs(s - np.sin(2 * np.pi * u))) <= 1e-15
-    assert np.max(np.abs(np.hypot(c, s) - 1.0)) <= 1e-15
-    assert c[u == 0.5] == -1.0
+    u = np.concatenate([rng.random(100_000), np.repeat(edges, len(b_edges))])
+    b = np.concatenate([rng.uniform(-1, 1, 100_000) * (1 - 1e-6), np.tile(b_edges, len(edges))])
+    with np.errstate(all="raise"):
+        re, im = mc._jump(u.copy(), b.copy())
+    assert np.all(np.isfinite(re)) and np.all(np.isfinite(im))
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(np.hypot(re, im) - 1.0)) <= 4 * eps
+    w = np.exp(2j * np.pi * u)
+    z = (w + 1j * b) / (1 - 1j * b * w)
+    tol = 4 * eps * (1 + np.abs(b)) / (1 - np.abs(b))
+    assert np.all(np.abs(re - z.real) <= tol) and np.all(np.abs(im - z.imag) <= tol)
+    # at b = 0 the step is the uniform point, to the centred walk's 1e-15
+    centred = b == 0
+    assert np.max(np.abs(re[centred] - np.cos(2 * np.pi * u[centred]))) <= 1e-15
+    assert np.max(np.abs(im[centred] - np.sin(2 * np.pi * u[centred]))) <= 1e-15
+    assert np.all(re[centred & (u == 0.5)] == -1.0)
+
+
+def _power_means_sigma(z, b):
+    """Distances, in standard errors, of the means of Re z^k and Im z^k,
+    k = 1, 2, 3, from Re and Im of (ib)^k: the values at ib of the harmonic
+    functions Re z^k and Im z^k, which the exit law from ib must average to
+    (the mean-value property)."""
+    out = []
+    for k in (1, 2, 3):
+        zk, want = z**k, (1j * b) ** k
+        for part, target in ((zk.real, want.real), (zk.imag, want.imag)):
+            se = part.std(ddof=1) / math.sqrt(part.size)
+            out.append(abs(part.mean() - target) / se if se > 0 else math.inf)
+    return max(out)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 0.9, 0.999])
+def test_jump_law_is_the_harmonic_measure(b):
+    u = np.random.default_rng(31).random(1_000_000)
+    re, im = mc._jump(u.copy(), np.full(u.size, b))
+    assert _power_means_sigma(re + 1j * im, b) <= 4.0
+    if b:
+        # power: the point where a ray from ib at a uniform angle leaves the
+        # disk is the wrong law, and fails by hundreds of sigma
+        e = np.exp(2j * np.pi * u)
+        along = (-1j * b * e).real
+        ray = 1j * b + (np.sqrt(along * along + 1 - b * b) - along) * e
+        assert np.max(np.abs(np.abs(ray) - 1.0)) <= 1e-15
+        assert _power_means_sigma(ray, b) > 4.0
+
+
+def test_walk_keeps_a_harmonic_mean_past_the_side_foot():
+    # from (4.5, 0.5) with R = 5 the side is the nearest boundary, so the
+    # side-foot disk takes the first step and many later ones; x^2 - y^2 is
+    # harmonic, so its mean at the stop is x0^2 - y0^2 = 20
+    xs, ys, _, live = mc._walk((23, 0), 1 << 17, 4.5, 0.5, 5.0)
+    assert live.size == 0
+    f = xs * xs - ys * ys
+    se = f.std(ddof=1) / math.sqrt(f.size)
+    assert abs(f.mean() - 20.0) <= 4 * se
+    side = 5.0 - np.abs(xs) < 1.0 - np.abs(ys)
+    assert 0.3 < side.mean() < 0.6
 
 
 @pytest.mark.parametrize("start", [(2.0, 1.5), (0.0, -1.0), (0.0, math.nan)])
@@ -177,8 +229,8 @@ def test_strip_moments_share_one_sample(workers):
     assert both == [strip_exit_moment(p, (0.3, -0.2), cfg) for p in (1.0, 2.0)]
     # literal walk-on-spheres outputs at one worker
     assert [(e.mean, e.std_error, e.n, e.seed, e.walk_steps, e.censored) for e in both] == [
-        (0.7704941763592001, 0.0034126902512307883, 40_000, 11, 845_094, 0),
-        (1.0595078193825178, 0.010645764424664701, 40_000, 11, 845_094, 0),
+        (0.7691571859344467, 0.003396537384200583, 40_000, 11, 179_866, 0),
+        (1.0530498882992805, 0.010302313387331232, 40_000, 11, 179_866, 0),
     ]
     with pytest.raises(ValueError, match="exponent"):
         strip_exit_moments((), (0.0, 0.0), cfg)
@@ -203,7 +255,7 @@ def test_shell_bias_bound_at_p2(monkeypatch):
     est = strip_exit_moment(2.0, (0.0, 0.0), SimConfig(master_seed=21, n_samples=1 << 18))
     assert isinstance(est, ExitEstimate) and est.shell_eps == 1e-6
     assert _within_p2_bias_bound(est)
-    assert est.censored == 0 and 15 * est.n < est.walk_steps < 30 * est.n
+    assert est.censored == 0 and 4 * est.n < est.walk_steps < 5 * est.n
     # a wide shell: the bound still holds, and the test resolves the bias
     monkeypatch.setattr(mc, "_SHELL_EPS", 0.1)
     wide = strip_exit_moment(2.0, (0.0, 0.0), SimConfig(master_seed=21, n_samples=1 << 17))
