@@ -13,7 +13,12 @@ near the boundary the distance to it is about squared at every jump.  It
 takes one transcendental, t = tan(pi u) (`_jump`), and the stopped paths
 are classified as top/bottom or side exits once, after the walk.  It uses
 only the disk's harmonic measure, by a disk automorphism, so it shares no
-formula with `kp` or with the Poisson quadrature of `orth`.
+formula with `kp` or with the Poisson quadrature of `orth`.  While no path
+can lie within 1 of a side, which a scalar bound on |x| shows for the first
+r_bound - |x0| - 1 jumps or so (every jump at r_bound = inf), every tangent
+disk is the unit disk centred on the path's x, and the walk takes that step
+alone.  The live paths are compacted only after a jump at which some path
+stopped.
 
 Each sample serves every exponent asked of it: `strip_exit_moments` takes
 all its moments from one set of exit points, and
@@ -61,6 +66,9 @@ _SHELL_EPS = 1e-6
 # has a geometric tail: of 2^20 paths, 232 took more than 15, 6 more than
 # 20 and none more than 25.
 _MAX_STEPS = 1_000
+# A jump's |Re z| (`_jump`) is at most 1 + _RE_SLACK: |(D - N)(D + N)| <= q,
+# and its seven roundings add at most 3.5 eps
+_RE_SLACK = 4 * math.ulp(1.0)
 # An estimate more than _SIGMA_GATE standard errors past its bound fails
 _SIGMA_GATE = 4.0
 # P(Z > _SIGMA_GATE): a weak-type row with P = 1 of n paths (no binomial
@@ -162,6 +170,18 @@ def _walk(seed_pair, n, x0, y0, r_bound):
     A path stops once min(ey, ex) < _SHELL_EPS.  A path still walking after
     _MAX_STEPS jumps is censored.  Returns (x, y) at the stop or the
     censoring, the total jump count, and the censored paths' indices.
+
+    Wherever ex >= 1, the tangent disk is the unit disk centred at (x, 0):
+    rho = 1, c = +-0 and b = y, so the general step reduces exactly to
+    x += Re z, y = Im z, and the stop test to ey < _SHELL_EPS.  An edge-foot
+    jump of that disk moves x by at most 1 + _RE_SLACK, plus x's rounding of
+    at most r_bound eps / 2; delta = _RE_SLACK (1 + r_bound) covers both.  So
+    while |x0| + (k + 1)(1 + delta) <= r_bound after k jumps (the extra delta
+    covering this sum's own rounding), every path lies at least 1 from a
+    side and the walk takes that step alone, with no ex.  Past that bound it
+    takes it while every live path has ex >= 1, and otherwise the general
+    step on every path.  Up to the sign of an exact zero y, both steps give
+    the same bits.  The live paths are compacted only after a stop.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     live = np.arange(n)
@@ -170,22 +190,39 @@ def _walk(seed_pair, n, x0, y0, r_bound):
     xs = np.empty(n)
     ys = np.empty(n)
     steps = 0
+    delta = _RE_SLACK * (1.0 + r_bound)
     for k in range(_MAX_STEPS + 1):
-        stop = np.minimum(1.0 - np.abs(y), r_bound - np.abs(x)) < _SHELL_EPS
+        # while the bound holds, no path can lie within 1 of a side
+        near = abs(x0) + (k + 1) * (1.0 + delta) > r_bound
+        dist = np.abs(y)
+        np.subtract(1.0, dist, out=dist)
+        if near:
+            np.minimum(dist, r_bound - np.abs(x), out=dist)
+        stop = dist < _SHELL_EPS
         i = np.flatnonzero(stop)
-        done = live[i]
-        xs[done] = x[i]
-        ys[done] = y[i]
-        walk = ~stop
-        live, x, y = (a.compress(walk) for a in (live, x, y))
+        if i.size:
+            done = live[i]
+            xs[done] = x[i]
+            ys[done] = y[i]
+            keep = np.flatnonzero(~stop)
+            live, x, y = live.take(keep), x.take(keep), y.take(keep)
         if not live.size or k == _MAX_STEPS:
             break
+        u = rng.random(live.size)
+        steps += live.size
+        if near:  # past the bound: look at every live path
+            ex = r_bound - np.abs(x)
+            near = ex.min() < 1.0
+        if not near:  # every tangent disk is the unit disk at (x, 0)
+            re, im = _jump(u, y)
+            x += re
+            y = im
+            continue
         # the tangent disk's radius rho and its centre's distance from the
         # domain's axis parallel to the foot (y = 0 for an edge foot, x = 0
         # for a side foot); a side path's x and y are swapped for the step,
         # so that y is always the coordinate normal to the foot
         ey = 1.0 - np.abs(y)
-        ex = r_bound - np.abs(x)
         side = np.flatnonzero(ex < ey)
         rho = np.minimum(ex, 1.0, out=ex)
         rho[side] = ey[side]
@@ -196,14 +233,13 @@ def _walk(seed_pair, n, x0, y0, r_bound):
         c = np.copysign(far, y, out=far)
         b = y - c
         b /= rho
-        re, im = _jump(rng.random(live.size), b)
+        re, im = _jump(u, b)
         im *= rho
         np.add(c, im, out=y)
         re *= rho
         x += re
         if side.size:
             x[side], y[side] = y[side], x[side]
-        steps += live.size
     xs[live] = x
     ys[live] = y
     return xs, ys, steps, live

@@ -151,6 +151,9 @@ def test_jump_matches_the_disk_automorphism():
     assert np.all(np.isfinite(re)) and np.all(np.isfinite(im))
     eps = np.finfo(float).eps
     assert np.max(np.abs(np.hypot(re, im) - 1.0)) <= 4 * eps
+    # the premise of the walk's bound on |x|: a unit-disk jump moves x by at
+    # most 1 + _RE_SLACK
+    assert np.max(np.abs(re)) <= 1 + mc._RE_SLACK
     w = np.exp(2j * np.pi * u)
     z = (w + 1j * b) / (1 - 1j * b * w)
     tol = 4 * eps * (1 + np.abs(b)) / (1 - np.abs(b))
@@ -189,6 +192,73 @@ def test_jump_law_is_the_harmonic_measure(b):
         ray = 1j * b + (np.sqrt(along * along + 1 - b * b) - along) * e
         assert np.max(np.abs(np.abs(ray) - 1.0)) <= 1e-15
         assert _power_means_sigma(ray, b) > 4.0
+
+
+def _reference_walk(seed_pair, n, x0, y0, r_bound):
+    """The strip walk with the general tangent-disk step on every path at
+    every jump, as masks: an edge foot's disk has radius min(1, ex) and
+    centre (x, +-(1 - rho)), a side foot's radius ey and centre
+    (+-(r_bound - rho), y), and the path lies at b rho from the centre along
+    the foot's normal.  One uniform per live path and step, in path order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
+    live = np.arange(n)
+    x = np.full(n, x0)
+    y = np.full(n, y0)
+    xs = np.empty(n)
+    ys = np.empty(n)
+    steps = 0
+    for k in range(mc._MAX_STEPS + 1):
+        stop = np.minimum(1.0 - np.abs(y), r_bound - np.abs(x)) < mc._SHELL_EPS
+        xs[live[stop]] = x[stop]
+        ys[live[stop]] = y[stop]
+        live, x, y = live[~stop], x[~stop], y[~stop]
+        if not live.size or k == mc._MAX_STEPS:
+            break
+        ey = 1.0 - np.abs(y)
+        ex = r_bound - np.abs(x)
+        side = ex < ey
+        rho = np.where(side, ey, np.minimum(ex, 1.0))
+        normal, along = np.where(side, x, y), np.where(side, y, x)
+        c = np.copysign(np.where(side, r_bound - rho, 1.0 - rho), normal)
+        re, im = mc._jump(rng.random(live.size), (normal - c) / rho)
+        normal = c + im * rho
+        along = along + re * rho
+        x, y = np.where(side, normal, along), np.where(side, along, normal)
+        steps += live.size
+    xs[live] = x
+    ys[live] = y
+    return xs, ys, steps, live
+
+
+@pytest.mark.parametrize(
+    "r_bound, x0, y0, max_steps",
+    [
+        (math.inf, 0.0, 0.0, 1_000),
+        (math.inf, 0.0, 0.3, 1_000),
+        (20.0, 0.0, 0.0, 1_000),
+        (5.0, 0.0, 0.0, 1_000),
+        (5.0, 4.5, 0.5, 1_000),
+        (5.0, 0.0, 0.9, 1_000),
+        (5.0, 4.999, 0.0, 1_000),
+        (5.0, -3.2, -0.7, 1_000),
+        # |x0| + 2 (1 + delta) > r_bound: the bound fails after the first jump
+        (6.0, 4.5, 0.0, 1_000),
+        # censored paths, walking by the unit-disk step and by the general one
+        (math.inf, 0.0, 0.0, 3),
+        (5.0, 0.0, 0.0, 3),
+        (5.0, 4.5, 0.0, 3),
+    ],
+)
+def test_walk_matches_the_general_step_everywhere(monkeypatch, r_bound, x0, y0, max_steps):
+    # the unit-disk step that `_walk` takes while no path can be within 1 of
+    # a side, and its one compaction per stop, move no bit of its outputs
+    monkeypatch.setattr(mc, "_MAX_STEPS", max_steps)
+    args = ((17, 3), 1 << 12, x0, y0, r_bound)
+    xs, ys, steps, live = mc._walk(*args)
+    want_xs, want_ys, want_steps, want_live = _reference_walk(*args)
+    assert (live.size > 0) == (max_steps == 3)
+    assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+    assert steps == want_steps and np.array_equal(live, want_live)
 
 
 def test_walk_keeps_a_harmonic_mean_past_the_side_foot():
