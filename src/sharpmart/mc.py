@@ -20,6 +20,16 @@ disk is the unit disk centred on the path's x, and the walk takes that step
 alone.  The live paths are compacted only after a jump at which some path
 stopped.
 
+Each chunk is reduced in its worker, while its arrays are still there
+(`_strip_exits`): to (n, mean, M2) of |X|^p per exponent, by two passes,
+and to its side-exit count.  No array of the whole sample is built.  A
+walk's arrays live in a workspace (`_Workspace`) that outlasts it: it waits
+on a module-level free list for the next walk, so a process that runs the
+walk again writes into memory it has already touched instead of asking the
+allocator for it.  A walk holds one workspace, so the list never holds more
+workspaces than walks have run at once, each sized for the largest walk
+that used it.
+
 Each sample serves every exponent asked of it: `strip_exit_moments` takes
 all its moments from one set of exit points, and
 `random_subordinate_pair_checks` draws each pair once for all exponents
@@ -32,15 +42,19 @@ Determinism contract: strip chunk i (of fixed size) uses
 pair reads one 64-bit word of the generator per path for g_0's sign and one
 per path and step: the top bit gives the sign v, the low 53 bits the step
 of f (`_pair_chunk`).  Both run on a pool of `cfg.workers` threads (numpy
-releases the GIL in array work) and are combined in index order, so
-reports are bit-identical for a given master seed at any worker count.
+releases the GIL in array work) and are combined in index order: the strip
+chunks' statistics are merged in chunk order (`_merge`).  So reports are
+bit-identical for a given master seed at any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -114,15 +128,28 @@ class ExitEstimate(Estimate):
     shell_eps: float
 
 
-def _estimate(values: np.ndarray, seed: int) -> Estimate:
-    n = values.size
+def _merge(parts):
+    """One (n, mean, M2) from the chunks' (n, mean, M2), merged in order by
+    the pairwise update of Chan, Golub and LeVeque (1983, Am. Stat. 37)."""
+    parts = iter(parts)
+    n, mean, m2 = next(parts)
+    for nb, mb, m2b in parts:
+        d = mb - mean
+        total = n + nb
+        mean += d * nb / total
+        m2 += m2b + d * d * n * nb / total
+        n = total
+    return n, mean, m2
+
+
+def _estimate(n: int, mean: float, m2: float, seed: int) -> Estimate:
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
-    se = float(values.std(ddof=1)) / math.sqrt(n)
-    return Estimate(mean=float(values.mean()), std_error=se, n=n, seed=seed)
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    return Estimate(mean=mean, std_error=se, n=n, seed=seed)
 
 
-def _jump(u: np.ndarray, b: np.ndarray):
+def _jump(u: np.ndarray, b: np.ndarray, n=None, q=None, im=None):
     """The exit point of the unit disk seen from (0, b), |b| < 1, for the
     uniform u: the uniform point w = exp(2 pi i u) of the circle moved by the
     disk automorphism z = (w + ib) / (1 - ib w), which takes 0 to ib and so
@@ -130,14 +157,15 @@ def _jump(u: np.ndarray, b: np.ndarray):
     t = tan(pi u), z's half-angle tangent is N/D, N = t + b and D = 1 + bt,
     so z = ((D - N)(D + N), 2ND) / q with q = N^2 + D^2 >= (1 - |b|)^2 (1 + t^2)
     > 0, and |z| = 1 to rounding.  At u = 1/2, t is about 1.6e16 and every
-    term stays finite.  Returns (Re z, Im z) and overwrites u and b."""
+    term stays finite.  Returns (Re z, Im z) and overwrites u and b; N, q
+    and Im z go to the buffers `n`, `q` and `im` where given."""
     t = np.tan(np.multiply(u, math.pi, out=u), out=u)
-    n = t + b
+    n = np.add(t, b, out=n)
     d = np.multiply(b, t, out=b)
     d += 1.0
-    q = n * n
+    q = np.multiply(n, n, out=q)
     q += np.multiply(d, d, out=t)
-    im = n * d
+    im = np.multiply(n, d, out=im)
     im *= 2.0
     im /= q
     re = np.subtract(d, n, out=t)
@@ -147,7 +175,47 @@ def _jump(u: np.ndarray, b: np.ndarray):
     return re, im
 
 
-def _walk(seed_pair, n, x0, y0, r_bound):
+class _Workspace:
+    """The buffers of a walk of up to `size` paths (`_walk`): ping-pong
+    pairs for x, y and the live paths' indices, the indices 0, ..., size - 1,
+    x and y at the stop, the distance to the boundary and the stop flags,
+    the uniforms, and the jump's N and q.  The jump's Im z goes to the free
+    half of the y pair.  A walk writes each buffer before it reads it."""
+
+    def __init__(self, size):
+        self.size = size
+        self.x = (np.empty(size), np.empty(size))
+        self.y = (np.empty(size), np.empty(size))
+        self.live = (np.empty(size, np.intp), np.empty(size, np.intp))
+        self.index = np.arange(size)
+        self.xs, self.ys, self.dist, self.u, self.n, self.q = (np.empty(size) for _ in range(6))
+        self.stop = np.empty(size, bool)
+
+
+# Workspaces wait here for the next walk (`_workspace`)
+_WORKSPACES = queue.SimpleQueue()
+
+
+@contextmanager
+def _workspace(n):
+    """A workspace for n paths: one from the free list, or a new one if the
+    list is empty or its first is too small (that one is dropped).  It goes
+    back to the list however the walk ends.  A walk holds one workspace, so
+    the list never holds more than the most walks that ran at once, each no
+    larger than the largest walk: memory the process has already held."""
+    try:
+        ws = _WORKSPACES.get_nowait()
+    except queue.Empty:
+        ws = None
+    if ws is None or ws.size < n:
+        ws = _Workspace(n)
+    try:
+        yield ws
+    finally:
+        _WORKSPACES.put(ws)
+
+
+def _walk(seed_pair, n, x0, y0, r_bound, ws=None):
     """n 2-D Brownian paths started at (x0, y0), run by walk on spheres to
     their exit from the strip |y| < 1, and from |x| < r_bound.
 
@@ -182,41 +250,67 @@ def _walk(seed_pair, n, x0, y0, r_bound):
     takes it while every live path has ex >= 1, and otherwise the general
     step on every path.  Up to the sign of an exact zero y, both steps give
     the same bits.  The live paths are compacted only after a stop.
+
+    Every per-jump array of the unit-disk step, and the outputs, live in the
+    workspace `ws` (`_Workspace`, at least n paths): the compaction takes
+    into the other half of each ping-pong pair, and the jump writes Im z
+    into y's.  So a walk that reuses a workspace allocates nothing
+    chunk-sized outside the general step, which runs only near a side.  The
+    outputs are views into `ws`, read until it is reused.  Without `ws` the
+    walk takes one from the free list (`_workspace`) and returns copies that
+    the caller owns.
     """
+    if ws is None:
+        with _workspace(n) as ws:
+            xs, ys, steps, live = _walk(seed_pair, n, x0, y0, r_bound, ws)
+            return xs.copy(), ys.copy(), steps, live.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    live = np.arange(n)
-    x = np.full(n, x0)
-    y = np.full(n, y0)
-    xs = np.empty(n)
-    ys = np.empty(n)
+    # the ping-pong pairs, and the index of each pair's free half
+    xb, yb, lb = ws.x, ws.y, ws.live
+    fx = fy = fl = 1
+    live = lb[0][:n]
+    np.copyto(live, ws.index[:n])
+    x = xb[0][:n]
+    x.fill(x0)
+    y = yb[0][:n]
+    y.fill(y0)
+    xs = ws.xs[:n]
+    ys = ws.ys[:n]
     steps = 0
     delta = _RE_SLACK * (1.0 + r_bound)
     for k in range(_MAX_STEPS + 1):
+        m = live.size
         # while the bound holds, no path can lie within 1 of a side
         near = abs(x0) + (k + 1) * (1.0 + delta) > r_bound
-        dist = np.abs(y)
+        dist = np.abs(y, out=ws.dist[:m])
         np.subtract(1.0, dist, out=dist)
         if near:
             np.minimum(dist, r_bound - np.abs(x), out=dist)
-        stop = dist < _SHELL_EPS
+        stop = np.less(dist, _SHELL_EPS, out=ws.stop[:m])
         i = np.flatnonzero(stop)
         if i.size:
             done = live[i]
             xs[done] = x[i]
             ys[done] = y[i]
-            keep = np.flatnonzero(~stop)
-            live, x, y = live.take(keep), x.take(keep), y.take(keep)
-        if not live.size or k == _MAX_STEPS:
+            keep = np.flatnonzero(np.logical_not(stop, out=stop))
+            m = keep.size
+            live = np.take(live, keep, out=lb[fl][:m])
+            x = np.take(x, keep, out=xb[fx][:m])
+            y = np.take(y, keep, out=yb[fy][:m])
+            fl, fx, fy = 1 - fl, 1 - fx, 1 - fy
+        if not m or k == _MAX_STEPS:
             break
-        u = rng.random(live.size)
-        steps += live.size
+        u = rng.random(out=ws.u[:m])
+        steps += m
+        scratch = ws.n[:m], ws.q[:m], yb[fy][:m]
         if near:  # past the bound: look at every live path
             ex = r_bound - np.abs(x)
             near = ex.min() < 1.0
         if not near:  # every tangent disk is the unit disk at (x, 0)
-            re, im = _jump(u, y)
+            re, im = _jump(u, y, *scratch)
             x += re
             y = im
+            fy = 1 - fy
             continue
         # the tangent disk's radius rho and its centre's distance from the
         # domain's axis parallel to the foot (y = 0 for an edge foot, x = 0
@@ -233,7 +327,7 @@ def _walk(seed_pair, n, x0, y0, r_bound):
         c = np.copysign(far, y, out=far)
         b = y - c
         b /= rho
-        re, im = _jump(u, b)
+        re, im = _jump(u, b, *scratch)
         im *= rho
         np.add(c, im, out=y)
         re *= rho
@@ -246,53 +340,79 @@ def _walk(seed_pair, n, x0, y0, r_bound):
 
 
 def _walk_chunk(args):
-    """One chunk of the walk (`_walk`), classified once: each stopped path
-    is projected onto the nearest side, so a top or bottom exit keeps its x
-    and a side exit takes x = +-r_bound.  A censored path is unflagged and
-    keeps its last x.
+    """One chunk of the walk (`_walk`), classified once and reduced while
+    its arrays are in the worker: each stopped path is projected onto the
+    nearest side, so a top or bottom exit keeps its x and a side exit takes
+    x = +-r_bound.  A censored path is unflagged and keeps its last x.
 
     The projection moves no top or bottom exit's x, and x^2 - y^2 is
     harmonic, so without a side barrier E X^2 - x0^2 = E Y^2 - y0^2 with
     |Y| in [1 - _SHELL_EPS, 1]: from the origin E X^2 lies in
     [(1 - _SHELL_EPS)^2, 1], a bias of at most 2 _SHELL_EPS.
 
-    Returns (x at exit, side-exit flags, total jumps, censored paths).
-    """
-    seed_pair, n, x0, y0, r_bound = args
-    xs, ys, steps, live = _walk(seed_pair, n, x0, y0, r_bound)
-    side = r_bound - np.abs(xs) < 1.0 - np.abs(ys)
-    side[live] = False
-    xs = np.where(side, np.copysign(r_bound, xs), xs)
-    return xs, side, steps, live.size
+    Returns (reduce(x at exit, side-exit flags, scratch), total jumps,
+    censored paths).  The three arrays are the workspace's: `reduce` may
+    overwrite `scratch`, must not write the other two, and keeps none."""
+    seed_pair, n, x0, y0, r_bound, reduce = args
+    with _workspace(n) as ws:
+        xs, ys, steps, live = _walk(seed_pair, n, x0, y0, r_bound, ws)
+        ex = np.abs(xs, out=ws.dist[:n])
+        np.subtract(r_bound, ex, out=ex)
+        ey = np.abs(ys, out=ws.u[:n])
+        np.subtract(1.0, ey, out=ey)
+        side = np.less(ex, ey, out=ws.stop[:n])
+        side[live] = False
+        np.copysign(r_bound, xs, out=xs, where=side)
+        return reduce(xs, side, ws.u[:n]), steps, live.size
 
 
-def _strip_exits(start, cfg: SimConfig, r_bound: float):
+def _strip_exits(start, cfg: SimConfig, r_bound: float, reduce):
     """Every chunk of the walk from `start`, which must lie inside the
-    strip and the barrier: x at exit, side-exit flags, and the summed jump
-    and censored-path counts."""
+    strip and the barrier, reduced in its worker (`_walk_chunk`): the
+    chunks' `reduce` results in chunk order, and the summed jump and
+    censored-path counts."""
     x0, y0 = float(start[0]), float(start[1])
     if not (abs(y0) < 1 and abs(x0) < r_bound):  # also refuses NaN
         raise ValueError(f"start must satisfy |y| < 1 and |x| < {r_bound}, got {start}")
     args = [
-        ((cfg.master_seed, i), min(_CHUNK, cfg.n_samples - first), x0, y0, r_bound)
+        ((cfg.master_seed, i), min(_CHUNK, cfg.n_samples - first), x0, y0, r_bound, reduce)
         for i, first in enumerate(range(0, cfg.n_samples, _CHUNK))
     ]
     with ThreadPoolExecutor(cfg.workers) as pool:
-        parts = list(pool.map(_walk_chunk, args))
-    xs = np.concatenate([p[0] for p in parts])
-    side = np.concatenate([p[1] for p in parts])
-    return xs, side, sum(p[2] for p in parts), sum(p[3] for p in parts)
+        results, steps, censored = zip(*pool.map(_walk_chunk, args))
+    return list(results), sum(steps), sum(censored)
+
+
+def _abs_moments(ps, xs, side, scratch):
+    """A chunk reducer: (n, mean, M2) of |x|^p for each p in `ps`, by two
+    passes with numpy's arithmetic for `mean` and `std`; M2 is the sum of
+    squared deviations from the mean."""
+    out = []
+    for p in ps:
+        v = np.abs(xs, out=scratch)
+        v **= p
+        mean = float(v.sum()) / v.size
+        v -= mean
+        v *= v
+        out.append((v.size, mean, float(v.sum())))
+    return out
+
+
+def _rectangle_sums(p, xs, side, scratch):
+    """A chunk reducer: (n, mean, M2) of |x|^p, and the side-exit count."""
+    return _abs_moments((p,), xs, side, scratch)[0], int(np.count_nonzero(side))
 
 
 def strip_exit_moments(ps, start, cfg: SimConfig) -> list:
     """p-th absolute moments of the first coordinate at the strip exit, one
-    `ExitEstimate` per exponent in `ps`, all taken on one sample of paths."""
+    `ExitEstimate` per exponent in `ps`, all taken on one sample of paths:
+    each chunk's moments are taken in its worker and merged in chunk
+    order (`_merge`)."""
     ps = tuple(ps)
     if not ps:
         raise ValueError("need at least one exponent")
-    xs, _, steps, censored = _strip_exits(start, cfg, math.inf)
-    ax = np.abs(xs)
-    ests = (_estimate(ax**p, cfg.master_seed) for p in ps)
+    chunks, steps, censored = _strip_exits(start, cfg, math.inf, partial(_abs_moments, ps))
+    ests = (_estimate(*_merge(c[j] for c in chunks), cfg.master_seed) for j in range(len(ps)))
     return [
         ExitEstimate(e.mean, e.std_error, e.n, e.seed, steps, censored, _SHELL_EPS)
         for e in ests
@@ -475,10 +595,14 @@ def harmonic_rectangle_check(p: float, R: float, cfg: SimConfig) -> dict:
         raise ValueError("requires R >= 5")
     if not 1 <= p <= 2:
         raise ValueError("requires 1 <= p <= 2")
-    xs, side, steps, censored = _strip_exits((0.0, 0.0), cfg, R)
-    moment = _estimate(np.abs(xs) ** p, cfg.master_seed)
+    chunks, steps, censored = _strip_exits((0.0, 0.0), cfg, R, partial(_rectangle_sums, p))
+    sums, sides = zip(*chunks)
+    moment = _estimate(*_merge(sums), cfg.master_seed)
     target = 1.0 / kp(p).value ** p
-    mu = _estimate(1.0 - side.astype(float), cfg.master_seed)
+    # the flags 1 - side: n - k ones among n, with mean (n - k)/n and
+    # M2 = k (n - k)/n
+    n, k = moment.n, sum(sides)
+    mu = _estimate(n, (n - k) / n, k * (n - k) / n, cfg.master_seed)
     rep = {
         "check": "harmonic_rectangle",
         "p": p,

@@ -7,6 +7,11 @@ and the margin checks run at fixed seeds with generous sigma budgets.
 
 import json
 import math
+import os
+import queue
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +115,21 @@ def test_start_near_barrier_exits_with_small_moment():
     assert est.mean < 0.02
 
 
+def _copy_chunk(xs, side, scratch):
+    return xs.copy(), side.copy()
+
+
+def _exit_samples(start, cfg, r_bound):
+    """x at exit, side-exit flags, jump count and censored count of the
+    whole sample, each chunk copied out of its worker by the reducer."""
+    chunks, steps, censored = mc._strip_exits(start, cfg, r_bound, _copy_chunk)
+    xs, side = (np.concatenate(c) for c in zip(*chunks))
+    return xs, side, steps, censored
+
+
 def test_strip_exit_samples_sides():
     cfg = SimConfig(master_seed=11, n_samples=30_000)
-    xs, side = mc._strip_exits((0.0, 0.0), cfg, 5.0)[:2]
+    xs, side = _exit_samples((0.0, 0.0), cfg, 5.0)[:2]
     assert xs.shape == side.shape == (30_000,)
     assert np.all(np.abs(xs) <= 5.0 + 1e-12)
     # side flags the rare |x| = R exits; nearly all paths leave through |y| = 1
@@ -120,13 +137,15 @@ def test_strip_exit_samples_sides():
 
 
 # Literal outputs of the walk-on-spheres kernel at one worker; every worker
-# count must reproduce them bit for bit.
+# count must reproduce them bit for bit.  The moment is merged from chunk
+# statistics in chunk order; test_merged_moments_are_numpys_statistic bounds
+# its distance from numpy's statistic of the whole sample.
 @pytest.mark.parametrize(
     "p, R, seed, workers, want",
     [
         (2.0, 6.0, 41, 1, (1.0149424708938584, 0.010150329350233345, 0.999775, 7.499249943743905e-05)),
-        (2.0, 20.0, 13, 2, (0.9970026211433242, 0.010083988741285773, 1.0, 0.0)),
-        (1.0, 6.0, 41, 3, (0.7486310391961036, 0.0033708507853397974, 0.999775, 7.499249943743905e-05)),
+        (2.0, 20.0, 13, 2, (0.9970026211433244, 0.010083988741285773, 1.0, 0.0)),
+        (1.0, 6.0, 41, 3, (0.7486310391961036, 0.003370850785339798, 0.999775, 7.499249943743905e-05)),
     ],
 )
 def test_harmonic_rectangle_is_pinned(p, R, seed, workers, want):
@@ -289,7 +308,7 @@ def test_start_outside_barrier_rejected(start, r_bound):
     # and a NaN start would walk every path until it is censored
     cfg = SimConfig(master_seed=1, n_samples=1000)
     with pytest.raises(ValueError, match=r"\|x\| <"):
-        mc._strip_exits(start, cfg, r_bound)[:2]
+        _exit_samples(start, cfg, r_bound)[:2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -310,8 +329,151 @@ def test_strip_moments_share_one_sample(workers):
 def test_strip_exit_samples_match_across_workers(r_bound):
     # two chunks, so the pool really splits the work
     cfgs = (SimConfig(master_seed=4, n_samples=40_000, workers=w) for w in (1, 2))
-    one, two = (mc._strip_exits((0.2, 0.1), cfg, r_bound)[:2] for cfg in cfgs)
+    one, two = (_exit_samples((0.2, 0.1), cfg, r_bound)[:2] for cfg in cfgs)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+
+
+_MERGE_PS = (1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("r_bound", [math.inf, 6.0])
+@pytest.mark.parametrize("n", [1_000, 32_769, 40_000, 1 << 17, (1 << 17) + 1, 200_000])
+def test_merged_moments_are_numpys_statistic(monkeypatch, n, r_bound, seed, workers):
+    # the reports' chunk statistics, merged in chunk order, against np.mean
+    # and np.std(ddof=1) of the concatenated sample, which each chunk's
+    # reducer also copies out; 32,769 and 2^17 + 1 end in a one-path chunk
+    walks = []
+
+    def copying(start, cfg, r_bound, reduce):
+        def both(xs, side, scratch):
+            return (xs.copy(), side.copy()), reduce(xs, side, scratch)
+
+        chunks, steps, censored = real(start, cfg, r_bound, both)
+        xs, side = (np.concatenate(c) for c in zip(*(c[0] for c in chunks)))
+        walks.append((xs, side, steps, censored))
+        return [c[1] for c in chunks], steps, censored
+
+    real = mc._strip_exits
+    monkeypatch.setattr(mc, "_strip_exits", copying)
+    cfg = SimConfig(master_seed=seed, n_samples=n, workers=workers)
+    if r_bound == math.inf:
+        ests = strip_exit_moments(_MERGE_PS, (0.0, 0.0), cfg)
+        got = [(e.mean, e.std_error, e.walk_steps, e.censored) for e in ests]
+        walks *= len(_MERGE_PS)  # one sample serves every exponent
+    else:
+        reps = [harmonic_rectangle_check(p, r_bound, cfg) for p in _MERGE_PS]
+        got = [(r["estimate"], r["std_error"], r["walk_steps"], r["censored"]) for r in reps]
+    assert len(walks) == len(got)
+    for (mean, se, steps, censored), p, (xs, side, want_steps, want_censored) in zip(
+        got, _MERGE_PS, walks
+    ):
+        v = np.abs(xs) ** p
+        assert xs.size == n
+        assert mean == pytest.approx(v.mean(), rel=1e-15, abs=0)
+        assert se == pytest.approx(v.std(ddof=1) / math.sqrt(n), rel=1e-15, abs=0)
+        assert (steps, censored) == (want_steps, want_censored)
+    if r_bound != math.inf:
+        for rep, (_, side, _, _) in zip(reps, walks):
+            assert rep["mu_v_ge_1"] == (n - np.count_nonzero(side)) / n
+            flags = 1.0 - side
+            assert rep["mu_std_error"] == pytest.approx(
+                flags.std(ddof=1) / math.sqrt(n), rel=1e-15, abs=0
+            )
+
+
+def test_one_path_has_no_standard_error():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        strip_exit_moment(2.0, (0.0, 0.0), SimConfig(master_seed=0, n_samples=1))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        harmonic_rectangle_check(2.0, 6.0, SimConfig(master_seed=0, n_samples=1))
+
+
+def _empty_free_list():
+    while True:
+        try:
+            mc._WORKSPACES.get_nowait()
+        except queue.Empty:
+            return
+
+
+def _strip_reports(cfg):
+    return (
+        strip_exit_moments((1.0, 2.0), (0.1, -0.3), cfg),
+        harmonic_rectangle_check(1.5, 6.0, cfg),
+        [a.tolist() if isinstance(a, np.ndarray) else a
+         for a in mc._walk((cfg.master_seed, 7), 5_000, 4.5, 0.5, 5.0)],
+    )
+
+
+def test_walks_at_once_report_what_they_report_in_turn():
+    # two calls on two threads, each on its own pool, hold up to five
+    # workspaces at once, more than the cores; none may share a buffer with
+    # another walk.  A short switch interval interleaves the threads often.
+    cfgs = [SimConfig(master_seed=3, n_samples=100_000, workers=2),
+            SimConfig(master_seed=4, n_samples=70_000, workers=3)]
+    in_turn = [_strip_reports(cfg) for cfg in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(2) as pool:
+                assert list(pool.map(_strip_reports, cfgs, timeout=60)) == in_turn
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_free_list_holds_one_workspace_per_walk_at_once(monkeypatch):
+    # chunks of 2^10 paths, so each call below runs four or five walks
+    monkeypatch.setattr(mc, "_CHUNK", 1 << 10)
+    _empty_free_list()
+    for i in range(50):
+        cfg = SimConfig(master_seed=i, n_samples=4_000 + 20 * i, workers=1 + i % 3)
+        if i % 2:
+            strip_exit_moment(1.5, (0.0, 0.0), cfg)
+        else:
+            harmonic_rectangle_check(1.5, 5.0, cfg)
+    assert 1 <= mc._WORKSPACES.qsize() <= 3
+
+
+_FRESH_REPORTS = """
+import json
+from sharpmart import mc
+cfg = mc.SimConfig(master_seed=9, n_samples=40_000, workers=1)
+print(json.dumps(repr(({reports}))))
+"""
+
+
+def test_a_walk_that_raises_returns_its_workspace(monkeypatch):
+    # the jump raises at its third call, mid-walk; the workspace goes back to
+    # the free list with the walk's partial state, and the next calls, whose
+    # first walk reuses it, report what a fresh process reports
+    real = mc._jump
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("jump failed")
+        return real(*args)
+
+    cfg = SimConfig(master_seed=9, n_samples=40_000, workers=1)
+    reports = "mc.strip_exit_moments((1.0, 2.0), (0.0, 0.0), cfg), " \
+              "mc.harmonic_rectangle_check(2.0, 6.0, cfg)"
+    _empty_free_list()
+    monkeypatch.setattr(mc, "_jump", failing)
+    with pytest.raises(RuntimeError, match="jump failed"):  # one chunk, one walk
+        strip_exit_moment(2.0, (0.0, 0.0), SimConfig(master_seed=1, n_samples=mc._CHUNK))
+    monkeypatch.setattr(mc, "_jump", real)
+    assert mc._WORKSPACES.qsize() == 1
+    here = repr((strip_exit_moments((1.0, 2.0), (0.0, 0.0), cfg),
+                 harmonic_rectangle_check(2.0, 6.0, cfg)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "from sharpmart.mc import *\n" + _FRESH_REPORTS.format(reports=reports)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert here == json.loads(out.stdout.splitlines()[-1])
 
 
 def _within_p2_bias_bound(est):
@@ -349,7 +511,7 @@ def test_censored_paths_near_a_side_are_not_side_exits(monkeypatch):
     # censored before the first jump, every path sits 0.5 from the side
     # barrier and 1 from the edges: it keeps its x and is not a side exit
     monkeypatch.setattr(mc, "_MAX_STEPS", 0)
-    xs, side, steps, censored = mc._strip_exits(
+    xs, side, steps, censored = _exit_samples(
         (4.5, 0.0), SimConfig(master_seed=1, n_samples=1_000), 5.0
     )
     assert (steps, censored) == (0, 1_000)
