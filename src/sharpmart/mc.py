@@ -39,9 +39,10 @@ all its moments from one set of exit points, and
 Determinism contract: strip chunk i (of fixed size) uses
 ``SeedSequence([master_seed, i])`` and random pair j uses
 ``SeedSequence([master_seed, 10_000 + j])``.  After its law's four draws a
-pair reads one 64-bit word of the generator per path for g_0's sign and one
-per path and step: the top bit gives the sign v, the low 53 bits the step
-of f (`_pair_chunk`).  Both run on a pool of `cfg.workers` threads (numpy
+pair reads one 64-bit word of the generator per path and four steps, and
+none for g_0 = 1: step 4i + j reads the 16-bit field j of word i, whose high
+15 bits give the step of f and whose low bit gives the sign v
+(`_pair_chunk`).  Both run on a pool of `cfg.workers` threads (numpy
 releases the GIL in array work) and are combined in index order: the strip
 chunks' statistics are merged in chunk order (`_merge`).  So reports are
 bit-identical for a given master seed at any worker count.
@@ -90,6 +91,10 @@ _SIGMA_GATE = 4.0
 _ALPHA = 0.5 * math.erfc(_SIGMA_GATE / 2 * math.sqrt(2))
 # A float64's sign bit, and a 64-bit word's top bit
 _SIGN = np.uint64(1 << 63)
+# A pair step's uniform u = k / _U_GRID takes 15 bits of a generator word
+_U_GRID = 1 << 15
+# A pair's lambda grid over the median of its g*
+_UNIT_GRID = np.geomspace(0.1, 10.0, 20)
 
 
 @dataclass(frozen=True)
@@ -427,70 +432,88 @@ def strip_exit_moment(p: float, start, cfg: SimConfig) -> ExitEstimate:
 def _pair_chunk(args):
     """One random non-negative martingale f with a sign-transformed g,
     drawn once for every exponent in `ps`; returns the data the weak-type
-    ratio needs: g* and |g| at the final time, and ||f||_p^p per p.
+    ratio needs: g* and |g| at the final time, and log ||f||_p^p per p.
 
     ||f||_p^p = sup_n E f_n^p is read from the step law: f_n is a product of
-    n i.i.d. factors 1 + sigma xi, so E f_n^p = m_p^n with m_p = E (1 + sigma
-    xi)^p, >= 1 for p >= 1 and <= 1 for p < 1 (Jensen); the sup is max(1, m_p)^N.
+    n i.i.d. factors 1 + c, c = sigma a with probability q and -sigma b with
+    1 - q, so E f_n^p = m_p^n with m_p = E (1 + c)^p, >= 1 for p >= 1 and
+    <= 1 for p < 1 (Jensen); the sup is max(1, m_p)^N, returned as its log
+    N log max(1, m_p), which stays finite where the power overflows.
 
-    After the law's four draws (N, q, a, sigma), each path reads one 64-bit
-    word of the generator for g_0's sign and one per step: the word's top
-    bit is v (set: v = -1), XORed into the sign bit of df, which is exact,
-    and its low 53 bits w are f's step uniform, a down-step -b when
-    w >= ceil(q 2^53): the law of u >= q on the 2^-53 grid of u = w 2^-53.
-    f, g and g* are updated in place."""
+    The law's four draws are N, q, a and sigma.  q is rounded up to the
+    2^-15 grid and b = q a / (1 - q) is formed from that q, so f is a
+    martingale on the grid the steps read.  g_0 = f_0 = 1: the signs v are
+    fair and independent of f, so a sign draw for g_0 would leave the law of
+    every |g_n|, all the weak-type ratio reads, unchanged.  Then each path
+    reads one 64-bit generator word per four steps: step 4i + j reads bits
+    16j to 16j + 15 of word i, whose high 15 bits are f's uniform
+    u = k 2^-15 (a down-step when k >= q 2^15, probability 1 - q exactly) and
+    whose low bit is v (set: v = -1), XORed into df's sign bit, which is
+    exact.  f's step is df = f c with c read from the table
+    (sigma a, -sigma b).  f and g are updated in place, and g* is the larger
+    of the running maxima of g and of -g."""
     seed_pair, n_paths, ps = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     n_steps = int(rng.integers(5, 26))
-    # centered two-point step: a with prob q, -b with prob 1-q, qa = (1-q)b
-    q = rng.uniform(0.2, 0.8)
+    # centered two-point step: a with prob q, -b with prob 1-q, qa = (1-q)b,
+    # q on the 2^-15 grid of u
+    k_down = math.ceil(rng.uniform(0.2, 0.8) * _U_GRID)
+    q = k_down / _U_GRID
     a = rng.uniform(0.2, 1.0)
     b = q * a / (1 - q)
     sigma = rng.uniform(0.1, 0.9) / max(a, b)
-    if not sigma * max(a, b) < 1:  # each step multiplies f by 1 + sigma*xi > 0
+    if not sigma * max(a, b) < 1:  # each step multiplies f by 1 + c > 0
         raise RuntimeError("generator bug: negative martingale value")
-    xi = np.array([a, -b])  # indexed by u >= q
-    # the low 53 bits against ceil(q 2^53), both shifted to the top of the word
-    down_from = np.uint64(math.ceil(q * 2.0**53) << 11)
+    step = np.array([sigma * a, -sigma * b])  # c, indexed by u >= q
+    # a field's 15 bits of u against k_down, both shifted to the top of the word
+    down_from = np.uint64(k_down << 49)
     words = rng.bit_generator.random_raw
     f = np.ones(n_paths)
-    g_final = np.ones(n_paths)
-    g_final.view(np.uint64)[:] ^= words(n_paths) & _SIGN  # g0 = +-f0
-    g_star = np.ones(n_paths)
+    g = np.ones(n_paths)
+    g_hi = np.ones(n_paths)
+    g_lo = np.ones(n_paths)
     df = np.empty(n_paths)
     df_bits = df.view(np.uint64)
-    low = np.empty(n_paths, np.uint64)
+    bits = np.empty(n_paths, np.uint64)
     down = np.empty(n_paths, bool)
-    for _ in range(n_steps):
-        w = words(n_paths)
-        np.left_shift(w, 11, out=low)
-        np.greater_equal(low, down_from, out=down)
-        np.multiply(f, sigma, out=df)
-        df *= xi.take(down)
+    for i in range(n_steps):
+        j = i % 4
+        if not j:
+            w = words(n_paths)
+        np.left_shift(w, 48 - 16 * j, out=bits)  # field j at the top
+        np.greater_equal(bits, down_from, out=down)
+        np.multiply(f, step.take(down), out=df)
         f += df
-        w &= _SIGN
-        df_bits ^= w  # predictable sign v = +-1: exact
-        g_final += df
-        np.maximum(g_star, np.abs(g_final), out=g_star)
+        np.left_shift(w, 63 - 16 * j, out=bits)  # v at the sign bit
+        if j:  # at j = 0 the shift leaves v alone
+            bits &= _SIGN
+        df_bits ^= bits  # predictable sign v = +-1: exact
+        g += df
+        np.maximum(g_hi, g, out=g_hi)
+        np.minimum(g_lo, g, out=g_lo)
+    np.negative(g_lo, out=g_lo)
+    np.maximum(g_hi, g_lo, out=g_hi)
     m_p = (q * (1 + sigma * a) ** p + (1 - q) * (1 - sigma * b) ** p for p in ps)
-    return g_star, np.abs(g_final), tuple(max(1.0, m) ** n_steps for m in m_p)
+    return g_hi, np.abs(g, out=g), tuple(n_steps * math.log(max(1.0, m)) for m in m_p)
 
 
-def _lambda_scan(g, grid, f_pp, p, bound):
+def _lambda_scan(g, grid, log_f_pp, p, bound):
     """One pair's weak-type rows over a lambda grid: the ratio
-    lambda^p P(g >= lambda) / f_pp, its binomial standard error, and its
-    margin (ratio - bound) / std_error in sigma.  The margin is NaN where
-    the empirical probability is 0 or 1, since the binomial error is 0.
-    A margin past the doubles (an error that underflows to 0, or a
-    quotient that overflows) reads +-inf with the sign of ratio - bound,
-    and warns of nothing.
+    lambda^p P(g >= lambda) / ||f||_p^p, its binomial standard error, and its
+    margin (ratio - bound) / std_error in sigma.  The ratio and its error are
+    exp(p log lambda - log ||f||_p^p) times P and sqrt(P (1 - P) / n), so no
+    lambda^p or ||f||_p^p is formed on its own.  The margin is NaN where the
+    empirical probability is 0 or 1, since the binomial error is 0.  A margin
+    past the doubles (an error that underflows to 0, or a quotient that
+    overflows) reads +-inf with the sign of ratio - bound, and warns of
+    nothing.
 
     `g` must be sorted ascending: P is counted by a sorted search."""
     n = g.size
     prob = (n - np.searchsorted(g, grid, side="left")) / n
-    lam_p = grid**p
-    ratio = lam_p * prob / f_pp
-    se = lam_p * np.sqrt(prob * (1 - prob) / n) / f_pp
+    scale = np.exp(p * np.log(grid) - log_f_pp)
+    ratio = scale * prob
+    se = scale * np.sqrt(prob * (1 - prob) / n)
     margin = np.full(grid.size, np.nan)
     inner = (prob > 0) & (prob < 1)
     with np.errstate(over="ignore", divide="ignore"):
@@ -501,18 +524,18 @@ def _lambda_scan(g, grid, f_pp, p, bound):
 def _pair_scans(args):
     """One pair's lambda-scan rows (grid, ratio, std error, margin) and
     largest fixed-time ratio, per exponent; g* and |g| are sorted once for
-    the grid (set by the median of g*) and every scan.  The path arrays
-    never leave the call, so at most `workers` pairs are in memory."""
+    the grid (the median of g* times `_UNIT_GRID`) and every scan.  The path
+    arrays never leave the call, so at most `workers` pairs are in memory."""
     seed_pair, n, ps, bounds = args
-    g_star, g_fin, f_pps = _pair_chunk((seed_pair, n, ps))
+    g_star, g_fin, log_f_pps = _pair_chunk((seed_pair, n, ps))
     g_star.sort()
     g_fin.sort()
     med = float(np.mean(g_star[(n - 1) // 2 : n // 2 + 1]))  # np.median's arithmetic
-    grid = np.geomspace(0.1 * med, 10 * med, 20)
+    grid = med * _UNIT_GRID
     return [
-        ((grid, *_lambda_scan(g_star, grid, f_pp, p, bound)),
-         float(_lambda_scan(g_fin, grid, f_pp, p, bound)[0].max()))
-        for p, bound, f_pp in zip(ps, bounds, f_pps)
+        ((grid, *_lambda_scan(g_star, grid, log_f_pp, p, bound)),
+         float(_lambda_scan(g_fin, grid, log_f_pp, p, bound)[0].max()))
+        for p, bound, log_f_pp in zip(ps, bounds, log_f_pps)
     ]
 
 

@@ -213,6 +213,18 @@ def test_weak_type_at_p60_prints_no_warning(capsys):
     assert check["passed"] and check["margin_sigma"] < 0 and out.err == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", ["65", "100", "160"])
+def test_weak_type_forms_the_ratio_past_the_doubles(capsys, p):
+    # at seed 0 a pair's ||f||_p^p overflows a double from p = 65 ("a value
+    # overflows a double", exit 1); its log does not, and the ratio is read
+    # from exp(p log lambda - log ||f||_p^p)
+    assert main(["verify", "mc-weak-type", "--p", p, "--n", "10"]) == 0
+    out = capsys.readouterr()
+    (check,) = json.loads(out.out)["checks"]
+    assert check["passed"] and 0 < check["estimate"] < check["bound"] and out.err == ""
+
+
 def test_verify_forwards_p_only_when_given(monkeypatch, capsys):
     seen = []
 

@@ -527,21 +527,29 @@ def test_pair_chunk_is_deterministic_and_valid():
     b = _pair_chunk(((5, 10_001), 4_000, (3.0,)))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    g_star, g_fin, (f_pp,) = a
+    g_star, g_fin, (log_f_pp,) = a
     assert np.all(g_star >= np.abs(g_fin) - 1e-15)
-    assert np.all(g_star >= 1.0)  # |g_0| = 1
-    assert f_pp >= 1.0  # f_pp = max(1, m_p)^N
+    assert np.all(g_star >= 1.0)  # g_0 = 1
+    assert log_f_pp >= 0.0  # ||f||_p^p = max(1, m_p)^N
+
+
+def _law(seed_pair):
+    """The pair's law replayed from its first four draws: (N, q, a, b,
+    sigma) with q rounded up to the 2^-15 grid, and the generator, ready to
+    read the path words."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
+    n_steps = int(rng.integers(5, 26))
+    q = math.ceil(rng.uniform(0.2, 0.8) * 2**15) / 2**15
+    a = rng.uniform(0.2, 1.0)
+    b = q * a / (1 - q)
+    sigma = rng.uniform(0.1, 0.9) / max(a, b)
+    return (n_steps, q, a, b, sigma), rng
 
 
 def _enumerated_f_pp(seed_pair, p):
     """sup_{n<=N} E f_n^p by summing over the binomial count of up-steps,
     on the law replayed from the pair's first four draws."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    n_steps = int(rng.integers(5, 26))
-    q = rng.uniform(0.2, 0.8)
-    a = rng.uniform(0.2, 1.0)
-    b = q * a / (1 - q)
-    sigma = rng.uniform(0.1, 0.9) / max(a, b)
+    (n_steps, q, a, b, sigma), _ = _law(seed_pair)
     up, down = (1 + sigma * a) ** p, (1 - sigma * b) ** p
     return max(
         sum(math.comb(n, k) * q**k * (1 - q) ** (n - k) * up**k * down ** (n - k)
@@ -554,38 +562,44 @@ def test_pair_chunk_f_pp_is_the_step_law_closed_form():
     ps = (0.5, 2.0, 3.0, 6.0)
     for j in range(24):
         seed_pair = (11, 10_000 + j)
-        _, _, f_pps = _pair_chunk((seed_pair, 10, ps))
-        assert f_pps[0] == 1.0  # E f_n^p <= 1 for p < 1, and E f_0^p = 1
-        for p, f_pp in zip(ps, f_pps):
-            assert f_pp == pytest.approx(_enumerated_f_pp(seed_pair, p), rel=1e-12, abs=0)
+        _, _, log_f_pps = _pair_chunk((seed_pair, 10, ps))
+        assert log_f_pps[0] == 0.0  # E f_n^p <= 1 for p < 1, and E f_0^p = 1
+        for p, log_f_pp in zip(ps, log_f_pps):
+            want = _enumerated_f_pp(seed_pair, p)
+            assert math.exp(log_f_pp) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def _plain_pair(seed_pair, n_paths, q_shift=0.0):
-    """The pair's law read path by path with np.where: g_0's sign and each
-    step's v from a word's top bit (set: -1), and f's step from the word's
-    low 53 bits as the uniform u = w 2^-53, a if u < q and -b if not.
+def test_pair_law_reads_q_on_the_word_grid():
+    # u takes 15 bits, so P(u >= q) = 1 - q exactly only for q on 2^-15
+    for j in range(24):
+        (_, q, *_), _ = _law((11, 10_000 + j))
+        assert (q * 2**15).is_integer() and 0.2 <= q <= 0.8
+
+
+def _plain_pair(seed_pair, n_paths, q_shift=0.0, field=lambda i: i % 4, v_bit=0):
+    """The pair's law read path by path with np.where.  g_0 = 1, and step i
+    reads the 16-bit field `field(i)` of the path's word i // 4: u is the
+    field's high 15 bits times 2^-15, an up-step sigma a if u < q and a
+    down-step -sigma b if not, and v is the field's bit `v_bit` (set: -1).
     q_shift moves the step threshold; returns g* and |g| at the final time."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    n_steps = int(rng.integers(5, 26))
-    q = rng.uniform(0.2, 0.8)
-    a = rng.uniform(0.2, 1.0)
-    b = q * a / (1 - q)
-    sigma = rng.uniform(0.1, 0.9) / max(a, b)
-    words = rng.bit_generator.random_raw
+    (n_steps, q, a, b, sigma), rng = _law(seed_pair)
+    words = rng.bit_generator.random_raw((-(-n_steps // 4), n_paths))
     f = np.ones(n_paths)
-    g = np.where(words(n_paths) >> 63 == 1, -1.0, 1.0)
-    g_star = np.abs(g)
-    for _ in range(n_steps):
-        w = words(n_paths)
-        v = np.where(w >> 63 == 1, -1.0, 1.0)
-        u = (w & (2**53 - 1)) * 2.0**-53
-        df = f * sigma * np.where(u < q + q_shift, a, -b)
+    g = np.ones(n_paths)
+    g_star = np.ones(n_paths)
+    for i in range(n_steps):
+        bits = (words[i // 4] >> np.uint64(16 * field(i))) & np.uint64(0xFFFF)
+        u = (bits >> np.uint64(1)) * 2.0**-15
+        v = np.where((bits >> np.uint64(v_bit)) & np.uint64(1) == 1, -1.0, 1.0)
+        df = f * np.where(u < q + q_shift, sigma * a, -(sigma * b))
         f = f + df
         g = g + v * df
         g_star = np.maximum(g_star, np.abs(g))
     return g_star, np.abs(g)
 
 
+# 1 to 6,980 paths; the pairs' step counts 13, 5, 15, 12, 18, 14, 17 and 10
+# end at every field of a word
 @pytest.mark.parametrize("j", range(8))
 def test_pair_chunk_is_the_plain_reading_of_its_law(j):
     seed_pair = (5, 10_000 + j)
@@ -595,13 +609,32 @@ def test_pair_chunk_is_the_plain_reading_of_its_law(j):
     assert np.array_equal(g_star, want_star) and np.array_equal(g_fin, want_fin)
 
 
+def test_pair_chunk_reads_one_word_per_path_and_four_steps(monkeypatch):
+    # after the law's draws the kernel's generator stands where one that has
+    # read ceil(N/4) words per path stands
+    made = []
+
+    def default_rng(seed):
+        made.append(np.random.Generator(np.random.PCG64(seed)))
+        return made[-1]
+
+    for j, n_paths in enumerate([1, 7, 1_000]):
+        seed_pair = (9, 10_000 + j)
+        with monkeypatch.context() as m:
+            m.setattr(mc.np.random, "default_rng", default_rng)
+            _pair_chunk((seed_pair, n_paths, (3.0,)))
+        (n_steps, *_), rng = _law(seed_pair)
+        rng.bit_generator.random_raw(-(-n_steps // 4) * n_paths)
+        assert made[-1].bit_generator.state == rng.bit_generator.state
+
+
 _LAW_PAIRS = [(25, 10_000 + j) for j in range(8)]
 
 
-def _g_second_moment_z(g_fin, f_22):
+def _g_second_moment_z(g_fin, log_f_22):
     """z of the sample mean of |g_N|^2 against ||f||_2^2 = E|g_N|^2."""
     x = g_fin**2
-    return (x.mean() - f_22) / (x.std(ddof=1) / math.sqrt(x.size))
+    return (x.mean() - math.exp(log_f_22)) / (x.std(ddof=1) / math.sqrt(x.size))
 
 
 def test_pair_chunk_g_second_moment_is_f_norm():
@@ -610,19 +643,39 @@ def test_pair_chunk_g_second_moment_is_f_norm():
     # p = 2 value _pair_chunk returns (m_2 >= 1)
     zs = []
     for seed_pair in _LAW_PAIRS:
-        _, g_fin, (f_22,) = _pair_chunk((seed_pair, 100_000, (2.0,)))
-        zs.append(_g_second_moment_z(g_fin, f_22))
+        _, g_fin, (log_f_22,) = _pair_chunk((seed_pair, 100_000, (2.0,)))
+        zs.append(_g_second_moment_z(g_fin, log_f_22))
     assert max(map(abs, zs)) <= 4.0, zs
+
+
+def _faulty_law_zs(**fault):
+    """The second-moment z of each law pair, read by the plain reading with
+    one fault, against the kernel's own ||f||_2^2."""
+    zs = []
+    for seed_pair in _LAW_PAIRS:
+        _, _, (log_f_22,) = _pair_chunk((seed_pair, 10, (2.0,)))
+        g_fin = _plain_pair(seed_pair, 100_000, **fault)[1]
+        zs.append(_g_second_moment_z(g_fin, log_f_22))
+    return zs
 
 
 def test_g_second_moment_sees_a_moved_step_threshold():
     # the same law with f's threshold moved from q to q + 0.02: f drifts and
     # the gate of test_pair_chunk_g_second_moment_is_f_norm fails
-    zs = []
-    for seed_pair in _LAW_PAIRS:
-        _, _, (f_22,) = _pair_chunk((seed_pair, 10, (2.0,)))
-        g_fin = _plain_pair(seed_pair, 100_000, q_shift=0.02)[1]
-        zs.append(_g_second_moment_z(g_fin, f_22))
+    zs = _faulty_law_zs(q_shift=0.02)
+    assert max(map(abs, zs)) > 4.0, zs
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        dict(field=lambda i: i % 4 // 2 * 2),  # two steps read one field
+        dict(v_bit=15),  # v is u's top bit, so v and f's step are dependent
+    ],
+    ids=["field-read-twice", "v-from-u"],
+)
+def test_g_second_moment_sees_a_broken_word_reading(fault):
+    zs = _faulty_law_zs(**fault)
     assert max(map(abs, zs)) > 4.0, zs
 
 
@@ -640,22 +693,22 @@ def test_random_pairs_respect_weak_bound(p, bound):
     check_schema(rep)
 
 
-# Reports of the one-word-per-step kernel at one worker.  The p = 3 entries
+# Reports of the four-steps-per-word kernel at one worker.  The p = 3 entries
 # divide by the exact ||f||_p^p of each pair's step law; at p < 1 that is 1.
 # The kernel's bit-for-bit guard is test_pair_chunk_is_the_plain_reading_of_its_law.
 _PAIRS_PINNED = {
-    (7, 0.5): dict(estimate=0.9815637418878093, std_error=0.0, ratio_excess=-0.3059296219442881,
-                   worst_lambda=0.9634673793887978, worst_fixed_time_ratio=0.7071656032048559,
-                   margin_sigma=-50.177925442604966),
-    (7, 3.0): dict(estimate=0.6064349587679502, std_error=0.005824028718118872,
-                   ratio_excess=-0.6406311355449186, worst_lambda=1.0986918263556014,
-                   worst_fixed_time_ratio=0.33683913007542204, margin_sigma=-31.21669146253835),
-    (8, 0.5): dict(estimate=0.9945684039719729, std_error=0.0, ratio_excess=-0.2967339371975364,
-                   worst_lambda=0.9891663101793574, worst_fixed_time_ratio=0.7389275306443731,
-                   margin_sigma=-50.20739547660305),
-    (8, 3.0): dict(estimate=0.4092575748931832, std_error=0.008955758121045002,
-                   ratio_excess=-0.7574769926558915, worst_lambda=1.4855966694416145,
-                   worst_fixed_time_ratio=0.2386431333188405, margin_sigma=-26.541190582675615),
+    (7, 0.5): dict(estimate=0.9773233443588266, std_error=0.0, ratio_excess=-0.3089280357919584,
+                   worst_lambda=0.9551609194287217, worst_fixed_time_ratio=0.7007288800115744,
+                   margin_sigma=-50.97452836154924),
+    (7, 3.0): dict(estimate=0.6134894484285379, std_error=0.005869335814273365,
+                   ratio_excess=-0.6364506972275332, worst_lambda=1.1021596348972063,
+                   worst_fixed_time_ratio=0.34781164084404814, margin_sigma=-44.277028707622414),
+    (8, 0.5): dict(estimate=0.9945727495820689, std_error=0.0, ratio_excess=-0.2967308643871691,
+                   worst_lambda=0.9891749542112368, worst_fixed_time_ratio=0.7540501861513214,
+                   margin_sigma=-50.90115854090539),
+    (8, 3.0): dict(estimate=0.4232423440787412, std_error=0.004375759646723308,
+                   ratio_excess=-0.7491897220274127, worst_lambda=1.1184490095545696,
+                   worst_fixed_time_ratio=0.24579160648831538, margin_sigma=-41.007536262273),
 }
 
 
@@ -694,7 +747,7 @@ def test_pairs_verdict_uses_largest_margin():
     grid = np.array([1.0, 1.5, 3.0])
     a = np.repeat([2.0, 1.0], [52, 48])
     b = np.repeat([2.0, 1.0], [51_500, 48_500])
-    rows = [_lambda_scan(np.sort(g), grid, 1.0, p, bound) for g in (a, b)]
+    rows = [_lambda_scan(np.sort(g), grid, 0.0, p, bound) for g in (a, b)]
     ratio, se, margin = (np.concatenate(c) for c in zip(*rows))
     top = int(np.argmax(ratio))
     assert top == 1 and margin[top] <= 4.0  # the old rule: this row decides, passes
@@ -709,14 +762,15 @@ def test_pairs_verdict_uses_largest_margin():
 
 @pytest.mark.filterwarnings("error")
 def test_lambda_scan_margin_keeps_its_sign_past_the_doubles():
-    # P = 1/2 in both rows.  At lambda = 1e-10, lambda^3 / f_pp underflows:
-    # the error bar is 0 and (ratio - bound) / 0 is -inf.  At lambda = 1/2
-    # the error bar is ~4e-152 and the bound 1e200: the quotient overflows
-    # to -inf.  Neither warns.
+    # P = 1/2 in both rows.  At lambda = 1e-10 and ||f||_p^p = 1e308,
+    # lambda^3 / ||f||_p^p underflows: the error bar is 0 and
+    # (ratio - bound) / 0 is -inf.  At lambda = 1/2 and ||f||_p^p = 1e150 the
+    # error bar is ~4e-152 and the bound 1e200: the quotient overflows to
+    # -inf.  Neither warns.
     g = np.array([0.0, 1.0])
-    ratio, se, margin = _lambda_scan(g, np.array([1e-10]), 1e308, 3.0, 1.5)
+    ratio, se, margin = _lambda_scan(g, np.array([1e-10]), math.log(1e308), 3.0, 1.5)
     assert (ratio[0], se[0], margin[0]) == (0.0, 0.0, -math.inf)
-    ratio, se, margin = _lambda_scan(g, np.array([0.5]), 1e150, 3.0, 1e200)
+    ratio, se, margin = _lambda_scan(g, np.array([0.5]), math.log(1e150), 3.0, 1e200)
     assert se[0] > 0 and margin[0] == -math.inf
 
 
