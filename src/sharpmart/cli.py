@@ -175,10 +175,9 @@ def _trajectories_csv(p: float, x0: float, delta_hint: float) -> str:
     writer.writerow(["trajectory", "step", "omega_lo", "omega_hi", "X", "Y"])
     for j, om in enumerate(picks):
         for n, (sx, sy) in enumerate(zip(X.steps, Y.steps)):
-            b = np.asarray(sx.bounds)
-            i = max(int(np.searchsorted(b, om, side="left")) - 1, 0)
+            i = sx.index(om)
             writer.writerow(
-                [j, n, f"{b[i]:.12g}", f"{b[i + 1]:.12g}",
+                [j, n, f"{sx.bounds[i]:.12g}", f"{sx.bounds[i + 1]:.12g}",
                  f"{sx.values[i]:.12g}", f"{sy.values[i]:.12g}"]
             )
     return buf.getvalue()
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("suite", choices=sorted(SUITES))
     common(sv)
     sv.add_argument("--n", type=int, default=None, help="sample count")
-    sv.add_argument("--workers", type=int, default=1)
+    sv.add_argument("--workers", type=int, default=1, help="threads of the strip walk")
     sv.set_defaults(func=cmd_verify)
 
     sf = subs.add_parser("figures", help="export plot-ready CSV data")

@@ -43,10 +43,12 @@ class Step:
         if len(self.values) != len(self.bounds) - 1:
             raise ValueError("one value per interval required")
 
+    def index(self, omega: float) -> int:
+        """The i with omega in (bounds[i], bounds[i+1]], or 0 for omega <= 0."""
+        return max(int(np.searchsorted(self.bounds, omega, side="left")) - 1, 0)
+
     def at(self, omega: float) -> float:
-        b = np.asarray(self.bounds)
-        i = int(np.searchsorted(b, omega, side="left")) - 1
-        return self.values[max(i, 0)]
+        return self.values[self.index(omega)]
 
     def lengths(self):
         return np.diff(np.asarray(self.bounds))

@@ -42,9 +42,9 @@ Determinism contract: strip chunk i (of fixed size) uses
 pair reads one 64-bit word of the generator per path and four steps, and
 none for g_0 = 1: step 4i + j reads the 16-bit field j of word i, whose high
 15 bits give the step of f and whose low bit gives the sign v
-(`_pair_chunk`).  Both run on a pool of `cfg.workers` threads (numpy
-releases the GIL in array work) and are combined in index order: the strip
-chunks' statistics are merged in chunk order (`_merge`).  So reports are
+(`_pair_chunk`).  Strip chunks run on a pool of `cfg.workers` threads (numpy
+releases the GIL in array work) and are merged in chunk order (`_merge`);
+pairs run in pair order on the calling thread.  So reports are
 bit-identical for a given master seed at any worker count.
 """
 
@@ -429,7 +429,7 @@ def strip_exit_moment(p: float, start, cfg: SimConfig) -> ExitEstimate:
     return strip_exit_moments((p,), start, cfg)[0]
 
 
-def _pair_chunk(args):
+def _pair_chunk(seed_pair, n_paths, ps):
     """One random non-negative martingale f with a sign-transformed g,
     drawn once for every exponent in `ps`; returns the data the weak-type
     ratio needs: g* and |g| at the final time, and log ||f||_p^p per p.
@@ -452,7 +452,6 @@ def _pair_chunk(args):
     exact.  f's step is df = f c with c read from the table
     (sigma a, -sigma b).  f and g are updated in place, and g* is the larger
     of the running maxima of g and of -g."""
-    seed_pair, n_paths, ps = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     n_steps = int(rng.integers(5, 26))
     # centered two-point step: a with prob q, -b with prob 1-q, qa = (1-q)b,
@@ -521,13 +520,12 @@ def _lambda_scan(g, grid, log_f_pp, p, bound):
     return ratio, se, margin
 
 
-def _pair_scans(args):
+def _pair_scans(seed_pair, n, ps, bounds):
     """One pair's lambda-scan rows (grid, ratio, std error, margin) and
     largest fixed-time ratio, per exponent; g* and |g| are sorted once for
     the grid (the median of g* times `_UNIT_GRID`) and every scan.  The path
-    arrays never leave the call, so at most `workers` pairs are in memory."""
-    seed_pair, n, ps, bounds = args
-    g_star, g_fin, log_f_pps = _pair_chunk((seed_pair, n, ps))
+    arrays never leave the call, so one pair is in memory at a time."""
+    g_star, g_fin, log_f_pps = _pair_chunk(seed_pair, n, ps)
     g_star.sort()
     g_fin.sort()
     med = float(np.mean(g_star[(n - 1) // 2 : n // 2 + 1]))  # np.median's arithmetic
@@ -569,8 +567,7 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
     since the two weak norms coincide only in the limit.
 
     p enters only ||f||_p^p, so each pair is drawn once for all exponents
-    (`_pair_scans`).  Pairs run on `cfg.workers` threads and are combined
-    in pair order.
+    (`_pair_scans`).  Pairs run in pair order on the calling thread.
     """
     ps = tuple(ps)
     if not ps:
@@ -580,9 +577,10 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
     if not all(p < 1 or p >= 2 for p in ps):
         raise ValueError("regime must be p < 1 or p >= 2")
     bounds = [weak_constant_nonneg(p).value ** p for p in ps]
-    args = [((cfg.master_seed, 10_000 + j), cfg.n_samples, ps, bounds) for j in range(n_pairs)]
-    with ThreadPoolExecutor(cfg.workers) as pool:
-        pairs = list(pool.map(_pair_scans, args))
+    pairs = [
+        _pair_scans((cfg.master_seed, 10_000 + j), cfg.n_samples, ps, bounds)
+        for j in range(n_pairs)
+    ]
     reports = []
     for k, (p, bound) in enumerate(zip(ps, bounds)):
         rows, fixed = zip(*(pair[k] for pair in pairs))

@@ -208,8 +208,8 @@ def suite_extremal(p=3.0, **_):
     ]
 
 
-def suite_mc_weak_type(p=None, seed=0, n=10_000, workers=1, **_):
-    cfg = mc.SimConfig(master_seed=seed, n_samples=n, workers=workers)
+def suite_mc_weak_type(p=None, seed=0, n=10_000, **_):
+    cfg = mc.SimConfig(master_seed=seed, n_samples=n)
     ps = (p,) if p is not None else (0.5, 3.0)
     reports = mc.random_subordinate_pair_checks(ps, cfg, n_pairs=50)
     return {"suite": "mc-weak-type", "checks": reports}, [

@@ -86,6 +86,17 @@ def test_worker_count_does_not_change_results():
     assert pairs[0] == pairs[1] == pairs[2]
 
 
+def test_pairs_build_no_thread_pool(monkeypatch):
+    cfg = SimConfig(master_seed=7, n_samples=4_000, workers=2)
+    want = random_subordinate_pair_checks((0.5, 3.0), cfg, n_pairs=6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("random pairs built a thread pool")
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
+    assert random_subordinate_pair_checks((0.5, 3.0), cfg, n_pairs=6) == want
+
+
 def test_different_seeds_differ():
     cfg1 = SimConfig(master_seed=7, n_samples=20_000)
     cfg2 = SimConfig(master_seed=8, n_samples=20_000)
@@ -523,8 +534,8 @@ def test_censored_paths_near_a_side_are_not_side_exits(monkeypatch):
 
 
 def test_pair_chunk_is_deterministic_and_valid():
-    a = _pair_chunk(((5, 10_001), 4_000, (3.0,)))
-    b = _pair_chunk(((5, 10_001), 4_000, (3.0,)))
+    a = _pair_chunk((5, 10_001), 4_000, (3.0,))
+    b = _pair_chunk((5, 10_001), 4_000, (3.0,))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
     g_star, g_fin, (log_f_pp,) = a
@@ -562,7 +573,7 @@ def test_pair_chunk_f_pp_is_the_step_law_closed_form():
     ps = (0.5, 2.0, 3.0, 6.0)
     for j in range(24):
         seed_pair = (11, 10_000 + j)
-        _, _, log_f_pps = _pair_chunk((seed_pair, 10, ps))
+        _, _, log_f_pps = _pair_chunk(seed_pair, 10, ps)
         assert log_f_pps[0] == 0.0  # E f_n^p <= 1 for p < 1, and E f_0^p = 1
         for p, log_f_pp in zip(ps, log_f_pps):
             want = _enumerated_f_pp(seed_pair, p)
@@ -604,7 +615,7 @@ def _plain_pair(seed_pair, n_paths, q_shift=0.0, field=lambda i: i % 4, v_bit=0)
 def test_pair_chunk_is_the_plain_reading_of_its_law(j):
     seed_pair = (5, 10_000 + j)
     n_paths = 1 + 997 * j
-    g_star, g_fin, _ = _pair_chunk((seed_pair, n_paths, (3.0,)))
+    g_star, g_fin, _ = _pair_chunk(seed_pair, n_paths, (3.0,))
     want_star, want_fin = _plain_pair(seed_pair, n_paths)
     assert np.array_equal(g_star, want_star) and np.array_equal(g_fin, want_fin)
 
@@ -622,7 +633,7 @@ def test_pair_chunk_reads_one_word_per_path_and_four_steps(monkeypatch):
         seed_pair = (9, 10_000 + j)
         with monkeypatch.context() as m:
             m.setattr(mc.np.random, "default_rng", default_rng)
-            _pair_chunk((seed_pair, n_paths, (3.0,)))
+            _pair_chunk(seed_pair, n_paths, (3.0,))
         (n_steps, *_), rng = _law(seed_pair)
         rng.bit_generator.random_raw(-(-n_steps // 4) * n_paths)
         assert made[-1].bit_generator.state == rng.bit_generator.state
@@ -643,7 +654,7 @@ def test_pair_chunk_g_second_moment_is_f_norm():
     # p = 2 value _pair_chunk returns (m_2 >= 1)
     zs = []
     for seed_pair in _LAW_PAIRS:
-        _, g_fin, (log_f_22,) = _pair_chunk((seed_pair, 100_000, (2.0,)))
+        _, g_fin, (log_f_22,) = _pair_chunk(seed_pair, 100_000, (2.0,))
         zs.append(_g_second_moment_z(g_fin, log_f_22))
     assert max(map(abs, zs)) <= 4.0, zs
 
@@ -653,7 +664,7 @@ def _faulty_law_zs(**fault):
     one fault, against the kernel's own ||f||_2^2."""
     zs = []
     for seed_pair in _LAW_PAIRS:
-        _, _, (log_f_22,) = _pair_chunk((seed_pair, 10, (2.0,)))
+        _, _, (log_f_22,) = _pair_chunk(seed_pair, 10, (2.0,))
         g_fin = _plain_pair(seed_pair, 100_000, **fault)[1]
         zs.append(_g_second_moment_z(g_fin, log_f_22))
     return zs

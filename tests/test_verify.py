@@ -126,7 +126,9 @@ def test_suite_refuses_an_empty_sample(name):
         run_suite(name, n=0)
 
 
-@pytest.mark.parametrize("name", ["w", "u-weak", "u-orth", "ode", "extremal", "mc-strip"])
+@pytest.mark.parametrize(
+    "name", ["w", "u-weak", "u-orth", "ode", "extremal", "mc-weak-type", "mc-strip"]
+)
 def test_suite_refuses_no_workers(name):
     # most suites run no pool, so they would pass on 0 workers unasked
     with pytest.raises(ValueError, match="workers must be at least 1"):
