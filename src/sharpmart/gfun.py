@@ -313,12 +313,13 @@ def _scaled_bessel(nu: float, z, with_k=True):
     ok = (flat > 0) & (flat < _Z_MAX)
     series = ok & (flat < _SERIES_Z)
     x = flat[series]
-    k = np.arange(1.0, _SERIES_TERMS)[:, None, None]
-    terms = (x / 2) ** 2 * (1 / (k * (k + orders)))
-    for j in range(1, _SERIES_TERMS - 1):  # a running product, 5x np.cumprod's speed here
-        terms[j] *= terms[j - 1]
-    lgam = np.array([[math.lgamma(nu + 1)], [math.lgamma(nu + 2)]])
-    out[:2, series] = (1 + terms.sum(axis=0)) * np.exp(orders * np.log(x / 2) - x - lgam)
+    if x.size:
+        k = np.arange(1.0, _SERIES_TERMS)[:, None, None]
+        terms = (x / 2) ** 2 * (1 / (k * (k + orders)))
+        for j in range(1, _SERIES_TERMS - 1):  # a running product, 5x np.cumprod's speed here
+            terms[j] *= terms[j - 1]
+        lgam = np.array([[math.lgamma(nu + 1)], [math.lgamma(nu + 2)]])
+        out[:2, series] = (1 + terms.sum(axis=0)) * np.exp(orders * np.log(x / 2) - x - lgam)
     poisson = ok & ~series
     x = flat[poisson]
     h = np.minimum(0.55 / np.sqrt(x), math.pi / (_POISSON_NODES - 1))

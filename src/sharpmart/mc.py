@@ -24,17 +24,22 @@ Each chunk is reduced in its worker, while its arrays are still there
 (`_strip_exits`): to (n, mean, M2) of |X|^p per exponent, by two passes,
 and to its side-exit count.  No array of the whole sample is built.  A
 walk's arrays live in a workspace (`_Workspace`) that outlasts it: it waits
-on a module-level free list for the next walk, so a process that runs the
-walk again writes into memory it has already touched instead of asking the
-allocator for it.  A walk holds one workspace, so the list never holds more
-workspaces than walks have run at once, each sized for the largest walk
-that used it.
+on a module-level free list for the next walk or random pair, so a process
+that runs either kernel again writes into memory it has already touched
+instead of asking the allocator for it.  One list serves both kernels.  A
+walk or pair holds one workspace, so the list never holds more workspaces
+than ran at once, each sized for the largest walk or pair that used it; a
+pair of more than `_CHUNK` paths, larger than any walk, keeps its own off
+the list.
 
 Each sample serves every exponent asked of it: `strip_exit_moments` takes
 all its moments from one set of exit points, and
 `random_subordinate_pair_checks` draws each pair once for all exponents
-(p enters only ||f||_p^p, read from the step law).  `strip_exit_moment` and
-`random_subordinate_pair_check` are their one-exponent forms.
+(p enters only ||f||_p^p, read from the step law).  A pair leaves only its
+lambda grid, its two count vectors and its logs of ||f||_p^p, and the
+lambda scan runs once per exponent over all pairs (`_lambda_scan`).
+`strip_exit_moment` and `random_subordinate_pair_check` are their
+one-exponent forms.
 
 Determinism contract: strip chunk i (of fixed size) uses
 ``SeedSequence([master_seed, i])`` and random pair j uses
@@ -55,7 +60,7 @@ import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -185,19 +190,25 @@ class _Workspace:
     pairs for x, y and the live paths' indices, the indices 0, ..., size - 1,
     x and y at the stop, the distance to the boundary and the stop flags,
     the uniforms, and the jump's N and q.  The jump's Im z goes to the free
-    half of the y pair.  A walk writes each buffer before it reads it."""
+    half of the y pair.  A random pair of up to `size` paths (`_pair_chunk`)
+    uses seven of them, all written before they are read.  The indices are
+    built at a walk's first use, so a workspace that only pairs use never
+    touches them."""
 
     def __init__(self, size):
         self.size = size
         self.x = (np.empty(size), np.empty(size))
         self.y = (np.empty(size), np.empty(size))
         self.live = (np.empty(size, np.intp), np.empty(size, np.intp))
-        self.index = np.arange(size)
         self.xs, self.ys, self.dist, self.u, self.n, self.q = (np.empty(size) for _ in range(6))
         self.stop = np.empty(size, bool)
 
+    @cached_property
+    def index(self):
+        return np.arange(self.size)
 
-# Workspaces wait here for the next walk (`_workspace`)
+
+# Workspaces wait here for the next walk or pair (`_workspace`)
 _WORKSPACES = queue.SimpleQueue()
 
 
@@ -205,9 +216,15 @@ _WORKSPACES = queue.SimpleQueue()
 def _workspace(n):
     """A workspace for n paths: one from the free list, or a new one if the
     list is empty or its first is too small (that one is dropped).  It goes
-    back to the list however the walk ends.  A walk holds one workspace, so
-    the list never holds more than the most walks that ran at once, each no
-    larger than the largest walk: memory the process has already held."""
+    back to the list however the walk or pair ends.  Each holds one
+    workspace, so the list never holds more than the most that ran at once,
+    each no larger than the largest of them: memory the process has already
+    held.  A pair of more than _CHUNK paths, larger than any walk, gets a
+    workspace of its own that the list never sees, so the list holds no
+    more than the walks' memory."""
+    if n > _CHUNK:
+        yield _Workspace(n)
+        return
     try:
         ws = _WORKSPACES.get_nowait()
     except queue.Empty:
@@ -429,10 +446,11 @@ def strip_exit_moment(p: float, start, cfg: SimConfig) -> ExitEstimate:
     return strip_exit_moments((p,), start, cfg)[0]
 
 
-def _pair_chunk(seed_pair, n_paths, ps):
-    """One random non-negative martingale f with a sign-transformed g,
-    drawn once for every exponent in `ps`; returns the data the weak-type
-    ratio needs: g* and |g| at the final time, and log ||f||_p^p per p.
+def _pair_chunk(seed_pair, n, ps, ws=None):
+    """One random non-negative martingale f of n paths with a
+    sign-transformed g, drawn once for every exponent in `ps`; returns the
+    data the weak-type ratio needs: g* and |g| at the final time, and
+    log ||f||_p^p per p.
 
     ||f||_p^p = sup_n E f_n^p is read from the step law: f_n is a product of
     n i.i.d. factors 1 + c, c = sigma a with probability q and -sigma b with
@@ -451,7 +469,18 @@ def _pair_chunk(seed_pair, n_paths, ps):
     whose low bit is v (set: v = -1), XORed into df's sign bit, which is
     exact.  f's step is df = f c with c read from the table
     (sigma a, -sigma b).  f and g are updated in place, and g* is the larger
-    of the running maxima of g and of -g."""
+    of the running maxima of g and of -g.
+
+    f, g, the running maximum and minimum of g, df, the shifted word and the
+    down flags live in the workspace `ws` (`_Workspace`, at least n paths),
+    so a pair that reuses one allocates only the generator's word block and
+    the step table's read.  g* and |g| are views into `ws`, read until it is
+    reused.  Without `ws` the pair takes one from the free list
+    (`_workspace`) and returns copies that the caller owns."""
+    if ws is None:
+        with _workspace(n) as ws:
+            g_star, g_fin, log_f_pps = _pair_chunk(seed_pair, n, ps, ws)
+            return g_star.copy(), g_fin.copy(), log_f_pps
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     n_steps = int(rng.integers(5, 26))
     # centered two-point step: a with prob q, -b with prob 1-q, qa = (1-q)b,
@@ -467,18 +496,17 @@ def _pair_chunk(seed_pair, n_paths, ps):
     # a field's 15 bits of u against k_down, both shifted to the top of the word
     down_from = np.uint64(k_down << 49)
     words = rng.bit_generator.random_raw
-    f = np.ones(n_paths)
-    g = np.ones(n_paths)
-    g_hi = np.ones(n_paths)
-    g_lo = np.ones(n_paths)
-    df = np.empty(n_paths)
+    f, g, g_hi, g_lo = ws.xs[:n], ws.ys[:n], ws.x[0][:n], ws.x[1][:n]
+    for buf in (f, g, g_hi, g_lo):
+        buf.fill(1.0)
+    df = ws.dist[:n]
     df_bits = df.view(np.uint64)
-    bits = np.empty(n_paths, np.uint64)
-    down = np.empty(n_paths, bool)
+    bits = ws.u[:n].view(np.uint64)
+    down = ws.stop[:n]
     for i in range(n_steps):
         j = i % 4
         if not j:
-            w = words(n_paths)
+            w = words(n)
         np.left_shift(w, 48 - 16 * j, out=bits)  # field j at the top
         np.greater_equal(bits, down_from, out=down)
         np.multiply(f, step.take(down), out=df)
@@ -496,45 +524,44 @@ def _pair_chunk(seed_pair, n_paths, ps):
     return g_hi, np.abs(g, out=g), tuple(n_steps * math.log(max(1.0, m)) for m in m_p)
 
 
-def _lambda_scan(g, grid, log_f_pp, p, bound):
-    """One pair's weak-type rows over a lambda grid: the ratio
-    lambda^p P(g >= lambda) / ||f||_p^p, its binomial standard error, and its
-    margin (ratio - bound) / std_error in sigma.  The ratio and its error are
+def _lambda_scan(count, n, grid, log_f_pp, p, bound):
+    """Weak-type rows over lambda grids, for any number of pairs at once:
+    the ratio lambda^p P(g >= lambda) / ||f||_p^p, its binomial standard
+    error, and its margin (ratio - bound) / std_error in sigma, where `count`
+    paths of n have g >= lambda.  `count`, `grid` and `log_f_pp` broadcast
+    together (a pair per row: grids of shape (pairs, k) and log ||f||_p^p of
+    shape (pairs, 1)).  The ratio and its error are
     exp(p log lambda - log ||f||_p^p) times P and sqrt(P (1 - P) / n), so no
     lambda^p or ||f||_p^p is formed on its own.  The margin is NaN where the
     empirical probability is 0 or 1, since the binomial error is 0.  A margin
     past the doubles (an error that underflows to 0, or a quotient that
     overflows) reads +-inf with the sign of ratio - bound, and warns of
-    nothing.
-
-    `g` must be sorted ascending: P is counted by a sorted search."""
-    n = g.size
-    prob = (n - np.searchsorted(g, grid, side="left")) / n
+    nothing."""
+    prob = count / n
     scale = np.exp(p * np.log(grid) - log_f_pp)
     ratio = scale * prob
     se = scale * np.sqrt(prob * (1 - prob) / n)
-    margin = np.full(grid.size, np.nan)
+    margin = np.full(ratio.shape, np.nan)
     inner = (prob > 0) & (prob < 1)
     with np.errstate(over="ignore", divide="ignore"):
         margin[inner] = (ratio[inner] - bound) / se[inner]
     return ratio, se, margin
 
 
-def _pair_scans(seed_pair, n, ps, bounds):
-    """One pair's lambda-scan rows (grid, ratio, std error, margin) and
-    largest fixed-time ratio, per exponent; g* and |g| are sorted once for
-    the grid (the median of g* times `_UNIT_GRID`) and every scan.  The path
-    arrays never leave the call, so one pair is in memory at a time."""
-    g_star, g_fin, log_f_pps = _pair_chunk(seed_pair, n, ps)
-    g_star.sort()
-    g_fin.sort()
-    med = float(np.mean(g_star[(n - 1) // 2 : n // 2 + 1]))  # np.median's arithmetic
-    grid = med * _UNIT_GRID
-    return [
-        ((grid, *_lambda_scan(g_star, grid, log_f_pp, p, bound)),
-         float(_lambda_scan(g_fin, grid, log_f_pp, p, bound)[0].max()))
-        for p, bound, log_f_pp in zip(ps, bounds, log_f_pps)
-    ]
+def _pair_scans(seed_pair, n, ps):
+    """What one pair's lambda scans read: its grid (the median of g* times
+    `_UNIT_GRID`), the counts of paths with g* >= lambda and with
+    |g_N| >= lambda on it, and log ||f||_p^p per exponent.  g* and |g_N| are
+    sorted in place in the workspace, counted by a sorted search, and never
+    leave it, so a pair holds no array of its paths past the call."""
+    with _workspace(n) as ws:
+        g_star, g_fin, log_f_pps = _pair_chunk(seed_pair, n, ps, ws)
+        g_star.sort()
+        g_fin.sort()
+        med = float(np.mean(g_star[(n - 1) // 2 : n // 2 + 1]))  # np.median's arithmetic
+        grid = med * _UNIT_GRID
+        counts = [n - np.searchsorted(g, grid, side="left") for g in (g_star, g_fin)]
+    return grid, *counts, log_f_pps
 
 
 def _weak_type_verdict(low, margin, bound) -> dict:
@@ -567,7 +594,9 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
     since the two weak norms coincide only in the limit.
 
     p enters only ||f||_p^p, so each pair is drawn once for all exponents
-    (`_pair_scans`).  Pairs run in pair order on the calling thread.
+    (`_pair_scans`), and keeps only its grid, its two count vectors and its
+    logs.  Pairs run in pair order on the calling thread; then one
+    `_lambda_scan` per exponent forms every pair's rows at once.
     """
     ps = tuple(ps)
     if not ps:
@@ -577,28 +606,33 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
     if not all(p < 1 or p >= 2 for p in ps):
         raise ValueError("regime must be p < 1 or p >= 2")
     bounds = [weak_constant_nonneg(p).value ** p for p in ps]
-    pairs = [
-        _pair_scans((cfg.master_seed, 10_000 + j), cfg.n_samples, ps, bounds)
-        for j in range(n_pairs)
-    ]
+    n = cfg.n_samples
+    grids, stars, fins, log_f_pps = zip(*(
+        _pair_scans((cfg.master_seed, 10_000 + j), n, ps) for j in range(n_pairs)
+    ))
+    # a pair per row; the counts of g* and of |g_N| stacked on a first axis
+    lam = np.array(grids)
+    counts = np.array([stars, fins])
+    log_f = np.array(log_f_pps)
     reports = []
     for k, (p, bound) in enumerate(zip(ps, bounds)):
-        rows, fixed = zip(*(pair[k] for pair in pairs))
-        lam, ratio, se, margin = (np.concatenate(c) for c in zip(*rows))
+        ratio, se, margin = _lambda_scan(counts, n, lam, log_f[:, k, None], p, bound)
+        fixed = ratio[1].max(axis=1).tolist()  # each pair's largest fixed-time ratio
+        ratio, se, margin = ratio[0].ravel(), se[0].ravel(), margin[0].ravel()
         i = int(np.argmax(ratio))
         reports.append({
             "check": "random_subordinate_pairs",
             "p": p,
-            "n": cfg.n_samples * n_pairs,
+            "n": n * n_pairs,
             "estimate": float(ratio[i]),
             "std_error": float(se[i]),
             "bound": bound,
             "ratio_excess": float(ratio[i]) / bound - 1.0,
             "seed": cfg.master_seed,
-            "worst_lambda": float(lam[i]),
+            "worst_lambda": float(lam.flat[i]),
             "worst_fixed_time_ratio": max(fixed),
             "n_pairs": n_pairs,
-            **_weak_type_verdict(ratio * _ALPHA ** (1 / cfg.n_samples), margin, bound),
+            **_weak_type_verdict(ratio * _ALPHA ** (1 / n), margin, bound),
         })
     return reports
 

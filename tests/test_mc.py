@@ -11,6 +11,7 @@ import os
 import queue
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -402,11 +403,13 @@ def test_one_path_has_no_standard_error():
 
 
 def _empty_free_list():
+    """Take every workspace off the free list; returns them in list order."""
+    taken = []
     while True:
         try:
-            mc._WORKSPACES.get_nowait()
+            taken.append(mc._WORKSPACES.get_nowait())
         except queue.Empty:
-            return
+            return taken
 
 
 def _strip_reports(cfg):
@@ -418,19 +421,26 @@ def _strip_reports(cfg):
     )
 
 
+def _pair_reports(cfg):
+    return random_subordinate_pair_checks((0.5, 3.0), cfg, n_pairs=10)
+
+
 def test_walks_at_once_report_what_they_report_in_turn():
-    # two calls on two threads, each on its own pool, hold up to five
-    # workspaces at once, more than the cores; none may share a buffer with
-    # another walk.  A short switch interval interleaves the threads often.
-    cfgs = [SimConfig(master_seed=3, n_samples=100_000, workers=2),
-            SimConfig(master_seed=4, n_samples=70_000, workers=3)]
-    in_turn = [_strip_reports(cfg) for cfg in cfgs]
+    # two strip calls on two threads, each on its own pool, and a pair check
+    # on a third hold up to six workspaces at once, more than the cores; none
+    # may share a buffer with another walk or pair.  A short switch interval
+    # interleaves the threads often.
+    jobs = [(_strip_reports, SimConfig(master_seed=3, n_samples=100_000, workers=2)),
+            (_strip_reports, SimConfig(master_seed=4, n_samples=70_000, workers=3)),
+            (_pair_reports, SimConfig(master_seed=5, n_samples=20_000))]
+    in_turn = [run(cfg) for run, cfg in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            with ThreadPoolExecutor(2) as pool:
-                assert list(pool.map(_strip_reports, cfgs, timeout=60)) == in_turn
+            with ThreadPoolExecutor(3) as pool:
+                futures = [pool.submit(run, cfg) for run, cfg in jobs]
+                assert [f.result(timeout=60) for f in futures] == in_turn
     finally:
         sys.setswitchinterval(interval)
 
@@ -456,6 +466,18 @@ print(json.dumps(repr(({reports}))))
 """
 
 
+def _assert_fresh(reports):
+    """`reports`, an expression over `mc` and the `cfg` of _FRESH_REPORTS,
+    reads here what it reads in a fresh interpreter."""
+    cfg = SimConfig(master_seed=9, n_samples=40_000, workers=1)
+    here = repr(eval(reports, {"mc": mc, "cfg": cfg}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = _FRESH_REPORTS.format(reports=reports)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert here == json.loads(out.stdout.splitlines()[-1])
+
+
 def test_a_walk_that_raises_returns_its_workspace(monkeypatch):
     # the jump raises at its third call, mid-walk; the workspace goes back to
     # the free list with the walk's partial state, and the next calls, whose
@@ -469,22 +491,68 @@ def test_a_walk_that_raises_returns_its_workspace(monkeypatch):
             raise RuntimeError("jump failed")
         return real(*args)
 
-    cfg = SimConfig(master_seed=9, n_samples=40_000, workers=1)
-    reports = "mc.strip_exit_moments((1.0, 2.0), (0.0, 0.0), cfg), " \
-              "mc.harmonic_rectangle_check(2.0, 6.0, cfg)"
     _empty_free_list()
     monkeypatch.setattr(mc, "_jump", failing)
     with pytest.raises(RuntimeError, match="jump failed"):  # one chunk, one walk
         strip_exit_moment(2.0, (0.0, 0.0), SimConfig(master_seed=1, n_samples=mc._CHUNK))
     monkeypatch.setattr(mc, "_jump", real)
     assert mc._WORKSPACES.qsize() == 1
-    here = repr((strip_exit_moments((1.0, 2.0), (0.0, 0.0), cfg),
-                 harmonic_rectangle_check(2.0, 6.0, cfg)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    code = "from sharpmart.mc import *\n" + _FRESH_REPORTS.format(reports=reports)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert here == json.loads(out.stdout.splitlines()[-1])
+    _assert_fresh("mc.strip_exit_moments((1.0, 2.0), (0.0, 0.0), cfg), "
+                  "mc.harmonic_rectangle_check(2.0, 6.0, cfg)")
+
+
+class _SecondWordFails(np.random.PCG64):
+    """A bit generator whose second read of words raises."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.reads = 0
+
+    def random_raw(self, *args, **kwargs):
+        self.reads += 1
+        if self.reads == 2:
+            raise RuntimeError("word read failed")
+        return super().random_raw(*args, **kwargs)
+
+
+def test_a_pair_that_raises_returns_its_workspace(monkeypatch):
+    # the first pair's second word read raises, after four steps (N >= 5);
+    # its workspace goes back to the free list with the pair's partial
+    # state, and the next pairs and walks, which reuse it, report what a
+    # fresh process reports
+    _empty_free_list()
+    with monkeypatch.context() as m:
+        m.setattr(mc.np.random, "default_rng",
+                  lambda seed: np.random.Generator(_SecondWordFails(seed)))
+        with pytest.raises(RuntimeError, match="word read failed"):
+            random_subordinate_pair_check(3.0, SimConfig(master_seed=1, n_samples=10_000))
+    assert mc._WORKSPACES.qsize() == 1
+    _assert_fresh("mc.random_subordinate_pair_checks((0.5, 3.0), mc.SimConfig(9, 10_000), 5), "
+                  "mc.strip_exit_moments((1.0, 2.0), (0.0, 0.0), cfg)")
+
+
+def test_a_pair_above_the_chunk_keeps_its_workspace_off_the_free_list():
+    # a pair of more than _CHUNK paths allocates its own buffers, so the list
+    # holds no more than the walks' memory
+    _empty_free_list()
+    strip_exit_moment(2.0, (0.0, 0.0), SimConfig(master_seed=1, n_samples=mc._CHUNK))
+    random_subordinate_pair_checks((0.5, 3.0), SimConfig(1, mc._CHUNK + 1), n_pairs=3)
+    assert [ws.size for ws in _empty_free_list()] == [mc._CHUNK]
+
+
+def test_a_warm_pair_check_allocates_no_path_buffers():
+    # with a workspace on the free list, a pair allocates only its word block
+    # and the step table's read, n words each, at one time
+    cfg = SimConfig(master_seed=2, n_samples=10_000)
+    _empty_free_list()
+    random_subordinate_pair_checks((0.5, 3.0), cfg, n_pairs=20)
+    tracemalloc.start()
+    try:
+        random_subordinate_pair_checks((0.5, 3.0), cfg, n_pairs=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * cfg.n_samples * 8, peak
 
 
 def _within_p2_bias_bound(est):
@@ -542,6 +610,16 @@ def test_pair_chunk_is_deterministic_and_valid():
     assert np.all(g_star >= np.abs(g_fin) - 1e-15)
     assert np.all(g_star >= 1.0)  # g_0 = 1
     assert log_f_pp >= 0.0  # ||f||_p^p = max(1, m_p)^N
+
+
+def test_pair_chunk_without_a_workspace_returns_arrays_of_its_own():
+    # the second pair reuses the free list's workspace and leaves the first
+    # pair's arrays as they were
+    first = _pair_chunk((5, 10_001), 4_000, (3.0,))
+    kept = [a.copy() for a in first[:2]]
+    second = _pair_chunk((5, 10_002), 4_000, (3.0,))
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+    assert not np.array_equal(first[0], second[0])
 
 
 def _law(seed_pair):
@@ -751,6 +829,11 @@ def test_pairs_reject_empty_work(ps, n_pairs, match):
             random_subordinate_pair_check(ps[0], cfg, n_pairs=n_pairs)
 
 
+def _count(g, grid):
+    """How many of the values g reach each lambda of the grid."""
+    return np.count_nonzero(g[:, None] >= grid, axis=0)
+
+
 def test_pairs_verdict_uses_largest_margin():
     # pair A: the largest ratio but a wide error bar (margin ~0.4 sigma);
     # pair B: a smaller ratio with a tight bar (margin ~9.5 sigma)
@@ -758,7 +841,7 @@ def test_pairs_verdict_uses_largest_margin():
     grid = np.array([1.0, 1.5, 3.0])
     a = np.repeat([2.0, 1.0], [52, 48])
     b = np.repeat([2.0, 1.0], [51_500, 48_500])
-    rows = [_lambda_scan(np.sort(g), grid, 0.0, p, bound) for g in (a, b)]
+    rows = [_lambda_scan(_count(g, grid), g.size, grid, 0.0, p, bound) for g in (a, b)]
     ratio, se, margin = (np.concatenate(c) for c in zip(*rows))
     top = int(np.argmax(ratio))
     assert top == 1 and margin[top] <= 4.0  # the old rule: this row decides, passes
@@ -779,9 +862,11 @@ def test_lambda_scan_margin_keeps_its_sign_past_the_doubles():
     # error bar is ~4e-152 and the bound 1e200: the quotient overflows to
     # -inf.  Neither warns.
     g = np.array([0.0, 1.0])
-    ratio, se, margin = _lambda_scan(g, np.array([1e-10]), math.log(1e308), 3.0, 1.5)
+    grid = np.array([1e-10])
+    ratio, se, margin = _lambda_scan(_count(g, grid), 2, grid, math.log(1e308), 3.0, 1.5)
     assert (ratio[0], se[0], margin[0]) == (0.0, 0.0, -math.inf)
-    ratio, se, margin = _lambda_scan(g, np.array([0.5]), math.log(1e150), 3.0, 1e200)
+    grid = np.array([0.5])
+    ratio, se, margin = _lambda_scan(_count(g, grid), 2, grid, math.log(1e150), 3.0, 1e200)
     assert se[0] > 0 and margin[0] == -math.inf
 
 
