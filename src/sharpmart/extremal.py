@@ -44,17 +44,14 @@ class Step:
             raise ValueError("one value per interval required")
 
     def index(self, omega: float) -> int:
-        """The i with omega in (bounds[i], bounds[i+1]], or 0 for omega <= 0."""
-        return max(int(np.searchsorted(self.bounds, omega, side="left")) - 1, 0)
-
-    def at(self, omega: float) -> float:
-        return self.values[self.index(omega)]
+        """The i with omega in (bounds[i], bounds[i+1]], the first interval
+        closed at 0 and the last at 1; ValueError unless 0 <= omega <= 1."""
+        if not 0 <= omega <= 1:  # also refuses NaN
+            raise ValueError(f"omega must lie in [0, 1], got {omega}")
+        return int(np.searchsorted(self.bounds[1:-1], omega, side="left"))
 
     def lengths(self):
         return np.diff(np.asarray(self.bounds))
-
-    def integral(self) -> float:
-        return float(np.dot(self.lengths(), self.values))
 
     def abs_pth_moment(self, p: float) -> float:
         return float(np.dot(self.lengths(), np.abs(self.values) ** p))
@@ -70,9 +67,6 @@ class AtomicMartingale:
         for a, b in zip(self.steps, self.steps[1:]):
             if not np.all(np.isin(a.bounds, b.bounds)):
                 raise ValueError("partitions must be nested")
-
-    def path(self, omega: float):
-        return [s.at(omega) for s in self.steps]
 
     def final(self) -> Step:
         return self.steps[-1]

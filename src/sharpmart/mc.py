@@ -237,7 +237,7 @@ def _workspace(n):
         _WORKSPACES.put(ws)
 
 
-def _walk(seed_pair, n, x0, y0, r_bound, ws=None):
+def _walk(seed_pair, n, x0, y0, r_bound, ws):
     """n 2-D Brownian paths started at (x0, y0), run by walk on spheres to
     their exit from the strip |y| < 1, and from |x| < r_bound.
 
@@ -278,14 +278,8 @@ def _walk(seed_pair, n, x0, y0, r_bound, ws=None):
     into the other half of each ping-pong pair, and the jump writes Im z
     into y's.  So a walk that reuses a workspace allocates nothing
     chunk-sized outside the general step, which runs only near a side.  The
-    outputs are views into `ws`, read until it is reused.  Without `ws` the
-    walk takes one from the free list (`_workspace`) and returns copies that
-    the caller owns.
+    outputs are views into `ws`, read until it is reused.
     """
-    if ws is None:
-        with _workspace(n) as ws:
-            xs, ys, steps, live = _walk(seed_pair, n, x0, y0, r_bound, ws)
-            return xs.copy(), ys.copy(), steps, live.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     # the ping-pong pairs, and the index of each pair's free half
     xb, yb, lb = ws.x, ws.y, ws.live
@@ -446,7 +440,7 @@ def strip_exit_moment(p: float, start, cfg: SimConfig) -> ExitEstimate:
     return strip_exit_moments((p,), start, cfg)[0]
 
 
-def _pair_chunk(seed_pair, n, ps, ws=None):
+def _pair_chunk(seed_pair, n, ps, ws):
     """One random non-negative martingale f of n paths with a
     sign-transformed g, drawn once for every exponent in `ps`; returns the
     data the weak-type ratio needs: g* and |g| at the final time, and
@@ -475,12 +469,7 @@ def _pair_chunk(seed_pair, n, ps, ws=None):
     down flags live in the workspace `ws` (`_Workspace`, at least n paths),
     so a pair that reuses one allocates only the generator's word block and
     the step table's read.  g* and |g| are views into `ws`, read until it is
-    reused.  Without `ws` the pair takes one from the free list
-    (`_workspace`) and returns copies that the caller owns."""
-    if ws is None:
-        with _workspace(n) as ws:
-            g_star, g_fin, log_f_pps = _pair_chunk(seed_pair, n, ps, ws)
-            return g_star.copy(), g_fin.copy(), log_f_pps
+    reused."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     n_steps = int(rng.integers(5, 26))
     # centered two-point step: a with prob q, -b with prob 1-q, qa = (1-q)b,
@@ -603,8 +592,6 @@ def random_subordinate_pair_checks(ps, cfg: SimConfig, n_pairs: int = 100) -> li
         raise ValueError("need at least one exponent")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
-    if not all(p < 1 or p >= 2 for p in ps):
-        raise ValueError("regime must be p < 1 or p >= 2")
     bounds = [weak_constant_nonneg(p).value ** p for p in ps]
     n = cfg.n_samples
     grids, stars, fins, log_f_pps = zip(*(
@@ -648,12 +635,10 @@ def harmonic_rectangle_check(p: float, R: float, cfg: SimConfig) -> dict:
     value 1/kp(p)^p and almost all mass exits through |v| = 1."""
     if R < 5:
         raise ValueError("requires R >= 5")
-    if not 1 <= p <= 2:
-        raise ValueError("requires 1 <= p <= 2")
+    target = 1.0 / kp(p).value ** p  # kp refuses p outside [1, 2] before any path is drawn
     chunks, steps, censored = _strip_exits((0.0, 0.0), cfg, R, partial(_rectangle_sums, p))
     sums, sides = zip(*chunks)
     moment = _estimate(*_merge(sums), cfg.master_seed)
-    target = 1.0 / kp(p).value ** p
     # the flags 1 - side: n - k ones among n, with mean (n - k)/n and
     # M2 = k (n - k)/n
     n, k = moment.n, sum(sides)

@@ -92,13 +92,29 @@ def test_step_validation():
         Step((0.0, 1.0), (1.0, 2.0))  # one value per interval
 
 
+def _at(step, omega):
+    """The value of `step` at omega."""
+    return step.values[step.index(omega)]
+
+
 def test_step_evaluation_and_moments():
     s = Step((0.0, 0.25, 1.0), (2.0, -1.0))
-    assert s.at(0.1) == 2.0
-    assert s.at(0.25) == 2.0  # intervals closed on the right
-    assert s.at(0.26) == -1.0
-    assert s.integral() == pytest.approx(0.25 * 2 - 0.75)
+    assert _at(s, 0.1) == 2.0
+    assert _at(s, 0.25) == 2.0  # intervals closed on the right
+    assert _at(s, 0.26) == -1.0
+    assert float(np.dot(s.lengths(), s.values)) == pytest.approx(0.25 * 2 - 0.75)
     assert s.abs_pth_moment(2.0) == pytest.approx(0.25 * 4 + 0.75)
+
+
+def test_step_index_refuses_omega_outside_the_unit_interval():
+    # past 1 and at NaN the index fell past the last interval
+    s = Step((0.0, 0.5, 1.0), (1.0, 2.0))
+    assert [s.index(w) for w in (0.0, 0.25, 0.5, 0.75, 1.0)] == [0, 0, 0, 1, 1]
+    for omega in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            s.index(omega)
+    # bounds may end within 1e-12 of 1, and omega = 1 still lies in the last interval
+    assert Step((0.0, 0.5, 1.0 - 1e-13), (1.0, 2.0)).index(1.0) == 1
 
 
 def test_martingale_requires_nested_partitions():
@@ -145,7 +161,8 @@ def _weak_norm_by_levels(m, p):
     """Reference: P(max_n |X_n| >= lambda) summed atom by atom at every level."""
     fine = m.final().bounds
     lens = np.diff(fine)
-    sup = np.array([max(map(abs, m.path((a + b) / 2))) for a, b in zip(fine, fine[1:])])
+    sup = np.array([max(abs(_at(s, (a + b) / 2)) for s in m.steps)
+                    for a, b in zip(fine, fine[1:])])
     levels = [lam * lens[sup >= lam].sum() ** (1 / p) for lam in set(sup) if lam > 0]
     return max(levels, default=0.0)
 
@@ -212,7 +229,7 @@ def test_section_example_subordination(figure_pair):
     assert Y.steps[0].values[0] == pytest.approx((params.p - 1) * params.x0)
     mids = [(a + b) / 2 for a, b in zip(X.final().bounds, X.final().bounds[1:])]
     for m in mids:
-        xs, ys = X.path(m), Y.path(m)
+        xs, ys = [_at(s, m) for s in X.steps], [_at(s, m) for s in Y.steps]
         assert min(xs) >= 0.0
         for dx, dy in zip(np.diff(xs), np.diff(ys)):
             assert abs(abs(dy) - abs(dx)) < 1e-14
@@ -277,8 +294,8 @@ def test_p_lt1_example_exact_identity():
 def test_p_lt1_example_increment_subordination():
     f, g, _ = build_p_lt1_example()
     for m in [0.3, 0.9]:
-        (df,) = np.diff(f.path(m))
-        (dg,) = np.diff(g.path(m))
+        (df,) = np.diff([_at(s, m) for s in f.steps])
+        (dg,) = np.diff([_at(s, m) for s in g.steps])
         assert abs(dg) == pytest.approx(abs(df), rel=1e-14)
 
 

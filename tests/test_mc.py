@@ -9,6 +9,7 @@ import json
 import math
 import os
 import queue
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -225,6 +226,14 @@ def test_jump_law_is_the_harmonic_measure(b):
         assert _power_means_sigma(ray, b) > 4.0
 
 
+def _owned(kernel, seed_pair, n, *args):
+    """`kernel` (`mc._walk` or `mc._pair_chunk`) run in a workspace from the
+    free list, with its arrays copied out before the workspace goes back."""
+    with mc._workspace(n) as ws:
+        out = kernel(seed_pair, n, *args, ws)
+        return tuple(a.copy() if isinstance(a, np.ndarray) else a for a in out)
+
+
 def _reference_walk(seed_pair, n, x0, y0, r_bound):
     """The strip walk with the general tangent-disk step on every path at
     every jump, as masks: an edge foot's disk has radius min(1, ex) and
@@ -285,7 +294,7 @@ def test_walk_matches_the_general_step_everywhere(monkeypatch, r_bound, x0, y0, 
     # a side, and its one compaction per stop, move no bit of its outputs
     monkeypatch.setattr(mc, "_MAX_STEPS", max_steps)
     args = ((17, 3), 1 << 12, x0, y0, r_bound)
-    xs, ys, steps, live = mc._walk(*args)
+    xs, ys, steps, live = _owned(mc._walk, *args)
     want_xs, want_ys, want_steps, want_live = _reference_walk(*args)
     assert (live.size > 0) == (max_steps == 3)
     assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
@@ -296,7 +305,7 @@ def test_walk_keeps_a_harmonic_mean_past_the_side_foot():
     # from (4.5, 0.5) with R = 5 the side is the nearest boundary, so the
     # side-foot disk takes the first step and many later ones; x^2 - y^2 is
     # harmonic, so its mean at the stop is x0^2 - y0^2 = 20
-    xs, ys, _, live = mc._walk((23, 0), 1 << 17, 4.5, 0.5, 5.0)
+    xs, ys, _, live = _owned(mc._walk, (23, 0), 1 << 17, 4.5, 0.5, 5.0)
     assert live.size == 0
     f = xs * xs - ys * ys
     se = f.std(ddof=1) / math.sqrt(f.size)
@@ -417,7 +426,7 @@ def _strip_reports(cfg):
         strip_exit_moments((1.0, 2.0), (0.1, -0.3), cfg),
         harmonic_rectangle_check(1.5, 6.0, cfg),
         [a.tolist() if isinstance(a, np.ndarray) else a
-         for a in mc._walk((cfg.master_seed, 7), 5_000, 4.5, 0.5, 5.0)],
+         for a in _owned(mc._walk, (cfg.master_seed, 7), 5_000, 4.5, 0.5, 5.0)],
     )
 
 
@@ -602,24 +611,14 @@ def test_censored_paths_near_a_side_are_not_side_exits(monkeypatch):
 
 
 def test_pair_chunk_is_deterministic_and_valid():
-    a = _pair_chunk((5, 10_001), 4_000, (3.0,))
-    b = _pair_chunk((5, 10_001), 4_000, (3.0,))
+    a = _owned(_pair_chunk, (5, 10_001), 4_000, (3.0,))
+    b = _owned(_pair_chunk, (5, 10_001), 4_000, (3.0,))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
     g_star, g_fin, (log_f_pp,) = a
     assert np.all(g_star >= np.abs(g_fin) - 1e-15)
     assert np.all(g_star >= 1.0)  # g_0 = 1
     assert log_f_pp >= 0.0  # ||f||_p^p = max(1, m_p)^N
-
-
-def test_pair_chunk_without_a_workspace_returns_arrays_of_its_own():
-    # the second pair reuses the free list's workspace and leaves the first
-    # pair's arrays as they were
-    first = _pair_chunk((5, 10_001), 4_000, (3.0,))
-    kept = [a.copy() for a in first[:2]]
-    second = _pair_chunk((5, 10_002), 4_000, (3.0,))
-    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
-    assert not np.array_equal(first[0], second[0])
 
 
 def _law(seed_pair):
@@ -651,7 +650,7 @@ def test_pair_chunk_f_pp_is_the_step_law_closed_form():
     ps = (0.5, 2.0, 3.0, 6.0)
     for j in range(24):
         seed_pair = (11, 10_000 + j)
-        _, _, log_f_pps = _pair_chunk(seed_pair, 10, ps)
+        _, _, log_f_pps = _owned(_pair_chunk, seed_pair, 10, ps)
         assert log_f_pps[0] == 0.0  # E f_n^p <= 1 for p < 1, and E f_0^p = 1
         for p, log_f_pp in zip(ps, log_f_pps):
             want = _enumerated_f_pp(seed_pair, p)
@@ -693,7 +692,7 @@ def _plain_pair(seed_pair, n_paths, q_shift=0.0, field=lambda i: i % 4, v_bit=0)
 def test_pair_chunk_is_the_plain_reading_of_its_law(j):
     seed_pair = (5, 10_000 + j)
     n_paths = 1 + 997 * j
-    g_star, g_fin, _ = _pair_chunk(seed_pair, n_paths, (3.0,))
+    g_star, g_fin, _ = _owned(_pair_chunk, seed_pair, n_paths, (3.0,))
     want_star, want_fin = _plain_pair(seed_pair, n_paths)
     assert np.array_equal(g_star, want_star) and np.array_equal(g_fin, want_fin)
 
@@ -711,7 +710,7 @@ def test_pair_chunk_reads_one_word_per_path_and_four_steps(monkeypatch):
         seed_pair = (9, 10_000 + j)
         with monkeypatch.context() as m:
             m.setattr(mc.np.random, "default_rng", default_rng)
-            _pair_chunk(seed_pair, n_paths, (3.0,))
+            _owned(_pair_chunk, seed_pair, n_paths, (3.0,))
         (n_steps, *_), rng = _law(seed_pair)
         rng.bit_generator.random_raw(-(-n_steps // 4) * n_paths)
         assert made[-1].bit_generator.state == rng.bit_generator.state
@@ -732,7 +731,7 @@ def test_pair_chunk_g_second_moment_is_f_norm():
     # p = 2 value _pair_chunk returns (m_2 >= 1)
     zs = []
     for seed_pair in _LAW_PAIRS:
-        _, g_fin, (log_f_22,) = _pair_chunk(seed_pair, 100_000, (2.0,))
+        _, g_fin, (log_f_22,) = _owned(_pair_chunk, seed_pair, 100_000, (2.0,))
         zs.append(_g_second_moment_z(g_fin, log_f_22))
     assert max(map(abs, zs)) <= 4.0, zs
 
@@ -742,7 +741,7 @@ def _faulty_law_zs(**fault):
     one fault, against the kernel's own ||f||_2^2."""
     zs = []
     for seed_pair in _LAW_PAIRS:
-        _, _, (log_f_22,) = _pair_chunk(seed_pair, 10, (2.0,))
+        _, _, (log_f_22,) = _owned(_pair_chunk, seed_pair, 10, (2.0,))
         g_fin = _plain_pair(seed_pair, 100_000, **fault)[1]
         zs.append(_g_second_moment_z(g_fin, log_f_22))
     return zs
@@ -895,6 +894,27 @@ def test_pairs_pass_at_a_few_paths(n):
 def test_random_pairs_rejects_intermediate_exponents():
     with pytest.raises(ValueError):
         random_subordinate_pair_check(1.5, SimConfig(master_seed=1, n_samples=10))
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda cfg: harmonic_rectangle_check(0.5, 20.0, cfg),
+         "kp requires 1 <= p <= 2, got 0.5"),
+        (lambda cfg: random_subordinate_pair_checks((1.5,), cfg),
+         "no sharp non-negative weak constant for 1 <= p < 2 (got p=1.5)"),
+    ],
+    ids=["harmonic", "pairs"],
+)
+def test_exponent_is_refused_before_any_path(monkeypatch, check, message):
+    # the constant that defines the range refuses p, before any path is drawn
+    def drawn(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(mc, "_strip_exits", drawn)
+    monkeypatch.setattr(mc, "_pair_scans", drawn)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check(SimConfig(master_seed=0, n_samples=100))
 
 
 # --------------------------------------------------------- rectangle check

@@ -3,12 +3,13 @@
 import functools
 import json
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sharpmart import gfun, uweak
+from sharpmart import gfun, mc, uweak
 from sharpmart.verify import SUITES, _sample_strip, run_suite
 
 # smaller sample sizes than the suite defaults: this file checks wiring and
@@ -145,6 +146,17 @@ def test_suite_accepts_p_override():
 def test_mc_strip_rejects_p_without_a_bound(p):
     with pytest.raises(ValueError, match="1 <= p <= 2"):
         run_suite("mc-strip", p=p, n=10)
+
+
+def test_mc_strip_refuses_p_before_any_path(monkeypatch):
+    # kp refuses p before the walk runs, with its own message
+    def drawn(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(mc, "_strip_exits", drawn)
+    monkeypatch.setattr(mc, "_pair_scans", drawn)
+    with pytest.raises(ValueError, match=re.escape("kp requires 1 <= p <= 2, got 2.5")):
+        run_suite("mc-strip", p=2.5)
 
 
 def test_ode_residual_is_measured():
