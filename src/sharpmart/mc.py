@@ -17,8 +17,8 @@ formula with `kp` or with the Poisson quadrature of `orth`.  While no path
 can lie within 1 of a side, which a scalar bound on |x| shows for the first
 r_bound - |x0| - 1 jumps or so (every jump at r_bound = inf), every tangent
 disk is the unit disk centred on the path's x, and the walk takes that step
-alone.  The live paths are compacted only after a jump at which some path
-stopped.
+alone.  After a jump at which some path stopped, the stopped paths are
+written to the next free slots of the exits and the live ones compacted.
 
 Each chunk is reduced in its worker, while its arrays are still there
 (`_strip_exits`): to (n, mean, M2) of |X|^p per exponent, by two passes,
@@ -47,9 +47,10 @@ Determinism contract: strip chunk i (of fixed size) uses
 pair reads one 64-bit word of the generator per path and four steps, and
 none for g_0 = 1: step 4i + j reads the 16-bit field j of word i, whose high
 15 bits give the step of f and whose low bit gives the sign v
-(`_pair_chunk`).  Strip chunks run on a pool of `cfg.workers` threads (numpy
-releases the GIL in array work) and are merged in chunk order (`_merge`);
-pairs run in pair order on the calling thread.  So reports are
+(`_pair_chunk`).  A chunk's exits come in stop order (`_walk`), which its
+reducers read as a sample.  Strip chunks run on a pool of `cfg.workers`
+threads (numpy releases the GIL in array work) and are merged in chunk order
+(`_merge`); pairs run in pair order on the calling thread.  So reports are
 bit-identical for a given master seed at any worker count.
 """
 
@@ -60,7 +61,7 @@ import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -109,10 +110,10 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        for name in ("n_samples", "workers"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, np.integer)) and v >= 1):  # also refuses NaN
+                raise ValueError(f"{name} must be an integer of at least 1, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -187,25 +188,18 @@ def _jump(u: np.ndarray, b: np.ndarray, n=None, q=None, im=None):
 
 class _Workspace:
     """The buffers of a walk of up to `size` paths (`_walk`): ping-pong
-    pairs for x, y and the live paths' indices, the indices 0, ..., size - 1,
-    x and y at the stop, the distance to the boundary and the stop flags,
-    the uniforms, and the jump's N and q.  The jump's Im z goes to the free
-    half of the y pair.  A random pair of up to `size` paths (`_pair_chunk`)
-    uses seven of them, all written before they are read.  The indices are
-    built at a walk's first use, so a workspace that only pairs use never
-    touches them."""
+    pairs for the live paths' x and y, x and y at the stop in stop order,
+    |y| or the distance to the boundary and the stop flags, the uniforms,
+    and the jump's N and q.  The jump's Im z goes to the free half of the y
+    pair.  A random pair of up to `size` paths (`_pair_chunk`) uses seven of
+    them, all written before they are read."""
 
     def __init__(self, size):
         self.size = size
         self.x = (np.empty(size), np.empty(size))
         self.y = (np.empty(size), np.empty(size))
-        self.live = (np.empty(size, np.intp), np.empty(size, np.intp))
         self.xs, self.ys, self.dist, self.u, self.n, self.q = (np.empty(size) for _ in range(6))
         self.stop = np.empty(size, bool)
-
-    @cached_property
-    def index(self):
-        return np.arange(self.size)
 
 
 # Workspaces wait here for the next walk or pair (`_workspace`)
@@ -237,6 +231,13 @@ def _workspace(n):
         _WORKSPACES.put(ws)
 
 
+def _stop_y(eps):
+    """The least double y with 1 - y < eps, for 0 < eps <= 1/2: 1 - y is
+    exact for y >= 1/2, so |y| >= _stop_y(eps) is the test 1 - |y| < eps."""
+    y = 1.0 - eps
+    return y if 1.0 - y < eps else math.nextafter(y, 2.0)
+
+
 def _walk(seed_pair, n, x0, y0, r_bound, ws):
     """n 2-D Brownian paths started at (x0, y0), run by walk on spheres to
     their exit from the strip |y| < 1, and from |x| < r_bound.
@@ -259,11 +260,13 @@ def _walk(seed_pair, n, x0, y0, r_bound, ws):
 
     A path stops once min(ey, ex) < _SHELL_EPS.  A path still walking after
     _MAX_STEPS jumps is censored.  Returns (x, y) at the stop or the
-    censoring, the total jump count, and the censored paths' indices.
+    censoring, in stop order (live order within a stop, censored paths
+    last), the total jump count, and the censored count.  The compaction
+    keeps live order, so each path reads the uniforms it would in path order.
 
     Wherever ex >= 1, the tangent disk is the unit disk centred at (x, 0):
     rho = 1, c = +-0 and b = y, so the general step reduces exactly to
-    x += Re z, y = Im z, and the stop test to ey < _SHELL_EPS.  An edge-foot
+    x += Re z, y = Im z, and the stop test to |y| >= `_stop_y`.  An edge-foot
     jump of that disk moves x by at most 1 + _RE_SLACK, plus x's rounding of
     at most r_bound eps / 2; delta = _RE_SLACK (1 + r_bound) covers both.  So
     while |x0| + (k + 1)(1 + delta) <= r_bound after k jumps (the extra delta
@@ -274,46 +277,47 @@ def _walk(seed_pair, n, x0, y0, r_bound, ws):
     the same bits.  The live paths are compacted only after a stop.
 
     Every per-jump array of the unit-disk step, and the outputs, live in the
-    workspace `ws` (`_Workspace`, at least n paths): the compaction takes
-    into the other half of each ping-pong pair, and the jump writes Im z
-    into y's.  So a walk that reuses a workspace allocates nothing
-    chunk-sized outside the general step, which runs only near a side.  The
-    outputs are views into `ws`, read until it is reused.
+    workspace `ws` (`_Workspace`, at least n paths): a stop goes to the
+    outputs' next free slots, the compaction to the other half of each
+    ping-pong pair and Im z to y's.  So a walk that reuses a workspace
+    allocates nothing chunk-sized outside the general step, which runs only
+    near a side.  The outputs are views into `ws`, read until it is reused.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
     # the ping-pong pairs, and the index of each pair's free half
-    xb, yb, lb = ws.x, ws.y, ws.live
-    fx = fy = fl = 1
-    live = lb[0][:n]
-    np.copyto(live, ws.index[:n])
+    xb, yb = ws.x, ws.y
+    fx = fy = 1
     x = xb[0][:n]
     x.fill(x0)
     y = yb[0][:n]
     y.fill(y0)
     xs = ws.xs[:n]
     ys = ws.ys[:n]
-    steps = 0
+    done = steps = 0
     delta = _RE_SLACK * (1.0 + r_bound)
+    stop_y = _stop_y(_SHELL_EPS)
     for k in range(_MAX_STEPS + 1):
-        m = live.size
+        m = x.size
         # while the bound holds, no path can lie within 1 of a side
         near = abs(x0) + (k + 1) * (1.0 + delta) > r_bound
         dist = np.abs(y, out=ws.dist[:m])
-        np.subtract(1.0, dist, out=dist)
         if near:
+            np.subtract(1.0, dist, out=dist)
             np.minimum(dist, r_bound - np.abs(x), out=dist)
-        stop = np.less(dist, _SHELL_EPS, out=ws.stop[:m])
+            stop = np.less(dist, _SHELL_EPS, out=ws.stop[:m])
+        else:
+            stop = np.greater_equal(dist, stop_y, out=ws.stop[:m])
         i = np.flatnonzero(stop)
+        # flatnonzero's indices are in range, and mode="clip" takes unbuffered
         if i.size:
-            done = live[i]
-            xs[done] = x[i]
-            ys[done] = y[i]
+            np.take(x, i, out=xs[done : done + i.size], mode="clip")
+            np.take(y, i, out=ys[done : done + i.size], mode="clip")
+            done += i.size
             keep = np.flatnonzero(np.logical_not(stop, out=stop))
             m = keep.size
-            live = np.take(live, keep, out=lb[fl][:m])
-            x = np.take(x, keep, out=xb[fx][:m])
-            y = np.take(y, keep, out=yb[fy][:m])
-            fl, fx, fy = 1 - fl, 1 - fx, 1 - fy
+            x = np.take(x, keep, out=xb[fx][:m], mode="clip")
+            y = np.take(y, keep, out=yb[fy][:m], mode="clip")
+            fx, fy = 1 - fx, 1 - fy
         if not m or k == _MAX_STEPS:
             break
         u = rng.random(out=ws.u[:m])
@@ -350,9 +354,9 @@ def _walk(seed_pair, n, x0, y0, r_bound, ws):
         x += re
         if side.size:
             x[side], y[side] = y[side], x[side]
-    xs[live] = x
-    ys[live] = y
-    return xs, ys, steps, live
+    xs[done:] = x
+    ys[done:] = y
+    return xs, ys, steps, x.size
 
 
 def _walk_chunk(args):
@@ -367,19 +371,20 @@ def _walk_chunk(args):
     [(1 - _SHELL_EPS)^2, 1], a bias of at most 2 _SHELL_EPS.
 
     Returns (reduce(x at exit, side-exit flags, scratch), total jumps,
-    censored paths).  The three arrays are the workspace's: `reduce` may
+    censored paths).  The arrays are the workspace's, in the walk's stop
+    order, censored paths last: `reduce` reads them as a sample, may
     overwrite `scratch`, must not write the other two, and keeps none."""
     seed_pair, n, x0, y0, r_bound, reduce = args
     with _workspace(n) as ws:
-        xs, ys, steps, live = _walk(seed_pair, n, x0, y0, r_bound, ws)
+        xs, ys, steps, censored = _walk(seed_pair, n, x0, y0, r_bound, ws)
         ex = np.abs(xs, out=ws.dist[:n])
         np.subtract(r_bound, ex, out=ex)
         ey = np.abs(ys, out=ws.u[:n])
         np.subtract(1.0, ey, out=ey)
         side = np.less(ex, ey, out=ws.stop[:n])
-        side[live] = False
+        side[n - censored :] = False
         np.copysign(r_bound, xs, out=xs, where=side)
-        return reduce(xs, side, ws.u[:n]), steps, live.size
+        return reduce(xs, side, ws.u[:n]), steps, censored
 
 
 def _strip_exits(start, cfg: SimConfig, r_bound: float, reduce):
@@ -633,7 +638,7 @@ def harmonic_rectangle_check(p: float, R: float, cfg: SimConfig) -> dict:
     """Exit sampling from the rectangle (-R, R) x (-1, 1) for the harmonic
     pair u(x,y) = x, v(x,y) = y: as R grows the u-moment tends to the strip
     value 1/kp(p)^p and almost all mass exits through |v| = 1."""
-    if R < 5:
+    if not R >= 5:  # also refuses NaN
         raise ValueError("requires R >= 5")
     target = 1.0 / kp(p).value ** p  # kp refuses p outside [1, 2] before any path is drawn
     chunks, steps, censored = _strip_exits((0.0, 0.0), cfg, R, partial(_rectangle_sums, p))

@@ -266,9 +266,9 @@ def run_suite(name: str, **kwargs):
     side, in the row's own units (None for a bool or a None value)."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if kwargs.get("n", 1) < 1:
-        raise ValueError(f"n must be at least 1, got {kwargs['n']}")
-    if kwargs.get("workers", 1) < 1:
+    if not (isinstance(n := kwargs.get("n", 1), (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be {'an integer' if n >= 1 else 'at least 1'}, got {n}")
+    if not kwargs.get("workers", 1) >= 1:
         raise ValueError(f"workers must be at least 1, got {kwargs['workers']}")
     report, rows = SUITES[name](**kwargs)
     ok, gates = True, {}

@@ -56,11 +56,20 @@ def check_schema(report):
         {"master_seed": 1, "n_samples": -5},
         {"master_seed": 1, "n_samples": 10, "workers": -1},
         {"master_seed": 1, "n_samples": 10, "workers": 0},
+        # each would fail later, inside numpy or range, naming no field
+        *({"master_seed": 1, "n_samples": 10, field: v}
+          for field in ("n_samples", "workers") for v in (math.nan, math.inf, -math.inf, 10.5)),
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    field = "workers" if "workers" in kwargs else "n_samples"
+    with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
         SimConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    cfg = SimConfig(master_seed=1, n_samples=np.int64(10), workers=np.int32(2))
+    assert (cfg.n_samples, cfg.workers) == (10, 2)
 
 
 # -------------------------------------------------------------- determinism
@@ -157,8 +166,8 @@ def test_strip_exit_samples_sides():
     "p, R, seed, workers, want",
     [
         (2.0, 6.0, 41, 1, (1.0149424708938584, 0.010150329350233345, 0.999775, 7.499249943743905e-05)),
-        (2.0, 20.0, 13, 2, (0.9970026211433244, 0.010083988741285773, 1.0, 0.0)),
-        (1.0, 6.0, 41, 3, (0.7486310391961036, 0.003370850785339798, 0.999775, 7.499249943743905e-05)),
+        (2.0, 20.0, 13, 2, (0.9970026211433243, 0.010083988741285773, 1.0, 0.0)),
+        (1.0, 6.0, 41, 3, (0.7486310391961036, 0.0033708507853397974, 0.999775, 7.499249943743905e-05)),
     ],
 )
 def test_harmonic_rectangle_is_pinned(p, R, seed, workers, want):
@@ -239,20 +248,21 @@ def _reference_walk(seed_pair, n, x0, y0, r_bound):
     every jump, as masks: an edge foot's disk has radius min(1, ex) and
     centre (x, +-(1 - rho)), a side foot's radius ey and centre
     (+-(r_bound - rho), y), and the path lies at b rho from the centre along
-    the foot's normal.  One uniform per live path and step, in path order."""
+    the foot's normal.  One uniform per live path and step, in path order.
+    Returns x and y with each stop's paths in path order after the earlier
+    stops' and the censored paths, in path order, last; the jump count; and
+    the censored count."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    live = np.arange(n)
     x = np.full(n, x0)
     y = np.full(n, y0)
-    xs = np.empty(n)
-    ys = np.empty(n)
+    xs, ys = [], []
     steps = 0
     for k in range(mc._MAX_STEPS + 1):
         stop = np.minimum(1.0 - np.abs(y), r_bound - np.abs(x)) < mc._SHELL_EPS
-        xs[live[stop]] = x[stop]
-        ys[live[stop]] = y[stop]
-        live, x, y = live[~stop], x[~stop], y[~stop]
-        if not live.size or k == mc._MAX_STEPS:
+        xs.append(x[stop])
+        ys.append(y[stop])
+        x, y = x[~stop], y[~stop]
+        if not x.size or k == mc._MAX_STEPS:
             break
         ey = 1.0 - np.abs(y)
         ex = r_bound - np.abs(x)
@@ -260,14 +270,12 @@ def _reference_walk(seed_pair, n, x0, y0, r_bound):
         rho = np.where(side, ey, np.minimum(ex, 1.0))
         normal, along = np.where(side, x, y), np.where(side, y, x)
         c = np.copysign(np.where(side, r_bound - rho, 1.0 - rho), normal)
-        re, im = mc._jump(rng.random(live.size), (normal - c) / rho)
+        re, im = mc._jump(rng.random(x.size), (normal - c) / rho)
         normal = c + im * rho
         along = along + re * rho
         x, y = np.where(side, normal, along), np.where(side, along, normal)
-        steps += live.size
-    xs[live] = x
-    ys[live] = y
-    return xs, ys, steps, live
+        steps += x.size
+    return np.concatenate(xs + [x]), np.concatenate(ys + [y]), steps, x.size
 
 
 @pytest.mark.parametrize(
@@ -291,22 +299,40 @@ def _reference_walk(seed_pair, n, x0, y0, r_bound):
 )
 def test_walk_matches_the_general_step_everywhere(monkeypatch, r_bound, x0, y0, max_steps):
     # the unit-disk step that `_walk` takes while no path can be within 1 of
-    # a side, and its one compaction per stop, move no bit of its outputs
+    # a side, its stop test on |y| alone, and its one compaction per stop,
+    # move no bit of its outputs, nor their order
     monkeypatch.setattr(mc, "_MAX_STEPS", max_steps)
     args = ((17, 3), 1 << 12, x0, y0, r_bound)
-    xs, ys, steps, live = _owned(mc._walk, *args)
-    want_xs, want_ys, want_steps, want_live = _reference_walk(*args)
-    assert (live.size > 0) == (max_steps == 3)
+    xs, ys, steps, censored = _owned(mc._walk, *args)
+    want_xs, want_ys, want_steps, want_censored = _reference_walk(*args)
+    assert (censored > 0) == (max_steps == 3)
     assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
-    assert steps == want_steps and np.array_equal(live, want_live)
+    assert steps == want_steps and censored == want_censored
+
+
+@pytest.mark.parametrize("eps", [1e-6, 0.1, 2.0**-20])
+def test_stop_y_is_the_shell_test_on_y(eps):
+    # |y| >= stop_y, the walk's stop test away from the sides, against
+    # 1 - |y| < eps on the 64 doubles each side of stop_y, at 1/2, and on
+    # seeded |y| in [0, 1)
+    stop_y = mc._stop_y(eps)
+    around = [stop_y]
+    for direction in (0.0, 2.0):
+        v = stop_y
+        for _ in range(64):
+            v = math.nextafter(v, direction)
+            around.append(v)
+    y = np.concatenate([around, [0.5], np.random.default_rng(46).random(100_000)])
+    assert np.array_equal(np.abs(y) >= stop_y, 1.0 - np.abs(y) < eps)
+    assert 1.0 - stop_y < eps <= 1.0 - math.nextafter(stop_y, 0.0)
 
 
 def test_walk_keeps_a_harmonic_mean_past_the_side_foot():
     # from (4.5, 0.5) with R = 5 the side is the nearest boundary, so the
     # side-foot disk takes the first step and many later ones; x^2 - y^2 is
     # harmonic, so its mean at the stop is x0^2 - y0^2 = 20
-    xs, ys, _, live = _owned(mc._walk, (23, 0), 1 << 17, 4.5, 0.5, 5.0)
-    assert live.size == 0
+    xs, ys, _, censored = _owned(mc._walk, (23, 0), 1 << 17, 4.5, 0.5, 5.0)
+    assert censored == 0
     f = xs * xs - ys * ys
     se = f.std(ddof=1) / math.sqrt(f.size)
     assert abs(f.mean() - 20.0) <= 4 * se
@@ -933,6 +959,8 @@ def test_harmonic_rectangle_domain():
     cfg = SimConfig(master_seed=1, n_samples=10)
     with pytest.raises(ValueError):
         harmonic_rectangle_check(2.0, 3.0, cfg)
+    with pytest.raises(ValueError, match=re.escape("requires R >= 5")):
+        harmonic_rectangle_check(2.0, math.nan, cfg)
     with pytest.raises(ValueError):
         harmonic_rectangle_check(3.0, 6.0, cfg)
 

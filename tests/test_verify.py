@@ -128,6 +128,15 @@ def test_suite_refuses_an_empty_sample(name):
 
 
 @pytest.mark.parametrize(
+    "n, message", [(float("nan"), "at least 1"), (float("inf"), "an integer"), (10.5, "an integer")]
+)
+def test_suite_refuses_a_sample_size_that_is_not_a_count(n, message):
+    # u-weak would fail inside numpy, with a TypeError that names no n
+    with pytest.raises(ValueError, match=f"n must be {message}, got {n}"):
+        run_suite("u-weak", n=n)
+
+
+@pytest.mark.parametrize(
     "name", ["w", "u-weak", "u-orth", "ode", "extremal", "mc-weak-type", "mc-strip"]
 )
 def test_suite_refuses_no_workers(name):
